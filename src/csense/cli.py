@@ -121,9 +121,16 @@ def _cmd_recover(args) -> int:
             rel_epsilon = args.epsilon / y_norm
         else:
             rel_epsilon = recovery.DEFAULT_RELATIVE_EPSILON
-        solutions = recovery.exhaustive_l0_search(mat, y, max(1, len(result.support)), rel_epsilon)
+        search = recovery.exhaustive_l0_search(mat, y, max(1, len(result.support)), rel_epsilon)
+        solutions = search.solutions
         minimal_size = len(solutions[0].support) if solutions else 0
         minimal = [s for s in solutions if len(s.support) == minimal_size]
+        ambiguous = agrees = None  # unknown when the budget cut the search short
+        if search.complete:
+            ambiguous = len(minimal) > 1
+            agrees = tuple(sorted(result.support)) in {s.support for s in minimal}
+        else:
+            print(f"warning: oracle searched only {search.scanned} of {search.total} supports", file=sys.stderr)
         payload["oracle"] = {
             "solutions": [
                 {
@@ -133,8 +140,11 @@ def _cmd_recover(args) -> int:
                 }
                 for s in solutions
             ],
-            "ambiguous": len(minimal) > 1,
-            "agrees_with_pursuit": tuple(sorted(result.support)) in {s.support for s in minimal},
+            "scanned": search.scanned,
+            "total": search.total,
+            "complete": search.complete,
+            "ambiguous": ambiguous,
+            "agrees_with_pursuit": agrees,
         }
     print(json.dumps(payload, indent=2))
     return 0 if result.converged else 5

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from .errors import InfeasibleScanError
 
 ETF_SPREAD_TOL = 1e-6
 DEFAULT_MAX_SUBSETS = 100_000
+# Bytes of sub-matrices one scan chunk gathers, which fixes a scan's working memory.
+SCAN_CHUNK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -38,39 +40,24 @@ class CoherenceReport:
     gram_offdiag_min: float
 
     def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "welch": self.welch,
-            "k_max": self.k_max,
-            "bound_value": self.bound_value,
-            "is_etf": self.is_etf,
-            "gram_offdiag_max": self.gram_offdiag_max,
-            "gram_offdiag_min": self.gram_offdiag_min,
-        }
+        return asdict(self)
 
 
 @dataclass
 class UniquenessReport:
-    """Result of the rank scan over 2k-column subsets (lexicographic order)."""
+    """Rank scan over 2k-column subsets; all_full_rank is None if cut short before any witness."""
 
     k: int
     total_subsets: int
     scanned: int
-    all_full_rank: bool
+    all_full_rank: bool | None
     witness: tuple[int, ...] | None
     min_cond: float
     max_cond: float
+    complete: bool
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "total_subsets": self.total_subsets,
-            "scanned": self.scanned,
-            "all_full_rank": self.all_full_rank,
-            "witness": None if self.witness is None else list(self.witness),
-            "min_cond": self.min_cond,
-            "max_cond": self.max_cond,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -80,9 +67,11 @@ class RipReport:
     k: int
     delta: float
     subsets_scanned: int
+    total_subsets: int
+    complete: bool
 
     def to_dict(self) -> dict:
-        return {"k": self.k, "delta": self.delta, "subsets_scanned": self.subsets_scanned}
+        return asdict(self)
 
 
 def welch_bound(m: int, n: int) -> float:
@@ -150,6 +139,37 @@ def gram_submatrix_condition(a: matrices.MeasurementMatrix, support) -> float:
     return numerics.condition_number(matrices.restrict_columns(a, support))
 
 
+class SubsetScan:
+    """Subsets of range(n) by size, then lexicographically, cut off after max_subsets.
+
+    strict=True raises InfeasibleScanError up front when the total exceeds the budget.
+    """
+
+    def __init__(self, n: int, sizes, max_subsets: int, strict: bool):
+        self.n, self.sizes, self.max_subsets = n, tuple(sizes), max_subsets
+        self.total = sum(math.comb(n, size) for size in self.sizes)
+        if strict and self.total > max_subsets:
+            raise InfeasibleScanError(f"{self.total} subsets exceed the budget of {max_subsets}")
+        self.scanned = 0
+
+    @property
+    def complete(self) -> bool:
+        return self.scanned == self.total
+
+    def chunks(self, column_bytes: int):
+        """Yield (c, size) index arrays, c capped so c*size columns of column_bytes fit SCAN_CHUNK_BYTES."""
+        for size in self.sizes:
+            per_chunk = max(1, SCAN_CHUNK_BYTES // (size * column_bytes))
+            combos = itertools.combinations(range(self.n), size)
+            while self.scanned < self.max_subsets:
+                rows = itertools.islice(combos, min(per_chunk, self.max_subsets - self.scanned))
+                idx = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp).reshape(-1, size)
+                if not len(idx):
+                    break
+                self.scanned += len(idx)
+                yield idx
+
+
 def uniqueness_rank_scan(
     a: matrices.MeasurementMatrix,
     k: int,
@@ -169,30 +189,22 @@ def uniqueness_rank_scan(
         raise ValueError("sparsity k must be >= 1")
     if 2 * k > a.m:
         raise ValueError(f"need 2k <= m, got k={k}, m={a.m}")
-    total = math.comb(a.n, 2 * k)
-    if strict and total > max_subsets:
-        raise InfeasibleScanError(f"{total} subsets of size {2 * k} exceed the budget of {max_subsets}")
+    scan = SubsetScan(a.n, (2 * k,), max_subsets, strict)
     witness = None
-    all_full_rank = True
     min_cond = math.inf
     max_cond = 0.0
-    scanned = 0
-    for subset in itertools.combinations(range(a.n), 2 * k):
-        if scanned >= max_subsets:
-            break
-        scanned += 1
-        s = np.linalg.svd(a.data[:, subset], compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= numerics.rank_tolerance((a.m, 2 * k), float(s[0])):
-            all_full_rank = False
-            if witness is None:
-                witness = subset
-        else:
-            cond = float(s[0] / s[-1])
-            min_cond = min(min_cond, cond)
-            max_cond = max(max_cond, cond)
+    for idx in scan.chunks(a.m * a.data.itemsize):
+        s = np.linalg.svd(a.data[:, idx].transpose(1, 0, 2), compute_uv=False)
+        deficient = s[:, -1] <= numerics.rank_tolerance((a.m, 2 * k), s[:, 0])
+        if witness is None and deficient.any():
+            witness = tuple(idx[np.argmax(deficient)].tolist())
+        cond = s[~deficient, 0] / s[~deficient, -1]
+        min_cond = float(np.min(cond, initial=min_cond))
+        max_cond = float(np.max(cond, initial=max_cond))
     if max_cond == 0.0:  # no full-rank subset seen
         min_cond = max_cond = math.inf
-    return UniquenessReport(k, total, scanned, all_full_rank, witness, float(min_cond), float(max_cond))
+    all_full_rank = False if witness is not None else (True if scan.complete else None)
+    return UniquenessReport(k, scan.total, scan.scanned, all_full_rank, witness, min_cond, max_cond, scan.complete)
 
 
 def rip_constant(
@@ -210,15 +222,10 @@ def rip_constant(
     k = int(k)
     if not 1 <= k <= a.m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={a.m}")
-    total = math.comb(a.n, k)
-    if strict and total > max_subsets:
-        raise InfeasibleScanError(f"{total} subsets of size {k} exceed the budget of {max_subsets}")
+    scan = SubsetScan(a.n, (k,), max_subsets, strict)
+    g = numerics.gram(a.data)
     delta = 0.0
-    scanned = 0
-    for subset in itertools.combinations(range(a.n), k):
-        if scanned >= max_subsets:
-            break
-        scanned += 1
-        lo, hi = numerics.hermitian_eigen_extremes(numerics.gram(a.data[:, subset]))
-        delta = max(delta, hi - 1.0, 1.0 - lo)
-    return RipReport(k, float(delta), scanned)
+    for idx in scan.chunks(k * g.itemsize):
+        w = np.linalg.eigvalsh(g[idx[:, :, None], idx[:, None, :]])
+        delta = max(delta, float(w[:, -1].max()) - 1.0, 1.0 - float(w[:, 0].min()))
+    return RipReport(k, delta, scan.scanned, scan.total, scan.complete)

@@ -46,8 +46,8 @@ def as_vector(y) -> np.ndarray:
     return vec
 
 
-def rank_tolerance(shape, sigma_max: float) -> float:
-    """Cutoff below which singular values count as zero: max(m,n)*smax*eps."""
+def rank_tolerance(shape, sigma_max):
+    """Cutoff below which singular values count as zero: max(m,n)*smax*eps, elementwise for arrays."""
     return max(shape) * sigma_max * np.finfo(np.float64).eps
 
 

@@ -8,21 +8,18 @@ arithmetic that links coherence to a usable sparsity level.
 """
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import matrices, numerics
-from .errors import DimensionMismatchError, InfeasibleScanError
+from . import coherence, matrices, numerics
+from .errors import DimensionMismatchError
 from .serialization import complex_to_pairs, pairs_to_complex
 
 ZERO_VALUE_TOL = 1e-14
 DEFAULT_RELATIVE_EPSILON = 1e-10
-DEFAULT_MAX_SUBSETS = 100_000
 
 
 @dataclass(eq=False)
@@ -145,6 +142,15 @@ class L0Solution(NamedTuple):
     support: tuple[int, ...]
     values: np.ndarray
     residual: float
+
+
+class L0Report(NamedTuple):
+    """Result of the exhaustive search; complete is False when the budget cut it short."""
+
+    solutions: list[L0Solution]
+    scanned: int
+    total: int
+    complete: bool
 
 
 def measure(a: matrices.MeasurementMatrix, x: SparseSignal) -> np.ndarray:
@@ -291,18 +297,19 @@ def exhaustive_l0_search(
     y,
     k_max: int,
     epsilon: float,
-    max_subsets: int = DEFAULT_MAX_SUBSETS,
+    max_subsets: int = coherence.DEFAULT_MAX_SUBSETS,
     strict: bool = False,
-) -> list[L0Solution]:
+) -> L0Report:
     """Enumerate every support of size 1..k_max and keep the consistent ones.
 
     A support qualifies when its full-rank least-squares fit leaves a
     residual of at most epsilon * ||y|| and every fitted value is nonzero
     (supports that fit only by zeroing entries belong to a smaller k).
-    Results are ordered by (size, lexicographic), so the minimal-size
+    Solutions are ordered by (size, lexicographic), so the minimal-size
     explanations come first and non-uniqueness shows up as several entries
     of the same size. Computationally infeasible beyond desk scale, which
-    is exactly what the budget guard documents.
+    is exactly what the budget guard documents: only the first max_subsets
+    supports are fitted (strict=True raises InfeasibleScanError instead).
     """
     vec = numerics.as_vector(y)
     if vec.shape[0] != a.m:
@@ -313,25 +320,22 @@ def exhaustive_l0_search(
     epsilon = float(epsilon)
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    total = sum(math.comb(a.n, k) for k in range(1, k_max + 1))
-    if strict and total > max_subsets:
-        raise InfeasibleScanError(f"{total} candidate supports exceed the budget of {max_subsets}")
+    scan = coherence.SubsetScan(a.n, range(1, k_max + 1), max_subsets, strict)
     threshold = epsilon * float(np.linalg.norm(vec))
     solutions: list[L0Solution] = []
-    scanned = 0
-    for k in range(1, k_max + 1):
-        for subset in itertools.combinations(range(a.n), k):
-            if scanned >= max_subsets:
-                return solutions
-            scanned += 1
-            sub = a.data[:, subset]
-            if numerics.numerical_rank(sub) < k:
-                continue
-            vals = numerics.solve_least_squares(sub, vec)
-            residual = float(np.linalg.norm(vec - sub @ vals))
-            if residual <= threshold and float(np.min(np.abs(vals))) > ZERO_VALUE_TOL:
-                solutions.append(L0Solution(subset, vals, residual))
-    return solutions
+    for idx in scan.chunks(a.m * a.data.itemsize):
+        sub = a.data[:, idx].transpose(1, 0, 2)  # (c, m, size) stack
+        # one thin SVD per support gives both the rank test and x = V diag(1/s) U^H y
+        u, s, vh = np.linalg.svd(sub, full_matrices=False)
+        full = s[:, -1] > numerics.rank_tolerance(sub.shape[1:], s[:, 0])
+        idx, sub, u, s, vh = idx[full], sub[full], u[full], s[full], vh[full]
+        coef = (u.conj().transpose(0, 2, 1) @ vec) / s
+        vals = (vh.conj().transpose(0, 2, 1) @ coef[..., None])[..., 0]
+        residual = np.linalg.norm(vec - (sub @ vals[..., None])[..., 0], axis=1)
+        consistent = (residual <= threshold) & (np.min(np.abs(vals), axis=1) > ZERO_VALUE_TOL)
+        for i in np.flatnonzero(consistent):
+            solutions.append(L0Solution(tuple(idx[i].tolist()), vals[i].copy(), float(residual[i])))
+    return L0Report(solutions, scan.scanned, scan.total, scan.complete)
 
 
 def worst_case_margin(mu: float, k: int) -> MarginReport:

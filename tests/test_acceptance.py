@@ -94,7 +94,7 @@ def test_criterion_07_non_unique_one_sparse():
     mat = matrices.build_partial_dft(8, matrices.RowIndexSet(8, (0, 2, 4, 6)))
     x = recovery.SparseSignal(8, (0,), np.ones(1, dtype=complex))
     y = recovery.measure(mat, x)
-    solutions = recovery.exhaustive_l0_search(mat, y, 1, 1e-8)
+    solutions = recovery.exhaustive_l0_search(mat, y, 1, 1e-8).solutions
     assert [s.support for s in solutions] == [(0,), (4,)]
     scan = coherence.uniqueness_rank_scan(mat, 1)
     assert not scan.all_full_rank
@@ -149,7 +149,7 @@ def test_criterion_09_oracle_equivalence():
         values = mags * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=k))
         x = recovery.SparseSignal(n, support, values)
         y = recovery.measure(mat, x)
-        solutions = recovery.exhaustive_l0_search(mat, y, k, 1e-8)
+        solutions = recovery.exhaustive_l0_search(mat, y, k, 1e-8).solutions
         minimal_size = len(solutions[0].support)
         minimal = [s for s in solutions if len(s.support) == minimal_size]
         assert len(minimal) == 1

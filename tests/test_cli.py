@@ -98,6 +98,16 @@ def test_coherence_rip_pairs(tmp_path, capsys):
     assert payload["rip"]["delta"] == pytest.approx(payload["coherence"]["mu"], abs=1e-10)
 
 
+def test_coherence_scans_report_completeness(tmp_path, capsys):
+    out = tmp_path / "etf.json"
+    run(capsys, "gen-matrix", "--family", "etf", "--m", "7", "--n", "14", "--out", str(out))
+    code, stdout, _ = run(capsys, "coherence", "--matrix", str(out), "--uniqueness-k", "1", "--rip-k", "2")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["uniqueness"]["complete"] is True and payload["uniqueness"]["all_full_rank"] is True
+    assert (payload["rip"]["subsets_scanned"], payload["rip"]["total_subsets"], payload["rip"]["complete"]) == (91, 91, True)
+
+
 def test_coherence_infeasible_scan_exits_4(tmp_path, capsys):
     out = tmp_path / "etf.json"
     run(capsys, "gen-matrix", "--family", "etf", "--m", "15", "--n", "30", "--out", str(out))
@@ -137,6 +147,31 @@ def test_recover_oracle_flags_ambiguity(tmp_path, capsys):
     assert supports == [[0], [4]]
     assert payload["oracle"]["ambiguous"] is True
     assert payload["oracle"]["agrees_with_pursuit"] is True
+
+
+def test_recover_oracle_says_when_budget_cut_it_short(tmp_path, capsys):
+    # 679,120 candidate supports of size <= 4 against the default 100,000 budget
+    mat = matrices.build_gaussian(24, 64, seed=0)
+    mat_path, y_path = tmp_path / "gauss.json", tmp_path / "y.json"
+    matrices.save_matrix(mat, mat_path)
+    x = recovery.SparseSignal(64, (40, 50, 55, 60), np.ones(4, dtype=complex))
+    recovery.save_measurement(recovery.measure(mat, x), y_path)
+    code, stdout, err = run(capsys, "recover", "--matrix", str(mat_path), "--measurements", str(y_path), "--oracle")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert sorted(payload["recovery"]["support"]) == [40, 50, 55, 60]
+    oracle = payload["oracle"]
+    assert (oracle["scanned"], oracle["total"], oracle["complete"]) == (100_000, 679_120, False)
+    assert oracle["ambiguous"] is None and oracle["agrees_with_pursuit"] is None
+    assert "warning" in err and "100000 of 679120" in err
+
+
+def test_recover_oracle_complete_search(tmp_path, capsys):
+    mat_path, y_path = write_example1_inputs(tmp_path)
+    code, stdout, err = run(capsys, "recover", "--matrix", str(mat_path), "--measurements", str(y_path), "--oracle")
+    oracle = json.loads(stdout)["oracle"]
+    assert (oracle["scanned"], oracle["total"], oracle["complete"]) == (8, 8, True)
+    assert err == ""
 
 
 def test_recover_not_converged_exits_5(tmp_path, capsys):

@@ -268,34 +268,34 @@ def test_pursuit_validates_arguments(etf14):
 
 
 def test_exhaustive_single_column_unique(etf14):
-    sols = recovery.exhaustive_l0_search(etf14, etf14.data[:, 3], 1, 1e-6)
+    sols = recovery.exhaustive_l0_search(etf14, etf14.data[:, 3], 1, 1e-6).solutions
     assert [s.support for s in sols] == [(3,)]
     assert abs(sols[0].values[0] - 1.0) < 1e-10
 
 
 def test_exhaustive_prunes_padded_supports(etf14):
     # with k_max=2 the only surviving explanation of a 1-sparse y is still {3}
-    sols = recovery.exhaustive_l0_search(etf14, etf14.data[:, 3], 2, 1e-6)
+    sols = recovery.exhaustive_l0_search(etf14, etf14.data[:, 3], 2, 1e-6).solutions
     assert [s.support for s in sols] == [(3,)]
 
 
 def test_exhaustive_reports_non_uniqueness(even_rows_dft8):
     y = recovery.measure(even_rows_dft8, unit_signal(8, (0,)))
-    sols = recovery.exhaustive_l0_search(even_rows_dft8, y, 1, 1e-8)
+    sols = recovery.exhaustive_l0_search(even_rows_dft8, y, 1, 1e-8).solutions
     assert [s.support for s in sols] == [(0,), (4,)]
     for s in sols:
         assert abs(s.values[0] - 1.0) < 1e-10
 
 
 def test_exhaustive_zero_measurements(etf14):
-    assert recovery.exhaustive_l0_search(etf14, np.zeros(7), 2, 1e-8) == []
+    assert recovery.exhaustive_l0_search(etf14, np.zeros(7), 2, 1e-8).solutions == []
 
 
 def test_exhaustive_budget(etf14):
     y = recovery.measure(etf14, unit_signal(14, (2, 7)))
     with pytest.raises(InfeasibleScanError):
         recovery.exhaustive_l0_search(etf14, y, 2, 1e-8, max_subsets=10, strict=True)
-    sols = recovery.exhaustive_l0_search(etf14, y, 2, 1e-8, max_subsets=10)
+    sols = recovery.exhaustive_l0_search(etf14, y, 2, 1e-8, max_subsets=10).solutions
     assert sols == []  # truncated before reaching any consistent support
 
 
