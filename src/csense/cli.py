@@ -51,22 +51,6 @@ def figure_scenario(name: str):
     return mat, _SCENARIO_SUPPORTS[name]
 
 
-def _thread_cap() -> int:
-    """Parallelism cap from CSENSE_THREADS (0 or unset: default).
-
-    Execution here is sequential by design, so any cap is honored as-is;
-    the variable is validated for forward compatibility.
-    """
-    raw = os.environ.get("CSENSE_THREADS", "").strip()
-    if not raw:
-        return 0
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        print(f"warning: ignoring non-integer CSENSE_THREADS={raw!r}", file=sys.stderr)
-        return 0
-
-
 def _parse_rows(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -245,7 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _thread_cap()
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -110,7 +110,7 @@ def coherence_index(a: matrices.MeasurementMatrix) -> CoherenceReport:
     so orthonormal columns report mu = 0 (unbounded sparsity) instead of
     rounding dust.
     """
-    g = numerics.gram(a.data)
+    g = a.gram
     if a.n == 1:
         off_max = off_min = 0.0
     else:
@@ -223,7 +223,7 @@ def rip_constant(
     if not 1 <= k <= a.m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={a.m}")
     scan = SubsetScan(a.n, (k,), max_subsets, strict)
-    g = numerics.gram(a.data)
+    g = a.gram
     delta = 0.0
     for idx in scan.chunks(k * g.itemsize):
         w = np.linalg.eigvalsh(g[idx[:, :, None], idx[:, None, :]])

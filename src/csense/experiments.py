@@ -144,14 +144,19 @@ def _draw_values(rng: np.random.Generator, k: int, cfg: ExperimentConfig) -> np.
     return mags * np.exp(1j * phases)
 
 
+def _first_pick(mat: matrices.MeasurementMatrix, y: np.ndarray) -> int:
+    """The pursuit's first selection, for runs that return no support."""
+    return recovery.select_column(recovery.back_project(mat, y), float(np.linalg.norm(y)))
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Per-k recovery rates over independent random trials.
 
     A trial counts as an exact recovery when the pursuit returns the true
     support as a set and the value error is at most 1e-6 * ||values||.
-    The first pick is the argmax of |A^H y|, identical to the pursuit's
-    first selection. A mid-run rank-deficiency counts as a failed trial at
-    the iteration cap.
+    The first pick is the pursuit's first selection: recovery.select_column
+    on the back-projection A^H y. A mid-run rank-deficiency counts as a
+    failed trial at the iteration cap.
     """
     mat = matrices.from_spec(**cfg.matrix)
     lo, hi = cfg.k_range
@@ -169,13 +174,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             values = _draw_values(rng, k, cfg)
             x = recovery.SparseSignal(mat.n, support, values)
             y = recovery.measure(mat, x)
-            first_pick = int(np.argmax(np.abs(mat.data.conj().T @ y)))
-            first_hits += first_pick in support
             try:
                 result = recovery.matching_pursuit(mat, y, epsilon=cfg.epsilon, relative=True)
             except RankDeficientError:
+                first_hits += _first_pick(mat, y) in support
                 iteration_sum += mat.m
                 continue
+            first_hits += (result.support[0] if result.support else _first_pick(mat, y)) in support
             iteration_sum += result.iterations
             if tuple(sorted(result.support)) == support:
                 order = np.argsort(result.support)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -76,7 +77,11 @@ class RowIndexSet:
 
 @dataclass(eq=False)
 class MeasurementMatrix:
-    """Column-normalized m-by-n sensing matrix tagged with its family."""
+    """Column-normalized m-by-n sensing matrix tagged with its family.
+
+    data is a read-only private copy, so the Gram matrix, built on first use
+    and then kept, can never go stale.
+    """
 
     m: int
     n: int
@@ -99,7 +104,22 @@ class MeasurementMatrix:
         norms = np.linalg.norm(data, axis=0)
         if float(np.max(np.abs(norms - 1.0))) > COLUMN_NORM_TOL:
             raise ValueError("every column must have unit l2 norm")
+        if isinstance(self.data, np.ndarray) and np.may_share_memory(data, self.data):
+            data = data.copy()  # freeze a copy, never an array the caller still holds
+        data.flags.writeable = False
         self.data = data
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """A^H A from numerics.gram, computed once and read-only."""
+        g = numerics.gram(self.data)
+        g.flags.writeable = False
+        return g
+
+    @property
+    def cached_gram(self) -> np.ndarray | None:
+        """The Gram if something already built it, else None; never builds it."""
+        return self.__dict__.get("gram")
 
 
 def build_partial_dft(n: int, rows: RowIndexSet) -> MeasurementMatrix:
@@ -187,10 +207,9 @@ def _welch(m: int, n: int) -> float:
     return math.sqrt((n - m) / (m * (n - 1)))
 
 
-def _check_equiangular(data: np.ndarray, m: int, n: int, tol: float) -> None:
-    g = numerics.gram(data)
-    off = np.abs(g[~np.eye(n, dtype=bool)])
-    worst = float(np.max(np.abs(off - _welch(m, n))))
+def _check_equiangular(a: MeasurementMatrix, tol: float) -> None:
+    off = np.abs(a.gram[~np.eye(a.n, dtype=bool)])
+    worst = float(np.max(np.abs(off - _welch(a.m, a.n))))
     if worst > tol:
         raise UnsupportedSizeError(
             f"off-diagonal Gram magnitudes deviate from the Welch bound by {worst:.3e} (tolerance {tol:g})"
@@ -267,8 +286,9 @@ def build_etf(m: int, n: int) -> MeasurementMatrix:
     else:
         data = _etf_alternating_projections(m, n)
         route, tol = "alternating-projections", FALLBACK_GRAM_TOL
-    _check_equiangular(data, m, n, tol)
-    return MeasurementMatrix(m, n, data, "etf", {"route": route, "gram_tolerance": tol})
+    mat = MeasurementMatrix(m, n, data, "etf", {"route": route, "gram_tolerance": tol})
+    _check_equiangular(mat, tol)
+    return mat
 
 
 def build_gaussian(m: int, n: int, seed: int) -> MeasurementMatrix:

@@ -31,7 +31,7 @@ def as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValueError("matrix must have at least one row and one column")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
 
@@ -41,7 +41,7 @@ def as_vector(y) -> np.ndarray:
     vec = np.asarray(y, dtype=np.complex128)
     if vec.ndim != 1 or vec.shape[0] == 0:
         raise ValueError("expected a non-empty 1-D vector")
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise ValueError("vector entries must be finite")
     return vec
 
@@ -55,7 +55,9 @@ def gram(a) -> np.ndarray:
     """Gram matrix A^H A, symmetrized so the result is exactly Hermitian."""
     arr = as_matrix(a)
     g = arr.conj().T @ arr
-    return (g + g.conj().T) / 2.0
+    g += g.conj().T  # in place: one n x n temporary instead of three
+    g *= 0.5
+    return g
 
 
 def numerical_rank(a) -> int:

@@ -15,11 +15,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import coherence, matrices, numerics
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, RankDeficientError
 from .serialization import complex_to_pairs, pairs_to_complex
 
 ZERO_VALUE_TOL = 1e-14
 DEFAULT_RELATIVE_EPSILON = 1e-10
+# Correlation magnitudes within TIE_TOL * ||y|| of the largest count as tied.
+TIE_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -153,19 +155,33 @@ class L0Report(NamedTuple):
     complete: bool
 
 
-def measure(a: matrices.MeasurementMatrix, x: SparseSignal) -> np.ndarray:
-    """y = A X for the dense expansion of the sparse signal."""
+def _measurements(a: matrices.MeasurementMatrix, y) -> np.ndarray:
+    """y as a complex vector of length a.m."""
+    vec = numerics.as_vector(y)
+    if vec.shape[0] != a.m:
+        raise DimensionMismatchError(f"measurement length {vec.shape[0]} != row count {a.m}")
+    return vec
+
+
+def _check_signal_length(a: matrices.MeasurementMatrix, x: SparseSignal) -> None:
     if x.n != a.n:
         raise DimensionMismatchError(f"signal length {x.n} != matrix column count {a.n}")
+
+
+def measure(a: matrices.MeasurementMatrix, x: SparseSignal) -> np.ndarray:
+    """y = A X for the dense expansion of the sparse signal."""
+    _check_signal_length(a, x)
     return a.data @ x.dense()
 
 
 def back_project(a: matrices.MeasurementMatrix, y) -> np.ndarray:
-    """Initial position estimate A^H y (length n)."""
-    vec = numerics.as_vector(y)
-    if vec.shape[0] != a.m:
-        raise DimensionMismatchError(f"measurement length {vec.shape[0]} != row count {a.m}")
-    return a.data.conj().T @ vec
+    """Initial position estimate A^H y (length n), the pursuit's first correlations."""
+    return _correlate(a, _measurements(a, y))
+
+
+def _correlate(a: matrices.MeasurementMatrix, vec: np.ndarray) -> np.ndarray:
+    # (y^H A)^H reads A in place; A^H y would first copy the conjugate of A
+    return (vec.conj() @ a.data).conj()
 
 
 def decompose_initial_estimate(a: matrices.MeasurementMatrix, x: SparseSignal) -> InitialEstimate:
@@ -175,10 +191,8 @@ def decompose_initial_estimate(a: matrices.MeasurementMatrix, x: SparseSignal) -
     i-th value, so the stacked components reproduce A^H A x exactly. This
     is the data behind stacked component bar plots of the estimate.
     """
-    if x.n != a.n:
-        raise DimensionMismatchError(f"signal length {x.n} != matrix column count {a.n}")
-    g = numerics.gram(a.data)
-    components = g[:, list(x.support)] * x.values[None, :]
+    _check_signal_length(a, x)
+    components = a.gram[:, list(x.support)] * x.values[None, :]
     return InitialEstimate(components.sum(axis=1), components)
 
 
@@ -198,15 +212,23 @@ def ls_recover_known_support(a: matrices.MeasurementMatrix, support, y) -> Spars
     sub = matrices.restrict_columns(a, support)
     if sub.shape[1] > a.m:
         raise ValueError(f"support size {sub.shape[1]} exceeds measurement count {a.m}")
-    vec = numerics.as_vector(y)
-    if vec.shape[0] != a.m:
-        raise DimensionMismatchError(f"measurement length {vec.shape[0]} != row count {a.m}")
-    vals = numerics.solve_least_squares(sub, vec)
+    vals = numerics.solve_least_squares(sub, _measurements(a, y))
     keep = np.abs(vals) > ZERO_VALUE_TOL
     if not bool(np.any(keep)):
         raise ValueError("every fitted value is numerically zero; nothing to return")
     kept = tuple(idx for idx, flag in zip((int(i) for i in support), keep) if flag)
     return SparseSignal(a.n, kept, vals[keep])
+
+
+def select_column(correlations, scale: float) -> int:
+    """Lowest index whose magnitude lies within TIE_TOL * scale of the largest.
+
+    The pursuit passes scale = ||y||: its correlations carry an absolute
+    rounding error of order k * eps * ||y||, so without the tolerance the
+    evaluation order, not the index, would decide near-ties.
+    """
+    mags = np.abs(correlations)
+    return int(np.argmax(mags >= mags.max() - TIE_TOL * scale))
 
 
 def matching_pursuit(
@@ -216,12 +238,22 @@ def matching_pursuit(
     max_iter: int | None = None,
     relative: bool = False,
 ) -> RecoveryResult:
-    """Greedy sparse reconstruction.
+    """Greedy sparse reconstruction (orthogonal matching pursuit).
 
     Repeats until the residual norm drops to epsilon: pick the column with
-    the largest back-projected residual magnitude (lowest index wins exact
-    ties), add it to the selected set, least-squares refit on all selected
-    columns, and recompute the residual.
+    the largest back-projected residual magnitude (select_column: lowest
+    index among magnitudes within 1e-12 * ||y|| of the largest), add it to
+    the selected set, least-squares refit on all selected columns, and
+    recompute the residual.
+
+    The refit is incremental: each new column is orthogonalized against the
+    earlier ones (Gram-Schmidt, applied twice), which extends a QR
+    factorization A_S = Q R; the values come from one solve with the
+    triangular R at the end. When the matrix already holds its Gram (as
+    after coherence_index), the correlations A^H r are updated from Gram
+    rows and an iteration costs O(m k + n k) after the first. Otherwise
+    they are recomputed from A at O(m n) per iteration: building the Gram
+    for one run would cost O(m n^2) time and n^2 memory.
 
     Parameters
     ----------
@@ -241,19 +273,22 @@ def matching_pursuit(
     Returns
     -------
     RecoveryResult
-        converged=False means the cap was hit first; the best-effort
-        result is still returned.
+        converged=False means the cap was hit first, or the pick repeated
+        a selected column (no progress possible); the best-effort result is
+        still returned.
 
     Raises
     ------
     RankDeficientError
-        If the selected columns become linearly dependent mid-run. The run
+        If the selected columns become linearly dependent mid-run, under
+        the shared rank tolerance max(m, k) * sigma_max * eps. The run
         aborts rather than skipping the offending index.
+    ValueError
+        On invalid arguments, or when a run that has not stopped at m
+        columns picks one more (the refit would be underdetermined).
     """
-    vec = numerics.as_vector(y)
-    if vec.shape[0] != a.m:
-        raise DimensionMismatchError(f"measurement length {vec.shape[0]} != row count {a.m}")
-    y_norm = float(np.linalg.norm(vec))
+    vec = _measurements(a, y)
+    y_norm = float(np.linalg.norm(vec))  # the tie scale; run_experiment computes it the same way
     if epsilon is None:
         threshold = DEFAULT_RELATIVE_EPSILON * y_norm
     else:
@@ -267,26 +302,73 @@ def matching_pursuit(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
+    cap = min(max_iter, a.m)
+    gram = a.cached_gram
+    # Row j of q is the j-th orthonormal basis vector q_j of the selected span
+    # and row j of b holds A^H q_j (kept only with a Gram); A_S = Q R and z = Q^H y.
+    q = np.empty((cap, a.m), dtype=np.complex128)
+    b = np.empty((cap, a.n), dtype=np.complex128)
+    r = np.zeros((cap, cap), dtype=np.complex128)
+    z = np.empty(cap, dtype=np.complex128)
+    # Unit columns give sigma_max(A_S) >= 1 and sigma_min(A_S) <= r_jj, so a
+    # pivot r_jj at or below this already fails the shared rank test.
+    step_tol = numerics.rank_tolerance((a.m, cap), 1.0)
     selected: list[int] = []
-    values = np.zeros(0, dtype=np.complex128)
     residual = vec.copy()
+    correlations = _correlate(a, vec)
     residual_norm = y_norm
     trace: list[float] = []
+    overflow = False
     while residual_norm > threshold and len(selected) < max_iter:
-        pick = int(np.argmax(np.abs(a.data.conj().T @ residual)))
+        pick = select_column(correlations, y_norm)
         if pick in selected:
             break  # residual is orthogonal to every useful column; no progress possible
+        j = len(selected)
+        if j == a.m:
+            overflow = True
+            break
         selected.append(pick)
-        sub = a.data[:, selected]
-        values = numerics.solve_least_squares(sub, vec)
-        residual = vec - sub @ values
+        v = a.data[:, pick].copy()
+        if j:
+            c = (q[:j] @ v.conj()).conj()  # Q^H v without a conjugate copy of Q
+            v -= c @ q[:j]
+            c2 = (q[:j] @ v.conj()).conj()
+            v -= c2 @ q[:j]
+            c += c2
+            r[:j, j] = c
+        r_jj = float(np.linalg.norm(v))
+        if r_jj <= step_tol:
+            raise RankDeficientError(f"selected columns {selected} are linearly dependent")
+        r[j, j] = r_jj
+        np.divide(v, r_jj, out=q[j])
+        z[j] = zj = np.vdot(q[j], residual)
+        residual -= zj * q[j]
+        if gram is None:
+            correlations = _correlate(a, residual)
+        else:
+            b_j = gram[pick].conj()  # column pick of the Hermitian Gram, A^H a_pick
+            if j:
+                b_j -= c @ b[:j]
+            np.divide(b_j, r_jj, out=b[j])
+            correlations -= zj * b[j]
         residual_norm = float(np.linalg.norm(residual))
         trace.append(residual_norm)
+    k = len(selected)
+    values = np.zeros(0, dtype=np.complex128)
+    if k:
+        # sigma(R) = sigma(A_S), and adding columns never raises sigma_min, so
+        # this one test fails in the same runs as a rank test after every refit
+        s = np.linalg.svd(r[:k, :k], compute_uv=False)
+        if s[-1] <= numerics.rank_tolerance((a.m, k), s[0]):
+            raise RankDeficientError(f"selected columns {selected} have numerical rank below {k}")
+        values = np.linalg.solve(r[:k, :k], z[:k])
+    if overflow:
+        raise ValueError(f"pursuit needs more than m = {a.m} columns; the refit would be underdetermined")
     return RecoveryResult(
         support=tuple(selected),
         values=values,
         residual_norm=residual_norm,
-        iterations=len(selected),
+        iterations=k,
         converged=residual_norm <= threshold,
         residual_trace=tuple(trace),
     )
@@ -311,9 +393,7 @@ def exhaustive_l0_search(
     is exactly what the budget guard documents: only the first max_subsets
     supports are fitted (strict=True raises InfeasibleScanError instead).
     """
-    vec = numerics.as_vector(y)
-    if vec.shape[0] != a.m:
-        raise DimensionMismatchError(f"measurement length {vec.shape[0]} != row count {a.m}")
+    vec = _measurements(a, y)
     k_max = int(k_max)
     if not 1 <= k_max <= a.m:
         raise ValueError(f"need 1 <= k_max <= m, got k_max={k_max}, m={a.m}")

@@ -288,17 +288,3 @@ def test_experiment_malformed_config_exits_2(tmp_path, capsys):
     cfg_path.write_text('{"matrix": {"family": "etf", "m": 7, "n": 14}}')
     code, _, _ = run(capsys, "experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.json"))
     assert code == 2
-
-
-# ------------------------------------------------------------------- thread cap
-
-
-def test_thread_cap_env_is_tolerated(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CSENSE_THREADS", "4")
-    out = tmp_path / "etf.json"
-    code, _, _ = run(capsys, "gen-matrix", "--family", "etf", "--m", "7", "--n", "14", "--out", str(out))
-    assert code == 0
-    monkeypatch.setenv("CSENSE_THREADS", "garbage")
-    code, _, err = run(capsys, "gen-matrix", "--family", "etf", "--m", "7", "--n", "14", "--out", str(out))
-    assert code == 0
-    assert "CSENSE_THREADS" in err

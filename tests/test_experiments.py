@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from csense import experiments
+from csense import experiments, matrices, recovery
+from csense.errors import RankDeficientError
 
 
 def etf14_config(**overrides):
@@ -121,3 +124,42 @@ def test_sweep_validates_arguments():
         experiments.sweep_partial_dft_subsets(8, 9, 10, seed=0)
     with pytest.raises(ValueError):
         experiments.sweep_partial_dft_subsets(8, 4, 0, seed=0)
+
+
+def duplicate_columns_config():
+    # period-2 subsampling of n=16 keeps the even rows, so columns j and j+8
+    # agree up to rounding; the tie rule picks the lower one, j mod 8, which is
+    # the true index exactly when j < 8
+    return experiments.ExperimentConfig(
+        matrix={"family": "subsampling", "n": 16, "p": 2},
+        k_range=(1, 1),
+        trials=200,
+        amplitude_model=experiments.AMPLITUDE_UNIT_EQUAL,
+        seed=0,
+    )
+
+
+def test_first_pick_and_pursuit_follow_the_tie_rule_on_duplicate_columns():
+    cfg = duplicate_columns_config()
+    low = 0
+    for trial in range(cfg.trials):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1, trial)))
+        (j,) = matrices.draw_without_replacement(rng, 16, 1)
+        low += j < 8
+    row = experiments.run_experiment(cfg).rows[0]
+    assert 0 < low < cfg.trials
+    assert row.first_pick_correct_rate == row.exact_recovery_rate == low / cfg.trials
+
+
+@pytest.mark.parametrize("cfg", [etf14_config(k_range=(3, 4), trials=60), duplicate_columns_config()])
+def test_first_pick_counts_when_the_pursuit_raises(cfg):
+    # a rank-deficient run returns no support; its first pick is recomputed by
+    # the pursuit's own rule and must match what the returned runs report
+    returned = experiments.run_experiment(cfg)
+    with mock.patch.object(recovery, "matching_pursuit", side_effect=RankDeficientError("dependent")):
+        raised = experiments.run_experiment(cfg)
+    m = matrices.from_spec(**cfg.matrix).m
+    for got, expected in zip(raised.rows, returned.rows):
+        assert got.first_pick_correct_rate == expected.first_pick_correct_rate
+        assert got.exact_recovery_rate == 0.0
+        assert got.mean_iterations == m

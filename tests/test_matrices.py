@@ -1,10 +1,12 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from csense import matrices, numerics
+from csense import coherence, matrices, numerics, recovery
+from csense.serialization import complex_to_pairs, pairs_to_complex
 from csense.errors import UnsupportedSizeError, ZeroColumnError
 
 MU14 = 1.0 / math.sqrt(13.0)
@@ -244,6 +246,35 @@ def test_matrix_json_round_trip_bit_exact(tmp_path, fig3_dft):
     assert np.array_equal(loaded.data, fig3_dft.data)
 
 
+def test_matrix_json_round_trip_keeps_signed_zeros(tmp_path):
+    data = np.array([[1.0 - 0.0j, complex(0.0, -0.0)], [complex(-0.0, -0.0), 1.0 + 0.0j]])
+    mat = matrices.MeasurementMatrix(2, 2, data, "custom")
+    path = tmp_path / "mat.json"
+    matrices.save_matrix(mat, path)
+    loaded = matrices.load_matrix(path).data
+    assert np.array_equal(loaded.view(np.uint64), mat.data.view(np.uint64))
+
+
+def test_complex_pairs_round_trip_bit_exact(rng):
+    values = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    values[:4] = [complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), complex(2.5, -0.0)]
+    pairs = complex_to_pairs(values)
+    assert pairs == [[float(z.real), float(z.imag)] for z in values]  # the per-element encoder
+    assert all(type(v) is float for pair in pairs for v in pair)
+    back = pairs_to_complex(pairs)
+    assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+    assert np.array_equal(pairs_to_complex(np.asfortranarray(pairs)).view(np.uint64), values.view(np.uint64))
+    assert complex_to_pairs(values.reshape(5, 8).T) == complex_to_pairs(values.reshape(5, 8).T.copy())
+
+
+def test_pairs_to_complex_rejects_bad_layout():
+    assert pairs_to_complex([]).shape == (0,)
+    with pytest.raises(ValueError):
+        pairs_to_complex([[1.0, 2.0, 3.0]])
+    with pytest.raises(ValueError):
+        pairs_to_complex([1.0, 2.0])
+
+
 def test_matrix_dict_shape_check(etf14):
     d = matrices.matrix_to_dict(etf14)
     d["data"] = d["data"][:-1]
@@ -281,3 +312,42 @@ def test_measurement_matrix_rejects_bad_norms():
         matrices.MeasurementMatrix(2, 2, np.eye(2) * 2.0, "custom")
     with pytest.raises(ValueError):
         matrices.MeasurementMatrix(3, 2, np.eye(3)[:, :2], "custom")
+
+
+# ------------------------------------------------------------- cached Gram
+
+
+def test_data_is_a_frozen_private_copy():
+    data = np.eye(3, dtype=complex)
+    mat = matrices.MeasurementMatrix(3, 3, data, "custom")
+    assert not mat.data.flags.writeable
+    with pytest.raises(ValueError):
+        mat.data[0, 0] = 2.0
+    data[0, 0] = 5.0  # the caller's array stays writable and detached
+    assert mat.data[0, 0] == 1.0
+
+
+def test_gram_is_cached_read_only_and_exact(etf14):
+    mat = matrices.build_etf(7, 14)
+    g = mat.gram
+    assert mat.gram is g
+    assert not g.flags.writeable
+    assert np.array_equal(g, numerics.gram(mat.data))
+
+
+def test_one_gram_per_matrix_across_commands(etf14):
+    mat = matrices.MeasurementMatrix(7, 14, etf14.data, "custom")
+    y = recovery.measure(mat, recovery.SparseSignal(14, (2, 7), np.ones(2)))
+    with mock.patch.object(numerics, "gram", wraps=numerics.gram) as gram:
+        coherence.coherence_index(mat)
+        coherence.rip_constant(mat, 2)
+        recovery.decompose_initial_estimate(mat, recovery.SparseSignal(14, (2, 7), np.ones(2)))
+        recovery.matching_pursuit(mat, y)
+    assert gram.call_count == 1
+
+
+def test_etf_build_leaves_its_checked_gram_cached():
+    with mock.patch.object(numerics, "gram", wraps=numerics.gram) as gram:
+        mat = matrices.build_etf(7, 14)
+        coherence.coherence_index(mat)
+    assert gram.call_count == 1

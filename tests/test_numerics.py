@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,23 @@ def test_gram_unit_diagonal_for_normalized_columns(etf14, etf30, fig3_dft):
 def test_gram_rejects_nonfinite():
     with pytest.raises(ValueError):
         numerics.gram([[np.nan, 0.0], [0.0, 1.0]])
+
+
+def test_gram_in_place_symmetrization_is_bit_identical(rng):
+    a = rng.standard_normal((32, 128)) + 1j * rng.standard_normal((32, 128))
+    g = a.conj().T @ a
+    assert np.array_equal((g + g.conj().T) / 2.0, numerics.gram(a))
+
+
+def test_gram_peak_memory_is_two_gram_sized_buffers(rng):
+    a = rng.standard_normal((16, 256)) + 1j * rng.standard_normal((16, 256))
+    gram_bytes = 256 * 256 * 16
+    tracemalloc.start()
+    numerics.gram(a)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # the Gram and the conjugate being added, plus copies of A; (g + g^H) / 2 needed three Grams
+    assert peak <= 2 * gram_bytes + 4 * a.nbytes
 
 
 # ---------------------------------------------------- solve_least_squares

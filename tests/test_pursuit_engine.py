@@ -1,0 +1,369 @@
+"""The incremental pursuit against the refit-everything loop it replaced.
+
+The reference loop below recomputes A^H r from A and refits all selected
+columns with an SVD least-squares solve at every iteration, under the same
+tie rule. The incremental engine must reproduce it: the same selection order
+when no correlation sits near the edge of the tie set, values within 1e-8,
+and the same RankDeficientError, stall and ValueError outcomes, whether it
+updates the correlations from a cached Gram or recomputes them from A.
+"""
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from csense import cli, experiments, matrices, numerics, recovery
+from csense.errors import RankDeficientError
+
+VALUE_TOL = 1e-8
+# A correlation this close (relative to ||y||) to the edge of the tie set may
+# land on either side of it, depending on evaluation order; a tenth of TIE_TOL,
+# so correlations that all tie at rounding level still count as clean.
+EDGE_TOL = 1e-13
+# Likewise a residual norm this close to the stopping threshold: an absolute
+# epsilon below rounding meets residuals that are rounding noise, and one
+# engine's noise may be exactly zero where the other's is not.
+STOP_TOL = 1e-12
+
+
+def pursuit_by_refit(a, y, epsilon=None, max_iter=None, relative=False):
+    """(outcome, margin) of the refit loop.
+
+    outcome is a RecoveryResult, or the type of the error the loop raised.
+    margin is True when every decision of the run was clear: no correlation
+    within EDGE_TOL * ||y|| of a tie-set edge and no residual norm within
+    STOP_TOL * ||y|| of the threshold.
+    """
+    vec = numerics.as_vector(y)
+    y_norm = float(np.linalg.norm(vec))
+    if epsilon is None:
+        threshold = recovery.DEFAULT_RELATIVE_EPSILON * y_norm
+    else:
+        threshold = epsilon * y_norm if relative else epsilon
+    max_iter = a.m if max_iter is None else max_iter
+    selected = []
+    values = np.zeros(0, dtype=np.complex128)
+    residual = vec.copy()
+    residual_norm = y_norm
+    trace = []
+    clear = True
+    while True:
+        # the converged flag compares the last residual with the threshold too
+        clear &= abs(residual_norm - threshold) > STOP_TOL * y_norm
+        if residual_norm <= threshold or len(selected) >= max_iter:
+            break
+        correlations = a.data.conj().T @ residual
+        mags = np.abs(correlations)
+        edge = mags.max() - recovery.TIE_TOL * y_norm
+        clear &= float(np.min(np.abs(mags - edge))) > EDGE_TOL * y_norm
+        pick = recovery.select_column(correlations, y_norm)
+        if pick in selected:
+            break
+        selected.append(pick)
+        sub = a.data[:, selected]
+        try:
+            values = numerics.solve_least_squares(sub, vec)  # ValueError past m columns
+        except (RankDeficientError, ValueError) as exc:
+            return type(exc), clear
+        residual = vec - sub @ values
+        residual_norm = float(np.linalg.norm(residual))
+        trace.append(residual_norm)
+    result = recovery.RecoveryResult(
+        tuple(selected), values, residual_norm, len(selected), residual_norm <= threshold, tuple(trace)
+    )
+    return result, clear
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the type of the csense error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (RankDeficientError, ValueError) as exc:
+        return type(exc)
+
+
+def unit_columns(data):
+    return matrices.MeasurementMatrix(data.shape[0], data.shape[1], data / np.linalg.norm(data, axis=0), "custom")
+
+
+def with_gram(mat, cached):
+    """A fresh copy of mat, with its Gram built when cached is true."""
+    fresh = matrices.MeasurementMatrix(mat.m, mat.n, mat.data, "custom")
+    if cached:
+        fresh.gram
+    return fresh
+
+
+@st.composite
+def pursuit_cases(draw):
+    """(matrix, y, max_iter): random complex columns, some duplicated or confined to a subspace.
+
+    A column rank below m leaves part of y outside every column's span, which
+    is what makes a pursuit stall or pick a dependent column.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(m, 16))
+    rank = draw(st.integers(1, m))
+    data = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+    data = data @ (rng.standard_normal((rank, n)) + 1j * rng.standard_normal((rank, n)))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        data[:, j] = data[:, i]
+    mat = unit_columns(data)
+    k = draw(st.integers(1, m))
+    x = np.zeros(n, dtype=np.complex128)
+    x[rng.choice(n, size=k, replace=False)] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    y = mat.data @ x
+    if draw(st.booleans()):
+        y = y + draw(st.sampled_from([1e-6, 1e-2, 1.0])) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    max_iter = draw(st.one_of(st.none(), st.integers(1, m + 2)))
+    return mat, y, max_iter
+
+
+@settings(max_examples=300, deadline=None)
+@given(pursuit_cases(), st.sampled_from([None, 1e-6, 1e-300]), st.booleans())
+def test_pursuit_matches_refit_oracle(case, epsilon, cached):
+    mat, y, max_iter = case
+    expected, clear = pursuit_by_refit(mat, y, epsilon, max_iter)
+    assume(clear)
+    got = outcome(recovery.matching_pursuit, with_gram(mat, cached), y, epsilon, max_iter)
+    if isinstance(expected, type):
+        assert got is expected
+        return
+    assert not isinstance(got, type), got
+    assert got.support == expected.support
+    assert got.iterations == expected.iterations
+    scale = max(1.0, float(np.linalg.norm(expected.values)))
+    assert float(np.max(np.abs(got.values - expected.values), initial=0.0)) <= VALUE_TOL * scale
+    y_norm = float(np.linalg.norm(y))
+    assert abs(got.residual_norm - expected.residual_norm) <= VALUE_TOL * y_norm
+    assert np.allclose(got.residual_trace, expected.residual_trace, rtol=0.0, atol=VALUE_TOL * y_norm)
+    assert got.converged == expected.converged
+
+
+def test_pursuit_matches_oracle_on_shipped_matrices(etf14, etf30, fig3_dft, rng):
+    for mat in (etf14, etf30, fig3_dft):
+        for _ in range(30):
+            k = int(rng.integers(1, mat.m // 2 + 1))
+            support = tuple(sorted(rng.choice(mat.n, size=k, replace=False)))
+            x = recovery.SparseSignal(mat.n, support, rng.standard_normal(k) + 1j * rng.standard_normal(k))
+            y = recovery.measure(mat, x)
+            result, clear = pursuit_by_refit(mat, y)
+            assert clear
+            for cached in (False, True):
+                got = recovery.matching_pursuit(with_gram(mat, cached), y)
+                assert got.support == result.support
+                assert np.max(np.abs(got.values - result.values)) <= VALUE_TOL
+
+
+def dependent_third_pick():
+    """Columns (a+b)/sqrt(2), a, b in C^3 and a y that makes the pursuit pick all three.
+
+    The pursuit fits a (index 1), then b (index 2). What is left of y is
+    orthogonal to every column, so all correlations tie at zero and index 0
+    wins, which lies in span(a, b).
+    """
+    mat = unit_columns(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]], dtype=complex))
+    return mat, np.array([1.0, -0.1, 1.0], dtype=complex)
+
+
+def test_pursuit_rank_deficient_pick_raises_like_the_oracle(tmp_path, capsys):
+    mat, y = dependent_third_pick()
+    assert pursuit_by_refit(mat, y)[0] is RankDeficientError
+    with pytest.raises(RankDeficientError):
+        recovery.matching_pursuit(mat, y)
+    matrices.save_matrix(mat, tmp_path / "a.json")
+    recovery.save_measurement(y, tmp_path / "y.json")
+    code = cli.main(["recover", "--matrix", str(tmp_path / "a.json"), "--measurements", str(tmp_path / "y.json")])
+    assert code == 3
+    assert "linearly dependent" in capsys.readouterr().err
+
+
+def near_dependent_third_pick(pivot):
+    """(c, e1, e2, e3, e5, ..., e64) in C^64, c = (e1 + e2)/sqrt(2) + pivot * e3, and y = e1 - 0.1 e2 + e4.
+
+    The pursuit fits e1 and e2; e4 is then orthogonal to every column, so
+    index 0 wins the all-zero tie and c comes third, pivot away from span(e1, e2).
+    """
+    eye = np.eye(64, dtype=complex)
+    c = (eye[:, 0] + eye[:, 1]) / math.sqrt(2.0) + pivot * eye[:, 2]
+    mat = unit_columns(np.column_stack([c, eye[:, 0], eye[:, 1], eye[:, 2], *eye[:, 4:].T]))
+    return mat, eye[:, 0] - 0.1 * eye[:, 1] + eye[:, 3]
+
+
+@pytest.mark.parametrize(
+    "factor, message",
+    [(0.5, "linearly dependent"), (1.5, "numerical rank below 3"), (3.0, None)],
+)
+def test_pursuit_rank_test_window(factor, message):
+    # r_33 = pivot and sigma_min = pivot / 2 about: below m*eps the step test
+    # fires; between m*eps and 2*m*eps only the end-of-run SVD of R sees that
+    # sigma_min is under the shared tolerance, as the refit's lstsq does
+    mat, y = near_dependent_third_pick(factor * 64 * np.finfo(np.float64).eps)
+    expected, clear = pursuit_by_refit(mat, y)
+    assert clear
+    for cached in (False, True):
+        if message is None:
+            assert recovery.matching_pursuit(with_gram(mat, cached), y).support == expected.support == (1, 2, 0)
+            continue
+        assert expected is RankDeficientError
+        with pytest.raises(RankDeficientError, match=message):
+            recovery.matching_pursuit(with_gram(mat, cached), y)
+
+
+def test_pursuit_keeps_accuracy_on_near_parallel_columns():
+    # columns within 1e-4 of one common direction (condition numbers near 1e5):
+    # Gram-Schmidt without its second pass loses orthogonality like cond^2 * eps
+    # and drifts from the refit by 1e-9 and more; with it, both agree to cond * eps
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))
+        mat = unit_columns(u + 1e-4 * (rng.standard_normal((8, 12)) + 1j * rng.standard_normal((8, 12))))
+        x = np.zeros(12, dtype=np.complex128)
+        x[:5] = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        y = mat.data @ x
+        expected, clear = pursuit_by_refit(mat, y)
+        assert clear
+        for cached in (False, True):
+            got = recovery.matching_pursuit(with_gram(mat, cached), y)
+            assert got.support == expected.support
+            assert np.max(np.abs(got.values - expected.values)) <= 1e-10 * np.linalg.norm(expected.values)
+
+
+def test_pursuit_duplicated_column_is_never_reselected(even_rows_dft8):
+    # columns 0 and 4 coincide: after 0 is fitted, 4 correlates with nothing
+    y = even_rows_dft8.data[:, 0] + 0.5 * even_rows_dft8.data[:, 1]
+    result = recovery.matching_pursuit(even_rows_dft8, y)
+    assert sorted(result.support) == [0, 1]
+    assert result.converged
+
+
+def test_pursuit_stall_matches_oracle():
+    # rank-2 columns in C^3: once y's in-span part is fitted, every correlation
+    # is zero and the lowest index, already selected, is picked again
+    data = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, -1.0], [0.0, 0.0, 0.0, 0.0]], dtype=complex)
+    mat = unit_columns(data)
+    y = np.array([1.0, 0.25, 3.0], dtype=complex)
+    expected, _ = pursuit_by_refit(mat, y)
+    got = recovery.matching_pursuit(mat, y)
+    assert not got.converged
+    assert got.support == expected.support
+    assert got.support[0] == 0
+    assert got.residual_norm == pytest.approx(3.0, abs=1e-12)
+    assert np.max(np.abs(got.values - expected.values)) <= VALUE_TOL
+
+
+def test_pursuit_past_m_columns_matches_oracle(tmp_path, capsys):
+    # an absolute epsilon below rounding never stops the run. After m picks every
+    # correlation ties at rounding level and index 0 is picked: a stall when it
+    # is already selected, else a ValueError, as the refit loop raises
+    errors = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        mat = unit_columns(rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6)))
+        y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        expected, _ = pursuit_by_refit(mat, y, epsilon=1e-300, max_iter=5)
+        got = outcome(recovery.matching_pursuit, mat, y, epsilon=1e-300, max_iter=5)
+        if isinstance(expected, type):
+            assert got is expected is ValueError
+            errors += 1
+        else:
+            assert (got.support, got.converged) == (expected.support, expected.converged)
+            assert 0 in got.support
+    assert errors > 0
+    rng = np.random.default_rng(1)
+    matrices.save_matrix(unit_columns(rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))), tmp_path / "a.json")
+    recovery.save_measurement(rng.standard_normal(3) + 1j * rng.standard_normal(3), tmp_path / "y.json")
+    argv = ["recover", "--matrix", str(tmp_path / "a.json"), "--measurements", str(tmp_path / "y.json"),
+            "--epsilon", "1e-300", "--max-iter", "5"]
+    assert cli.main(argv) == 2
+    assert "more than m = 3 columns" in capsys.readouterr().err
+
+
+def test_pursuit_reads_the_cached_gram_once():
+    spec = {"family": "partial-dft", "m": 24, "n": 64, "seed": 5}
+    cfg = experiments.ExperimentConfig(matrix=spec, k_range=(2, 4), trials=5)
+    with mock.patch.object(numerics, "gram", wraps=numerics.gram) as gram, \
+            mock.patch.object(numerics, "solve_least_squares", wraps=numerics.solve_least_squares) as lstsq:
+        experiments.run_experiment(cfg)
+    assert gram.call_count == 1
+    assert lstsq.call_count == 0
+
+
+def test_pursuit_on_a_fresh_matrix_builds_no_gram():
+    # one run recomputes A^H r from A in O(m n) per step; an n x n Gram built
+    # for it alone would cost O(m n^2) time and n^2 memory
+    mat = matrices.from_spec("partial-dft", m=16, n=256, seed=2)
+    x = recovery.SparseSignal(mat.n, (3, 70, 200), np.array([1.0, -0.5j, 0.25]))
+    with mock.patch.object(numerics, "gram", wraps=numerics.gram) as gram:
+        result = recovery.matching_pursuit(mat, recovery.measure(mat, x))
+    assert gram.call_count == 0
+    assert mat.cached_gram is None
+    assert sorted(result.support) == [3, 70, 200]
+
+
+# ----------------------------------------------------------------- tie rule
+
+
+def three_orders(mat, y):
+    """A^H y evaluated three ways: conjugate transpose, (y^H A)^H, and a contiguous A^H."""
+    adjoint = np.ascontiguousarray(mat.data.conj().T)
+    return mat.data.conj().T @ y, (y.conj() @ mat.data).conj(), adjoint @ y
+
+
+@st.composite
+def tie_cases(draw):
+    """(matrix, y): ETFs with unit amplitudes (many exact ties) or random complex matrices."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["etf14", "etf30", "random"]))
+    if kind == "random":
+        m = draw(st.integers(2, 8))
+        n = draw(st.integers(m, 16))
+        mat = unit_columns(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    else:
+        mat = ETFS[kind]
+    k = draw(st.integers(1, min(4, mat.m)))
+    x = np.zeros(mat.n, dtype=np.complex128)
+    unit = draw(st.booleans())
+    x[rng.choice(mat.n, size=k, replace=False)] = 1.0 if unit else rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return mat, mat.data @ x
+
+
+ETFS = {"etf14": matrices.build_etf(7, 14), "etf30": matrices.build_etf(15, 30)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_cases())
+def test_pick_does_not_depend_on_evaluation_order(case):
+    mat, y = case
+    scale = float(np.linalg.norm(y))
+    picks = {recovery.select_column(c, scale) for c in three_orders(mat, y)}
+    picks.add(recovery.select_column(recovery.back_project(mat, y), scale))
+    assert len(picks) == 1
+
+
+def test_tie_rule_settles_what_rounding_splits():
+    # criterion 12: unit amplitudes on the 7x14 ETF tie often; a bare argmax
+    # lets the evaluation order pick, the tie rule does not
+    mat = ETFS["etf14"]
+    raw_splits = 0
+    for trial in range(500):
+        rng = np.random.default_rng(np.random.SeedSequence((424242, 3, trial)))
+        support = matrices.draw_without_replacement(rng, mat.n, 3)
+        y = recovery.measure(mat, recovery.SparseSignal(mat.n, support, np.ones(3)))
+        orders = three_orders(mat, y)
+        raw_splits += len({int(np.argmax(np.abs(c))) for c in orders}) > 1
+        assert len({recovery.select_column(c, float(np.linalg.norm(y))) for c in orders}) == 1
+    assert raw_splits > 0
+
+
+def test_select_column_lowest_index_within_tolerance():
+    assert recovery.select_column(np.array([0.5, 1.0, 1.0 - 1e-13, 1.0]), 1.0) == 1
+    assert recovery.select_column(np.array([1.0 - 1e-13, 1.0, 0.2]), 1.0) == 0
+    assert recovery.select_column(np.array([1.0 - 1e-10, 1.0, 0.2]), 1.0) == 1
+    assert recovery.select_column(np.array([1.0 - 1e-10, 1.0j]), 100.0) == 0  # scaled by ||y||
+    assert recovery.select_column(np.zeros(4), 1.0) == 0
