@@ -62,6 +62,7 @@ from .recovery import (
     ls_recover_known_support,
     matching_pursuit,
     measure,
+    pursue_batch,
     save_measurement,
     save_signal,
     worst_case_margin,

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import matrices, numerics
 from .errors import InfeasibleScanError
+from .matrices import welch_bound
 
 ETF_SPREAD_TOL = 1e-6
 DEFAULT_MAX_SUBSETS = 100_000
@@ -72,17 +73,6 @@ class RipReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def welch_bound(m: int, n: int) -> float:
-    """sqrt((n-m)/(m(n-1))), the coherence floor for m-by-n unit-norm frames."""
-    m = int(m)
-    n = int(n)
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if m == n:
-        return 0.0
-    return math.sqrt((n - m) / (m * (n - 1)))
 
 
 def sparsity_bound(mu: float) -> float | None:

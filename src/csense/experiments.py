@@ -21,6 +21,9 @@ AMPLITUDE_RANDOM = "random_magnitude_phase"
 AMPLITUDE_MODELS = (AMPLITUDE_UNIT_EQUAL, AMPLITUDE_RANDOM)
 
 VALUE_MATCH_RTOL = 1e-6
+# Bytes of state one pursuit step may add to a batch of trials, 2m + n complex
+# values per trial (recovery.pursue_batch); it caps the trials of one batch.
+BATCH_BYTES = 128 * 1024
 
 
 @dataclass
@@ -144,9 +147,26 @@ def _draw_values(rng: np.random.Generator, k: int, cfg: ExperimentConfig) -> np.
     return mags * np.exp(1j * phases)
 
 
-def _first_pick(mat: matrices.MeasurementMatrix, y: np.ndarray) -> int:
-    """The pursuit's first selection, for runs that return no support."""
-    return recovery.select_column(recovery.back_project(mat, y), float(np.linalg.norm(y)))
+def trial_signal(cfg: ExperimentConfig, mat: matrices.MeasurementMatrix, k: int, trial: int) -> recovery.SparseSignal:
+    """The k-sparse signal of one trial, drawn from its own generator keyed by (seed, k, trial)."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k, trial)))
+    support = matrices.draw_without_replacement(rng, mat.n, k)
+    return recovery.SparseSignal(mat.n, support, _draw_values(rng, k, cfg))
+
+
+def trial_outcomes(cfg: ExperimentConfig, mat: matrices.MeasurementMatrix, k: int):
+    """(signal, first pick, pursuit outcome) of every trial at sparsity k, in trial order.
+
+    The trials run through recovery.pursue_batch in batches of at most
+    BATCH_BYTES / (16 (2m + n)) trials. The engine gives every trial the
+    numbers it gets alone, so the batch size never shows in a report.
+    """
+    per_batch = max(1, BATCH_BYTES // ((2 * mat.m + mat.n) * mat.data.itemsize))
+    for start in range(0, cfg.trials, per_batch):
+        signals = [trial_signal(cfg, mat, k, t) for t in range(start, min(start + per_batch, cfg.trials))]
+        ys = [recovery.measure(mat, x) for x in signals]
+        batch = recovery.pursue_batch(mat, ys, epsilon=cfg.epsilon, relative=True)
+        yield from zip(signals, batch.first_picks.tolist(), batch.outcomes)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -168,24 +188,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         first_hits = 0
         exact_hits = 0
         iteration_sum = 0
-        for trial in range(cfg.trials):
-            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k, trial)))
-            support = matrices.draw_without_replacement(rng, mat.n, k)
-            values = _draw_values(rng, k, cfg)
-            x = recovery.SparseSignal(mat.n, support, values)
-            y = recovery.measure(mat, x)
-            try:
-                result = recovery.matching_pursuit(mat, y, epsilon=cfg.epsilon, relative=True)
-            except RankDeficientError:
-                first_hits += _first_pick(mat, y) in support
+        for x, first, result in trial_outcomes(cfg, mat, k):
+            first_hits += first in x.support
+            if isinstance(result, RankDeficientError):
                 iteration_sum += mat.m
                 continue
-            first_hits += (result.support[0] if result.support else _first_pick(mat, y)) in support
             iteration_sum += result.iterations
-            if tuple(sorted(result.support)) == support:
+            if tuple(sorted(result.support)) == x.support:
                 order = np.argsort(result.support)
-                err = float(np.linalg.norm(result.values[order] - values))
-                if err <= VALUE_MATCH_RTOL * float(np.linalg.norm(values)):
+                err = float(np.linalg.norm(result.values[order] - x.values))
+                if err <= VALUE_MATCH_RTOL * float(np.linalg.norm(x.values)):
                     exact_hits += 1
         rows.append(
             ExperimentRow(

@@ -8,7 +8,6 @@ reproduce identical matrices bit for bit.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import numerics
 from .errors import UnsupportedSizeError, ZeroColumnError
-from .serialization import complex_to_pairs, pairs_to_complex
+from .serialization import complex_to_pairs, load_json, pairs_to_complex, save_json
 
 __all__ = [
     "FAMILIES",
@@ -37,6 +36,7 @@ __all__ = [
     "restrict_columns",
     "sample_rows",
     "save_matrix",
+    "welch_bound",
 ]
 
 COLUMN_NORM_TOL = 1e-10
@@ -200,8 +200,12 @@ def paley_conference(n: int) -> np.ndarray:
     return c
 
 
-def _welch(m: int, n: int) -> float:
-    # lower bound on coherence for any m x n unit-norm frame
+def welch_bound(m: int, n: int) -> float:
+    """sqrt((n-m)/(m(n-1))), the coherence floor for m-by-n unit-norm frames."""
+    m = int(m)
+    n = int(n)
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     if m == n:
         return 0.0
     return math.sqrt((n - m) / (m * (n - 1)))
@@ -209,7 +213,7 @@ def _welch(m: int, n: int) -> float:
 
 def _check_equiangular(a: MeasurementMatrix, tol: float) -> None:
     off = np.abs(a.gram[~np.eye(a.n, dtype=bool)])
-    worst = float(np.max(np.abs(off - _welch(a.m, a.n))))
+    worst = float(np.max(np.abs(off - welch_bound(a.m, a.n))))
     if worst > tol:
         raise UnsupportedSizeError(
             f"off-diagonal Gram magnitudes deviate from the Welch bound by {worst:.3e} (tolerance {tol:g})"
@@ -231,7 +235,7 @@ def _etf_alternating_projections(m: int, n: int) -> np.ndarray:
     """Frame-design heuristic: alternate between the unit-diagonal Gram set
     with off-diagonal magnitudes clamped at the Welch bound and the nearest
     rank-m positive-semidefinite factorization. Approximate by nature."""
-    target = _welch(m, n)
+    target = welch_bound(m, n)
     rng = np.random.default_rng(_FALLBACK_SEED)
     a = normalize_columns(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
     off = ~np.eye(n, dtype=bool)
@@ -376,11 +380,8 @@ def matrix_from_dict(d: dict) -> MeasurementMatrix:
 
 
 def save_matrix(a: MeasurementMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_dict(a), fh)
-        fh.write("\n")
+    save_json(matrix_to_dict(a), path)
 
 
 def load_matrix(path) -> MeasurementMatrix:
-    with open(path, encoding="utf-8") as fh:
-        return matrix_from_dict(json.load(fh))
+    return matrix_from_dict(load_json(path))

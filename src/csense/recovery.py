@@ -8,7 +8,7 @@ arithmetic that links coherence to a usable sparsity level.
 """
 from __future__ import annotations
 
-import json
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import coherence, matrices, numerics
 from .errors import DimensionMismatchError, RankDeficientError
-from .serialization import complex_to_pairs, pairs_to_complex
+from .serialization import complex_to_pairs, load_json, pairs_to_complex, save_json
 
 ZERO_VALUE_TOL = 1e-14
 DEFAULT_RELATIVE_EPSILON = 1e-10
@@ -176,12 +176,15 @@ def measure(a: matrices.MeasurementMatrix, x: SparseSignal) -> np.ndarray:
 
 def back_project(a: matrices.MeasurementMatrix, y) -> np.ndarray:
     """Initial position estimate A^H y (length n), the pursuit's first correlations."""
-    return _correlate(a, _measurements(a, y))
+    return _correlate(a, _measurements(a, y)[None])[0]
 
 
-def _correlate(a: matrices.MeasurementMatrix, vec: np.ndarray) -> np.ndarray:
-    # (y^H A)^H reads A in place; A^H y would first copy the conjugate of A
-    return (vec.conj() @ a.data).conj()
+def _correlate(a: matrices.MeasurementMatrix, rows: np.ndarray) -> np.ndarray:
+    """A^H r for every row r of a stack, each row on its own.
+
+    (r^H A)^H reads A in place; A^H r would first copy the conjugate of A.
+    """
+    return _rows_times(rows.conj(), a.data).conj()
 
 
 def decompose_initial_estimate(a: matrices.MeasurementMatrix, x: SparseSignal) -> InitialEstimate:
@@ -220,15 +223,18 @@ def ls_recover_known_support(a: matrices.MeasurementMatrix, support, y) -> Spars
     return SparseSignal(a.n, kept, vals[keep])
 
 
-def select_column(correlations, scale: float) -> int:
+def select_column(correlations, scale):
     """Lowest index whose magnitude lies within TIE_TOL * scale of the largest.
 
-    The pursuit passes scale = ||y||: its correlations carry an absolute
-    rounding error of order k * eps * ||y||, so without the tolerance the
-    evaluation order, not the index, would decide near-ties.
+    Works along the last axis, so a stack of correlation rows with one scale
+    per row gives one index per row. The pursuit passes scale = ||y||: its
+    correlations carry an absolute rounding error of order k * eps * ||y||,
+    so without the tolerance the evaluation order, not the index, would
+    decide near-ties.
     """
     mags = np.abs(correlations)
-    return int(np.argmax(mags >= mags.max() - TIE_TOL * scale))
+    edge = mags.max(axis=-1) - TIE_TOL * np.asarray(scale)
+    return np.argmax(mags >= edge[..., None], axis=-1)
 
 
 def matching_pursuit(
@@ -246,14 +252,8 @@ def matching_pursuit(
     the selected set, least-squares refit on all selected columns, and
     recompute the residual.
 
-    The refit is incremental: each new column is orthogonalized against the
-    earlier ones (Gram-Schmidt, applied twice), which extends a QR
-    factorization A_S = Q R; the values come from one solve with the
-    triangular R at the end. When the matrix already holds its Gram (as
-    after coherence_index), the correlations A^H r are updated from Gram
-    rows and an iteration costs O(m k + n k) after the first. Otherwise
-    they are recomputed from A at O(m n) per iteration: building the Gram
-    for one run would cost O(m n^2) time and n^2 memory.
+    This is pursue_batch on a stack of one measurement vector; see there
+    for how the refit and the correlations are updated.
 
     Parameters
     ----------
@@ -287,91 +287,222 @@ def matching_pursuit(
         On invalid arguments, or when a run that has not stopped at m
         columns picks one more (the refit would be underdetermined).
     """
-    vec = _measurements(a, y)
-    y_norm = float(np.linalg.norm(vec))  # the tie scale; run_experiment computes it the same way
+    (outcome,) = pursue_batch(a, _measurements(a, y)[None], epsilon, max_iter, relative).outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+class BatchPursuit(NamedTuple):
+    """Result of pursue_batch, one entry per row of the measurement stack.
+
+    first_picks holds each trial's first selection, also for trials that
+    stopped before their first iteration or raised. outcomes holds a
+    RecoveryResult, or the RankDeficientError or ValueError that
+    matching_pursuit raises for that row.
+    """
+
+    first_picks: np.ndarray
+    outcomes: list
+
+
+def pursue_batch(
+    a: matrices.MeasurementMatrix,
+    ys,
+    epsilon: float | None = None,
+    max_iter: int | None = None,
+    relative: bool = False,
+) -> BatchPursuit:
+    """matching_pursuit on every row of a (T, m) stack of measurement vectors.
+
+    The arguments mean what they mean for matching_pursuit, with epsilon
+    relative to each row's own norm when relative=True. The trials run as
+    one batch (Batch-OMP): every trial still running at step j has exactly
+    j picks, so each iteration is a few array operations over all of them.
+
+    The refit is incremental: each new column is orthogonalized against the
+    earlier ones (Gram-Schmidt, applied twice), which extends a QR
+    factorization A_S = Q R; the values come from one solve with the
+    triangular R at the end. When the matrix already holds its Gram (as
+    after coherence_index), the correlations A^H r are updated from Gram
+    rows and an iteration costs O(T (m k + n k)) after the first. Otherwise
+    they are recomputed from A at O(T m n) per iteration: building the Gram
+    for a few runs would cost O(m n^2) time and n^2 memory.
+
+    Every product is taken row by row, so a trial computes the same numbers
+    in any batch as alone. Each step taken adds a basis vector and a column
+    of R (m values each) and, with a Gram, a row A^H q (n values) per trial;
+    the room for steps doubles when it runs out, and ended trials leave the
+    batch.
+    """
+    stack = numerics.as_matrix(ys)
+    if stack.shape[1] != a.m:
+        raise DimensionMismatchError(f"measurement length {stack.shape[1]} != row count {a.m}")
+    y_norms = np.linalg.norm(stack, axis=1)
     if epsilon is None:
-        threshold = DEFAULT_RELATIVE_EPSILON * y_norm
+        thresholds = DEFAULT_RELATIVE_EPSILON * y_norms
     else:
         epsilon = float(epsilon)
         if epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
-        threshold = epsilon * y_norm if relative else epsilon
+        thresholds = epsilon * y_norms if relative else np.full(len(stack), epsilon)
     if max_iter is None:
         max_iter = a.m
     max_iter = int(max_iter)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    return _pursue(a, _Live(a, stack, y_norms, thresholds), max_iter)
 
-    cap = min(max_iter, a.m)
+
+class _Live:
+    """State of the trials of a batch that are still running.
+
+    The per-trial arrays hold one row per trial. The step arrays hold one
+    row per step, each with one entry per trial: q[i, t] is the i-th
+    orthonormal basis vector of trial t's selected span, b[i, t] = A^H q[i, t]
+    (kept only with a Gram), r[j, t] holds column j of trial t's R (A_S = Q R)
+    and z[i, t] = q[i, t]^H y. Their room for steps doubles when it runs out.
+    """
+
+    STEP_ARRAYS = ("picks", "q", "b", "r", "z", "trace")
+
+    def __init__(self, a: matrices.MeasurementMatrix, ys, y_norms, thresholds):
+        t = len(ys)
+        self.index = np.arange(t)  # position in the stack
+        self.y_norm, self.threshold = y_norms, thresholds
+        self.residual = ys.copy()
+        self.norm = y_norms.copy()
+        self.dependent = np.zeros(t, dtype=bool)  # the last pick failed the pivot test
+        self.picks = np.empty((1, t), dtype=np.intp)
+        self.q = np.empty((1, t, a.m), dtype=np.complex128)
+        self.b = np.empty((1, t, a.n), dtype=np.complex128) if a.cached_gram is not None else None
+        self.r = np.empty((1, t, a.m), dtype=np.complex128)
+        self.z = np.empty((1, t), dtype=np.complex128)
+        self.trace = np.empty((1, t))
+
+    def resize(self, room: int, taken: int, rows: np.ndarray | None = None) -> None:
+        """Give the step arrays room for room steps, keeping the taken ones.
+
+        With a boolean mask rows, keep only the trials it marks.
+        """
+        for name, value in vars(self).items():
+            if name in self.STEP_ARRAYS:
+                if value is None:
+                    continue
+                count = value.shape[1] if rows is None else np.count_nonzero(rows)
+                new = np.empty((room, count) + value.shape[2:], dtype=value.dtype)
+                if rows is None:
+                    new[:taken] = value[:taken]
+                else:
+                    np.compress(rows, value[:taken], axis=1, out=new[:taken])
+                setattr(self, name, new)
+            elif rows is not None and isinstance(value, np.ndarray):
+                setattr(self, name, value[rows])
+
+
+def _pursue(a: matrices.MeasurementMatrix, live: _Live, max_iter: int) -> BatchPursuit:
+    """Run every trial of live to its end."""
+    outcomes: list = [None] * len(live.index)
     gram = a.cached_gram
-    # Row j of q is the j-th orthonormal basis vector q_j of the selected span
-    # and row j of b holds A^H q_j (kept only with a Gram); A_S = Q R and z = Q^H y.
-    q = np.empty((cap, a.m), dtype=np.complex128)
-    b = np.empty((cap, a.n), dtype=np.complex128)
-    r = np.zeros((cap, cap), dtype=np.complex128)
-    z = np.empty(cap, dtype=np.complex128)
+    cap = min(max_iter, a.m)
     # Unit columns give sigma_max(A_S) >= 1 and sigma_min(A_S) <= r_jj, so a
     # pivot r_jj at or below this already fails the shared rank test.
     step_tol = numerics.rank_tolerance((a.m, cap), 1.0)
-    selected: list[int] = []
-    residual = vec.copy()
-    correlations = _correlate(a, vec)
-    residual_norm = y_norm
-    trace: list[float] = []
-    overflow = False
-    while residual_norm > threshold and len(selected) < max_iter:
-        pick = select_column(correlations, y_norm)
-        if pick in selected:
-            break  # residual is orthogonal to every useful column; no progress possible
-        j = len(selected)
-        if j == a.m:
-            overflow = True
-            break
-        selected.append(pick)
-        v = a.data[:, pick].copy()
-        if j:
-            c = (q[:j] @ v.conj()).conj()  # Q^H v without a conjugate copy of Q
-            v -= c @ q[:j]
-            c2 = (q[:j] @ v.conj()).conj()
-            v -= c2 @ q[:j]
-            c += c2
-            r[:j, j] = c
-        r_jj = float(np.linalg.norm(v))
-        if r_jj <= step_tol:
-            raise RankDeficientError(f"selected columns {selected} are linearly dependent")
-        r[j, j] = r_jj
-        np.divide(v, r_jj, out=q[j])
-        z[j] = zj = np.vdot(q[j], residual)
-        residual -= zj * q[j]
+    correlations = _correlate(a, live.residual)
+    for j in itertools.count():
+        pick = select_column(correlations, live.y_norm)
+        if j == 0:
+            first_picks = pick
+        stopped = (live.norm <= live.threshold) | (j >= max_iter)
+        stalled = (live.picks[:j] == pick).any(axis=0)  # no progress possible
+        ended = live.dependent | stopped | stalled | (j == a.m)
+        if ended.any():
+            _finish(a, live, j, ended, stopped | stalled, outcomes)
+            live.resize(len(live.q), j, ~ended)
+            if not len(live.index):
+                return BatchPursuit(first_picks, outcomes)
+            pick, correlations = pick[~ended], correlations[~ended]
+        if j == len(live.q):
+            live.resize(min(2 * j, cap), j)
+        v = a.data.T[pick]  # the picked columns, one row per trial
+        q = live.q[:j].swapaxes(0, 1)  # trial t's basis vectors are the rows of q[t]
+        c = _project(q, v)
+        v -= _rows_times(c, q)
+        c2 = _project(q, v)
+        v -= _rows_times(c2, q)
+        c += c2
+        r_jj = np.linalg.norm(v, axis=1)
+        live.dependent = r_jj <= step_tol
+        r_jj[live.dependent] = 1.0  # those trials end at the next step; this keeps their rows finite
+        live.r[j, :, :j] = c
+        live.r[j, :, j] = r_jj
+        live.r[j, :, j + 1 :] = 0.0
+        live.picks[j] = pick
+        np.divide(v, r_jj[:, None], out=live.q[j])
+        live.z[j] = z_j = (live.q[j].conj() * live.residual).sum(axis=1)
+        live.residual -= z_j[:, None] * live.q[j]
         if gram is None:
-            correlations = _correlate(a, residual)
+            correlations = _correlate(a, live.residual)
         else:
-            b_j = gram[pick].conj()  # column pick of the Hermitian Gram, A^H a_pick
-            if j:
-                b_j -= c @ b[:j]
-            np.divide(b_j, r_jj, out=b[j])
-            correlations -= zj * b[j]
-        residual_norm = float(np.linalg.norm(residual))
-        trace.append(residual_norm)
-    k = len(selected)
-    values = np.zeros(0, dtype=np.complex128)
+            b_j = gram[pick]
+            np.conjugate(b_j, out=b_j)  # column pick of the Hermitian Gram, A^H a_pick
+            b_j -= _rows_times(c, live.b[:j].swapaxes(0, 1))
+            np.divide(b_j, r_jj[:, None], out=live.b[j])
+            correlations -= z_j[:, None] * live.b[j]
+        live.norm = np.linalg.norm(live.residual, axis=1)
+        live.trace[j] = live.norm
+
+
+def _finish(a, live: _Live, k: int, ended, halted, outcomes) -> None:
+    """Record the outcomes of the trials that end with k picks.
+
+    halted marks the trials that stopped or stalled; the others that are
+    neither dependent nor halted have reached m picks and need one more.
+    """
+    picks = live.picks[:k].T
+    for i in np.flatnonzero(ended & live.dependent):
+        outcomes[live.index[i]] = RankDeficientError(f"selected columns {picks[i].tolist()} are linearly dependent")
+    rows = np.flatnonzero(ended & ~live.dependent)
+    if not len(rows):
+        return
+    sound = np.ones(len(rows), dtype=bool)
+    values = np.empty((len(rows), k), dtype=np.complex128)
     if k:
+        r = live.r[:k, rows, :k].transpose(1, 2, 0)  # r[t][i, j] = R_ij of trial t
         # sigma(R) = sigma(A_S), and adding columns never raises sigma_min, so
         # this one test fails in the same runs as a rank test after every refit
-        s = np.linalg.svd(r[:k, :k], compute_uv=False)
-        if s[-1] <= numerics.rank_tolerance((a.m, k), s[0]):
-            raise RankDeficientError(f"selected columns {selected} have numerical rank below {k}")
-        values = np.linalg.solve(r[:k, :k], z[:k])
-    if overflow:
-        raise ValueError(f"pursuit needs more than m = {a.m} columns; the refit would be underdetermined")
-    return RecoveryResult(
-        support=tuple(selected),
-        values=values,
-        residual_norm=residual_norm,
-        iterations=k,
-        converged=residual_norm <= threshold,
-        residual_trace=tuple(trace),
-    )
+        s = np.linalg.svd(r, compute_uv=False)
+        sound = s[:, -1] > numerics.rank_tolerance((a.m, k), s[:, 0])
+        fits = sound & halted[rows]
+        if fits.any():
+            values[fits] = np.linalg.solve(r[fits], live.z[:k, rows[fits]].T[:, :, None])[:, :, 0]
+    for i, row in enumerate(rows):
+        support = picks[row].tolist()
+        if not sound[i]:
+            outcome = RankDeficientError(f"selected columns {support} have numerical rank below {k}")
+        elif not halted[row]:
+            outcome = ValueError(f"pursuit needs more than m = {a.m} columns; the refit would be underdetermined")
+        else:
+            norm = float(live.norm[row])
+            outcome = RecoveryResult(
+                support=tuple(support),
+                values=values[i],
+                residual_norm=norm,
+                iterations=k,
+                converged=norm <= float(live.threshold[row]),
+                residual_trace=tuple(live.trace[:k, row].tolist()),
+            )
+        outcomes[live.index[row]] = outcome
+
+
+def _rows_times(x, y):
+    """x[t] @ y[t] for every trial t, as a stack of vector-matrix products."""
+    return (x[:, None, :] @ y)[:, 0]
+
+
+def _project(q, v):
+    """Q^H v for every trial, with Q's basis vectors as the rows of q[t]; no conjugate copy of Q."""
+    return (q @ v.conj()[:, :, None])[:, :, 0].conj()
 
 
 def exhaustive_l0_search(
@@ -458,22 +589,16 @@ def measurement_from_dict(d: dict) -> np.ndarray:
 
 
 def save_signal(x: SparseSignal, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(signal_to_dict(x), fh)
-        fh.write("\n")
+    save_json(signal_to_dict(x), path)
 
 
 def load_signal(path) -> SparseSignal:
-    with open(path, encoding="utf-8") as fh:
-        return signal_from_dict(json.load(fh))
+    return signal_from_dict(load_json(path))
 
 
 def save_measurement(y, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(measurement_to_dict(y), fh)
-        fh.write("\n")
+    save_json(measurement_to_dict(y), path)
 
 
 def load_measurement(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        return measurement_from_dict(json.load(fh))
+    return measurement_from_dict(load_json(path))

@@ -1,11 +1,30 @@
-"""Complex <-> [re, im] pair conversion for the JSON file formats.
+"""The JSON file formats: one helper pair for files, and complex <-> [re, im] pairs.
 
 Floats are emitted through Python's shortest round-trip repr, so parsing
 the written text recovers bit-identical doubles.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
+
+
+def save_json(obj, path) -> None:
+    """Write obj as one line of JSON plus a newline.
+
+    json.dumps runs the C encoder; json.dump would encode through the
+    pure-Python chunked path, for the same text.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj))
+        fh.write("\n")
+
+
+def load_json(path):
+    """Parse a JSON file written by save_json."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def complex_to_pairs(values) -> list[list[float]]:

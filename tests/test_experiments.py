@@ -3,8 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from csense import experiments, matrices, recovery
-from csense.errors import RankDeficientError
+from csense import experiments, matrices, numerics
 
 
 def etf14_config(**overrides):
@@ -153,10 +152,11 @@ def test_first_pick_and_pursuit_follow_the_tie_rule_on_duplicate_columns():
 
 @pytest.mark.parametrize("cfg", [etf14_config(k_range=(3, 4), trials=60), duplicate_columns_config()])
 def test_first_pick_counts_when_the_pursuit_raises(cfg):
-    # a rank-deficient run returns no support; its first pick is recomputed by
-    # the pursuit's own rule and must match what the returned runs report
+    # a rank-deficient run returns no support; its first pick is the engine's
+    # first selection and must match what the returned runs report. No pivot
+    # clears an infinite rank tolerance, so every trial raises at its first step
     returned = experiments.run_experiment(cfg)
-    with mock.patch.object(recovery, "matching_pursuit", side_effect=RankDeficientError("dependent")):
+    with mock.patch.object(numerics, "rank_tolerance", return_value=np.inf):
         raised = experiments.run_experiment(cfg)
     m = matrices.from_spec(**cfg.matrix).m
     for got, expected in zip(raised.rows, returned.rows):

@@ -4,16 +4,18 @@ The reports and the per-trial selection order of every pursuit behind them
 were written once under the deterministic tie rule and must be reproduced
 exactly: a report's rates can survive a change of pick order (386 of the 500
 criterion-12 trials changed order when the tie rule came in, the rates did
-not), the frozen order cannot. To rewrite them after a deliberate change of
-output, run ``PYTHONPATH=src python tests/test_golden.py`` and record why.
+not), the frozen order cannot. The order is checked both for each trial
+pursued alone and on the batched path that run_experiment takes. To rewrite
+them after a deliberate change of output, run
+``PYTHONPATH=src python tests/test_golden.py`` and record why.
 """
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from csense import experiments, matrices, recovery
+from csense.coherence import coherence_index
 from csense.cli import figure_scenario
 from csense.errors import RankDeficientError
 
@@ -52,22 +54,31 @@ def report_text(cfg: experiments.ExperimentConfig) -> str:
     return json.dumps(experiments.run_experiment(cfg).to_dict(), indent=2) + "\n"
 
 
-def selection_order(cfg: experiments.ExperimentConfig) -> dict[str, list]:
-    """Per k, each trial's pursuit support in selection order ("rank-deficient" if it aborted)."""
+def selection_order(cfg: experiments.ExperimentConfig, batched: bool = False) -> dict[str, list]:
+    """Per k, each trial's pursuit support in selection order ("rank-deficient" if it aborted).
+
+    batched=False runs matching_pursuit on each trial alone; batched=True
+    takes the outcomes run_experiment tallies, from experiments.trial_outcomes.
+    """
     mat = matrices.from_spec(**cfg.matrix)
+    if batched:
+        coherence_index(mat)  # run_experiment's matrix holds its Gram
     out = {}
     for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
-        picks = []
-        for trial in range(cfg.trials):  # the trial draws of experiments.run_experiment
-            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k, trial)))
-            support = matrices.draw_without_replacement(rng, mat.n, k)
-            x = recovery.SparseSignal(mat.n, support, experiments._draw_values(rng, k, cfg))
-            try:
-                result = recovery.matching_pursuit(mat, recovery.measure(mat, x), epsilon=cfg.epsilon, relative=True)
-                picks.append(list(result.support))
-            except RankDeficientError:
-                picks.append("rank-deficient")
-        out[str(k)] = picks
+        if batched:
+            outcomes = [result for _, _, result in experiments.trial_outcomes(cfg, mat, k)]
+        else:
+            outcomes = []
+            for trial in range(cfg.trials):
+                y = recovery.measure(mat, experiments.trial_signal(cfg, mat, k, trial))
+                try:
+                    outcomes.append(recovery.matching_pursuit(mat, y, epsilon=cfg.epsilon, relative=True))
+                except RankDeficientError as exc:
+                    outcomes.append(exc)
+        out[str(k)] = [
+            "rank-deficient" if isinstance(result, RankDeficientError) else list(result.support)
+            for result in outcomes
+        ]
     return out
 
 
@@ -80,6 +91,12 @@ def test_report_matches_golden(name):
 def test_selection_order_matches_golden(name):
     frozen = json.loads((GOLDEN / "selection_order.json").read_text(encoding="utf-8"))
     assert selection_order(golden_configs()[name]) == frozen[name]
+
+
+@pytest.mark.parametrize("name", sorted(golden_configs()))
+def test_batched_selection_order_matches_golden(name):
+    frozen = json.loads((GOLDEN / "selection_order.json").read_text(encoding="utf-8"))
+    assert selection_order(golden_configs()[name], batched=True) == frozen[name]
 
 
 if __name__ == "__main__":

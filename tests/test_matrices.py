@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from unittest import mock
@@ -253,6 +254,22 @@ def test_matrix_json_round_trip_keeps_signed_zeros(tmp_path):
     matrices.save_matrix(mat, path)
     loaded = matrices.load_matrix(path).data
     assert np.array_equal(loaded.view(np.uint64), mat.data.view(np.uint64))
+
+
+def test_json_files_keep_the_text_json_dump_wrote(tmp_path, fig3_dft):
+    # one writer serves every file format; its text must not drift from json.dump's
+    x = recovery.SparseSignal(16, (2, 9), np.array([1.0 - 0.5j, complex(-0.0, 2.0)]))
+    y = recovery.measure(fig3_dft, x)
+    cases = [
+        (matrices.save_matrix, fig3_dft, matrices.matrix_to_dict(fig3_dft)),
+        (recovery.save_signal, x, recovery.signal_to_dict(x)),
+        (recovery.save_measurement, y, recovery.measurement_to_dict(y)),
+    ]
+    for save, obj, as_dict in cases:
+        expected = io.StringIO()
+        json.dump(as_dict, expected)
+        save(obj, tmp_path / "out.json")
+        assert (tmp_path / "out.json").read_text(encoding="utf-8") == expected.getvalue() + "\n"
 
 
 def test_complex_pairs_round_trip_bit_exact(rng):

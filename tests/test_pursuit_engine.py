@@ -5,9 +5,11 @@ columns with an SVD least-squares solve at every iteration, under the same
 tie rule. The incremental engine must reproduce it: the same selection order
 when no correlation sits near the edge of the tie set, values within 1e-8,
 and the same RankDeficientError, stall and ValueError outcomes, whether it
-updates the correlations from a cached Gram or recomputes them from A.
+updates the correlations from a cached Gram or recomputes them from A. The
+batched engine must give every trial of a batch exactly what it gets alone.
 """
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csense import cli, experiments, matrices, numerics, recovery
-from csense.errors import RankDeficientError
+from csense.errors import DimensionMismatchError, RankDeficientError
 
 VALUE_TOL = 1e-8
 # A correlation this close (relative to ||y||) to the edge of the tie set may
@@ -304,6 +306,151 @@ def test_pursuit_on_a_fresh_matrix_builds_no_gram():
     assert gram.call_count == 0
     assert mat.cached_gram is None
     assert sorted(result.support) == [3, 70, 200]
+
+
+# ------------------------------------------------------------- batched engine
+
+
+def alone(a, y, *args):
+    """matching_pursuit on one measurement vector: its result or the error it raised."""
+    try:
+        return recovery.matching_pursuit(a, y, *args)
+    except (RankDeficientError, ValueError) as exc:
+        return exc
+
+
+def assert_same_outcome(got, expected):
+    """Bit-identical outcomes: the same picks, status, values and residuals, or the same error."""
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+        return
+    assert isinstance(got, recovery.RecoveryResult), got
+    assert (got.support, got.iterations, got.converged) == (expected.support, expected.iterations, expected.converged)
+    assert np.array_equal(got.values, expected.values)
+    assert (got.residual_norm, got.residual_trace) == (expected.residual_norm, expected.residual_trace)
+
+
+def assert_batch_matches_each_trial_alone(mat, ys, *args):
+    batch = recovery.pursue_batch(mat, ys, *args)
+    assert len(batch.first_picks) == len(batch.outcomes) == len(ys)
+    for y, first, got in zip(ys, batch.first_picks, batch.outcomes):
+        expected = alone(mat, y, *args)
+        assert_same_outcome(got, expected)
+        assert first == recovery.pursue_batch(mat, y[None], *args).first_picks[0]
+        if not isinstance(expected, Exception) and expected.support:
+            assert first == expected.support[0]
+    return batch
+
+
+@st.composite
+def batch_cases(draw):
+    """(matrix, ys, max_iter): one matrix of pursuit_cases and a stack of measurements.
+
+    Rows differ in sparsity and noise, and some are zero, so trials of one
+    batch stop at different steps, stall, or pick a dependent column.
+    """
+    mat, _, max_iter = draw(pursuit_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ys = np.zeros((draw(st.integers(1, 10)), mat.m), dtype=np.complex128)
+    for y in ys:
+        kind = draw(st.sampled_from(["sparse", "noisy", "zero"]))
+        if kind == "zero":
+            continue
+        k = int(rng.integers(1, mat.m + 1))
+        x = np.zeros(mat.n, dtype=np.complex128)
+        x[rng.choice(mat.n, size=k, replace=False)] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        y[:] = mat.data @ x
+        if kind == "noisy":
+            y += 1e-2 * (rng.standard_normal(mat.m) + 1j * rng.standard_normal(mat.m))
+    return mat, ys, max_iter
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch_cases(), st.sampled_from([None, 1e-6, 1e-300]), st.booleans(), st.booleans())
+def test_batch_matches_each_trial_alone(case, epsilon, relative, cached):
+    # every product is taken per trial, so a batch reproduces each trial's
+    # lone run bit for bit, on either correlation path
+    mat, ys, max_iter = case
+    assert_batch_matches_each_trial_alone(with_gram(mat, cached), ys, epsilon, max_iter, relative)
+
+
+def test_trial_outcomes_match_each_trial_alone_in_any_batch_size():
+    # run_experiment's batches: one trial each, three each (a last batch of
+    # one) and the shipped size, with a relative epsilon loose enough that
+    # trials beyond the certificate stop at different steps
+    cfg = experiments.ExperimentConfig(
+        matrix={"family": "etf", "m": 15, "n": 30},
+        k_range=(3, 5),
+        trials=40,
+        amplitude_model=experiments.AMPLITUDE_RANDOM,
+        seed=3,
+        epsilon=0.2,
+    )
+    mat = matrices.from_spec(**cfg.matrix)
+    mat.gram
+    lengths = set()
+    for k in range(3, 6):
+        signals = [experiments.trial_signal(cfg, mat, k, t) for t in range(cfg.trials)]
+        expected = [alone(mat, recovery.measure(mat, x), cfg.epsilon, None, True) for x in signals]
+        lengths |= {(k, r.iterations) for r in expected if not isinstance(r, Exception)}
+        for batch_bytes in (1, 3 * (2 * mat.m + mat.n) * 16, experiments.BATCH_BYTES):
+            with mock.patch.object(experiments, "BATCH_BYTES", batch_bytes):
+                got = list(experiments.trial_outcomes(cfg, mat, k))
+            assert [x.support for x, _, _ in got] == [x.support for x in signals]
+            for (_, first, result), lone in zip(got, expected):
+                assert_same_outcome(result, lone)
+                if not isinstance(lone, Exception):
+                    assert first == lone.support[0]
+    assert len(lengths) > 3  # some k has trials that stop at different steps
+
+
+@pytest.mark.filterwarnings("error")  # a dependent pick must not divide by a zero pivot
+def test_batch_retires_trials_at_every_step():
+    # on the matrix of dependent_third_pick: a dependent third pick, a
+    # two-step fit, a one-step fit, a stall on the third axis that no column
+    # reaches, and a zero vector that needs no step
+    mat, y = dependent_third_pick()
+    a, b = mat.data[:, 1], mat.data[:, 2]
+    ys = np.array([y, a - 0.1 * b, a, [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    for cached in (False, True):
+        batch = assert_batch_matches_each_trial_alone(with_gram(mat, cached), ys)
+        dependent, *returned = batch.outcomes
+        assert isinstance(dependent, RankDeficientError)
+        assert [r.iterations for r in returned] == [2, 1, 1, 0]
+        assert [r.converged for r in returned] == [True, True, False, True]
+        assert batch.first_picks.tolist() == [1, 1, 1, 0, 0]
+
+
+def test_pursue_batch_checks_its_input(etf14):
+    with pytest.raises(DimensionMismatchError):
+        recovery.pursue_batch(etf14, np.ones((3, 6)))
+    with pytest.raises(ValueError):
+        recovery.pursue_batch(etf14, np.ones(7))
+    with pytest.raises(ValueError):
+        recovery.pursue_batch(etf14, np.ones((2, 7)), epsilon=0.0)
+    with pytest.raises(ValueError):
+        recovery.pursue_batch(etf14, np.ones((2, 7)), max_iter=0)
+
+
+def test_batch_memory_is_bounded_by_the_batch_size():
+    # the 500-trial 15x30 guarantee config: its batches of 136 trials peak at
+    # 1.2 MB, about 9 x BATCH_BYTES; all 500 trials in one batch take 3.8 MB
+    cfg = experiments.ExperimentConfig(
+        matrix={"family": "etf", "m": 15, "n": 30},
+        k_range=(1, 3),
+        trials=500,
+        amplitude_model=experiments.AMPLITUDE_RANDOM,
+        seed=20260810,
+    )
+    experiments.run_experiment(cfg)
+    tracemalloc.start()
+    try:
+        report = experiments.run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [row.exact_recovery_rate for row in report.rows] == [1.0, 1.0, 1.0]
+    assert peak <= 12 * experiments.BATCH_BYTES
 
 
 # ----------------------------------------------------------------- tie rule
