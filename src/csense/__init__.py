@@ -67,5 +67,6 @@ from .recovery import (
     save_signal,
     worst_case_margin,
 )
+from .serialization import to_dict
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import coherence, experiments, matrices, recovery
+from . import coherence, experiments, matrices, recovery, serialization
 from .errors import (
     InfeasibleScanError,
     RankDeficientError,
@@ -81,15 +81,15 @@ def _cmd_gen_matrix(args) -> int:
 
 def _cmd_coherence(args) -> int:
     mat = matrices.load_matrix(args.matrix)
-    payload = {"coherence": coherence.coherence_index(mat).to_dict()}
+    payload = {"coherence": serialization.to_dict(coherence.coherence_index(mat))}
     if args.uniqueness_k is not None:
         report = coherence.uniqueness_rank_scan(
             mat, args.uniqueness_k, max_subsets=args.max_subsets, strict=True
         )
-        payload["uniqueness"] = report.to_dict()
+        payload["uniqueness"] = serialization.to_dict(report)
     if args.rip_k is not None:
         report = coherence.rip_constant(mat, args.rip_k, max_subsets=args.max_subsets, strict=True)
-        payload["rip"] = report.to_dict()
+        payload["rip"] = serialization.to_dict(report)
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -98,7 +98,7 @@ def _cmd_recover(args) -> int:
     mat = matrices.load_matrix(args.matrix)
     y = recovery.load_measurement(args.measurements)
     result = recovery.matching_pursuit(mat, y, epsilon=args.epsilon, max_iter=args.max_iter)
-    payload = {"recovery": result.to_dict()}
+    payload = {"recovery": serialization.to_dict(result)}
     if args.oracle:
         y_norm = float(np.linalg.norm(y))
         if args.epsilon is not None and y_norm > 0.0:
@@ -115,21 +115,7 @@ def _cmd_recover(args) -> int:
             agrees = tuple(sorted(result.support)) in {s.support for s in minimal}
         else:
             print(f"warning: oracle searched only {search.scanned} of {search.total} supports", file=sys.stderr)
-        payload["oracle"] = {
-            "solutions": [
-                {
-                    "support": list(s.support),
-                    "values": [[v.real, v.imag] for v in s.values],
-                    "residual": s.residual,
-                }
-                for s in solutions
-            ],
-            "scanned": search.scanned,
-            "total": search.total,
-            "complete": search.complete,
-            "ambiguous": ambiguous,
-            "agrees_with_pursuit": agrees,
-        }
+        payload["oracle"] = {**serialization.to_dict(search), "ambiguous": ambiguous, "agrees_with_pursuit": agrees}
     print(json.dumps(payload, indent=2))
     return 0 if result.converged else 5
 
@@ -152,13 +138,10 @@ def _cmd_figure(args) -> int:
     comp_header = ["index"]
     for i in range(len(support)):
         comp_header += [f"component_{i + 1}_re", f"component_{i + 1}_im"]
-    comp_rows = []
-    for idx in range(mat.n):
-        row = [idx]
-        for i in range(len(support)):
-            z = estimate.components[idx, i]
-            row += [float(z.real), float(z.imag)]
-        comp_rows.append(row)
+    comp_rows = [
+        [idx] + [v for pair in serialization.complex_to_pairs(row) for v in pair]
+        for idx, row in enumerate(estimate.components)
+    ]
     _write_csv(os.path.join(args.outdir, "components.csv"), comp_header, comp_rows)
 
     est_rows = [[idx, float(abs(estimate.x0[idx]))] for idx in range(mat.n)]
@@ -177,7 +160,7 @@ def _cmd_experiment(args) -> int:
         cfg = experiments.ExperimentConfig.from_dict(json.load(fh))
     report = experiments.run_experiment(cfg)
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(serialization.to_dict(report), fh, indent=2)
         fh.write("\n")
     csv_path = os.path.splitext(args.out)[0] + ".csv"
     with open(csv_path, "w", encoding="utf-8") as fh:

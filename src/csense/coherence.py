@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,9 +40,6 @@ class CoherenceReport:
     gram_offdiag_max: float
     gram_offdiag_min: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class UniquenessReport:
@@ -57,9 +54,6 @@ class UniquenessReport:
     max_cond: float
     complete: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class RipReport:
@@ -70,9 +64,6 @@ class RipReport:
     subsets_scanned: int
     total_subsets: int
     complete: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def sparsity_bound(mu: float) -> float | None:
@@ -136,6 +127,8 @@ class SubsetScan:
     """
 
     def __init__(self, n: int, sizes, max_subsets: int, strict: bool):
+        if max_subsets < 0:
+            raise ValueError(f"the subset budget must be >= 0, got {max_subsets}")
         self.n, self.sizes, self.max_subsets = n, tuple(sizes), max_subsets
         self.total = sum(math.comb(n, size) for size in self.sizes)
         if strict and self.total > max_subsets:

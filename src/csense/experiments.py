@@ -8,13 +8,15 @@ reports are pure functions of the config regardless of execution order.
 """
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import coherence, matrices, recovery
 from .errors import RankDeficientError
+from .serialization import decoding
 
 AMPLITUDE_UNIT_EQUAL = "unit_equal"
 AMPLITUDE_RANDOM = "random_magnitude_phase"
@@ -42,12 +44,13 @@ class ExperimentConfig:
     trials: int
     amplitude_model: str = AMPLITUDE_UNIT_EQUAL
     seed: int = 0
-    epsilon: float = 1e-10
+    epsilon: float = recovery.DEFAULT_RELATIVE_EPSILON
     a_min: float = 0.5
     a_max: float = 2.0
 
     def __post_init__(self):
         self.matrix = dict(self.matrix)
+        inspect.signature(matrices.from_spec).bind(**self.matrix)  # TypeError on a key from_spec lacks
         lo, hi = (int(v) for v in self.k_range)
         if lo < 1 or hi < lo:
             raise ValueError(f"k_range must satisfy 1 <= low <= high, got ({lo}, {hi})")
@@ -70,28 +73,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(
-            matrix=dict(d["matrix"]),
-            k_range=tuple(d["k_range"]),
-            trials=d["trials"],
-            amplitude_model=d.get("amplitude_model", AMPLITUDE_UNIT_EQUAL),
-            seed=d.get("seed", 0),
-            epsilon=d.get("epsilon", 1e-10),
-            a_min=d.get("a_min", 0.5),
-            a_max=d.get("a_max", 2.0),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "matrix": self.matrix,
-            "k_range": list(self.k_range),
-            "trials": self.trials,
-            "amplitude_model": self.amplitude_model,
-            "seed": self.seed,
-            "epsilon": self.epsilon,
-            "a_min": self.a_min,
-            "a_max": self.a_max,
-        }
+        """Missing required keys raise KeyError, unknown keys are ignored."""
+        with decoding("experiment config"):
+            return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d or f.default is MISSING})
 
 
 @dataclass
@@ -104,30 +88,14 @@ class ExperimentRow:
     exact_recovery_rate: float
     mean_iterations: float
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "trials": self.trials,
-            "first_pick_correct_rate": self.first_pick_correct_rate,
-            "exact_recovery_rate": self.exact_recovery_rate,
-            "mean_iterations": self.mean_iterations,
-        }
-
 
 @dataclass
 class ExperimentReport:
     CSV_HEADER = "k,trials,first_pick_rate,exact_rate,mean_iters"
 
-    rows: list[ExperimentRow] = field(default_factory=list)
     matrix_mu: float = 0.0
     k_max_theory: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "matrix_mu": self.matrix_mu,
-            "k_max_theory": self.k_max_theory,
-            "rows": [row.to_dict() for row in self.rows],
-        }
+    rows: list[ExperimentRow] = field(default_factory=list)
 
     def csv_lines(self) -> list[str]:
         lines = [self.CSV_HEADER]
@@ -218,9 +186,6 @@ class SubsetScore:
     rows: tuple[int, ...]
     mu: float
     k_max: int | None
-
-    def to_dict(self) -> dict:
-        return {"rows": list(self.rows), "mu": self.mu, "k_max": self.k_max}
 
 
 def sweep_partial_dft_subsets(n: int, m: int, subsets: int, seed: int) -> list[SubsetScore]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numerics
 from .errors import UnsupportedSizeError, ZeroColumnError
-from .serialization import complex_to_pairs, load_json, pairs_to_complex, save_json
+from .serialization import complex_to_pairs, decoding, load_json, pairs_to_complex, save_json
 
 __all__ = [
     "FAMILIES",
@@ -371,12 +371,12 @@ def matrix_to_dict(a: MeasurementMatrix) -> dict:
 
 
 def matrix_from_dict(d: dict) -> MeasurementMatrix:
-    m = int(d["m"])
-    n = int(d["n"])
-    flat = pairs_to_complex(d["data"])
+    with decoding("matrix"):
+        m, n, flat = int(d["m"]), int(d["n"]), pairs_to_complex(d["data"])
+        family, meta = str(d["family"]), dict(d.get("meta", {}))
     if flat.shape[0] != m * n:
         raise ValueError(f"data holds {flat.shape[0]} entries, expected m*n = {m * n}")
-    return MeasurementMatrix(m, n, flat.reshape(m, n), str(d["family"]), dict(d.get("meta", {})))
+    return MeasurementMatrix(m, n, flat.reshape(m, n), family, meta)
 
 
 def save_matrix(a: MeasurementMatrix, path) -> None:

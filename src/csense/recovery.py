@@ -16,7 +16,7 @@ import numpy as np
 
 from . import coherence, matrices, numerics
 from .errors import DimensionMismatchError, RankDeficientError
-from .serialization import complex_to_pairs, load_json, pairs_to_complex, save_json
+from .serialization import complex_to_pairs, decoding, load_json, pairs_to_complex, save_json, to_dict
 
 ZERO_VALUE_TOL = 1e-14
 DEFAULT_RELATIVE_EPSILON = 1e-10
@@ -101,16 +101,6 @@ class RecoveryResult:
     converged: bool
     residual_trace: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "support": list(self.support),
-            "values": complex_to_pairs(self.values),
-            "residual_norm": self.residual_norm,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "residual_trace": list(self.residual_trace),
-        }
-
 
 @dataclass
 class MarginReport:
@@ -128,17 +118,9 @@ class MarginReport:
     disturbance_ceiling: float
     detectable: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "mu": self.mu,
-            "signal_floor": self.signal_floor,
-            "disturbance_ceiling": self.disturbance_ceiling,
-            "detectable": self.detectable,
-        }
 
-
-class L0Solution(NamedTuple):
+@dataclass(eq=False)
+class L0Solution:
     """One consistent sparse explanation found by the exhaustive search."""
 
     support: tuple[int, ...]
@@ -146,7 +128,8 @@ class L0Solution(NamedTuple):
     residual: float
 
 
-class L0Report(NamedTuple):
+@dataclass
+class L0Report:
     """Result of the exhaustive search; complete is False when the budget cut it short."""
 
     solutions: list[L0Solution]
@@ -568,12 +551,10 @@ def worst_case_margin(mu: float, k: int) -> MarginReport:
     )
 
 
-def signal_to_dict(x: SparseSignal) -> dict:
-    return {"n": x.n, "support": list(x.support), "values": complex_to_pairs(x.values)}
-
-
 def signal_from_dict(d: dict) -> SparseSignal:
-    return SparseSignal(int(d["n"]), tuple(int(i) for i in d["support"]), pairs_to_complex(d["values"]))
+    with decoding("signal"):
+        n, support, values = int(d["n"]), tuple(int(i) for i in d["support"]), pairs_to_complex(d["values"])
+    return SparseSignal(n, support, values)
 
 
 def measurement_to_dict(y) -> dict:
@@ -582,14 +563,15 @@ def measurement_to_dict(y) -> dict:
 
 
 def measurement_from_dict(d: dict) -> np.ndarray:
-    vec = pairs_to_complex(d["data"])
-    if vec.shape[0] != int(d["m"]):
-        raise ValueError(f'data holds {vec.shape[0]} entries, expected m = {int(d["m"])}')
+    with decoding("measurement"):
+        vec, m = pairs_to_complex(d["data"]), int(d["m"])
+    if vec.shape[0] != m:
+        raise ValueError(f"data holds {vec.shape[0]} entries, expected m = {m}")
     return vec
 
 
 def save_signal(x: SparseSignal, path) -> None:
-    save_json(signal_to_dict(x), path)
+    save_json(to_dict(x), path)
 
 
 def load_signal(path) -> SparseSignal:

@@ -1,10 +1,12 @@
-"""The JSON file formats: one helper pair for files, and complex <-> [re, im] pairs.
+"""The JSON formats: one helper pair for files, one record encoder, and complex <-> [re, im] pairs.
 
 Floats are emitted through Python's shortest round-trip repr, so parsing
 the written text recovers bit-identical doubles.
 """
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 
 import numpy as np
@@ -25,6 +27,32 @@ def load_json(path):
     """Parse a JSON file written by save_json."""
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def to_dict(record) -> dict:
+    """A dataclass record as JSON-ready dicts: its fields in declaration order, nested records included."""
+    return dataclasses.asdict(record, dict_factory=_json_fields)
+
+
+def _json_fields(items) -> dict:
+    """asdict's dict_factory: tuples become lists, complex arrays [re, im] pairs."""
+    out = {}
+    for name, value in items:
+        if isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, np.ndarray) and np.iscomplexobj(value):
+            value = complex_to_pairs(value)
+        out[name] = value
+    return out
+
+
+@contextlib.contextmanager
+def decoding(what: str):
+    """Report JSON of the wrong shape (a TypeError while decoding it) as a ValueError."""
+    try:
+        yield
+    except TypeError as exc:
+        raise ValueError(f"malformed {what}: {exc}") from exc
 
 
 def complex_to_pairs(values) -> list[list[float]]:

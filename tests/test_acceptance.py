@@ -12,6 +12,7 @@ import numpy as np
 
 from csense import coherence, experiments, matrices, numerics, recovery
 from csense.cli import figure_scenario
+from csense.serialization import to_dict
 
 MU14 = 1.0 / math.sqrt(13.0)
 MU30 = 1.0 / math.sqrt(29.0)
@@ -192,8 +193,8 @@ def test_criterion_12_conservativeness_recorded(tmp_path):
     rate = report.rows[0].exact_recovery_rate
     assert 0.0 < rate < 1.0
     again = experiments.run_experiment(cfg)
-    assert report.to_dict() == again.to_dict()
+    assert to_dict(report) == to_dict(again)
     artifact = tmp_path / "beyond_certificate_report.json"
-    artifact.write_text(json.dumps({"config": cfg.to_dict(), "report": report.to_dict()}, indent=2))
+    artifact.write_text(json.dumps({"config": to_dict(cfg), "report": to_dict(report)}, indent=2))
     assert artifact.exists()
     _ok(12, f"k=3 recovery rate {rate:.3f} is strictly inside (0, 1) and reproducible")

@@ -121,6 +121,23 @@ def test_coherence_missing_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_coherence_negative_budget_exits_2(tmp_path, capsys):
+    out = tmp_path / "etf.json"
+    run(capsys, "gen-matrix", "--family", "etf", "--m", "7", "--n", "14", "--out", str(out))
+    code, _, err = run(capsys, "coherence", "--matrix", str(out), "--uniqueness-k", "2", "--max-subsets", "-1")
+    assert code == 2
+    assert err.startswith("error:") and "infeasible" not in err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"m": null, "n": 2, "family": "custom", "data": [[1, 0], [1, 0]]}'])
+def test_coherence_malformed_matrix_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "coherence", "--matrix", str(path))
+    assert code == 2
+    assert err.startswith("error: malformed matrix")
+
+
 # ------------------------------------------------------------------ recover
 
 
@@ -211,7 +228,10 @@ def test_figure_fig2_outputs(tmp_path, capsys):
     assert max(off_support) <= 2.0 * MU14 + 1e-9
     with open(outdir / "components.csv") as fh:
         header = fh.readline().strip().split(",")
+        components = {int(row[0]): [float(v) for v in row[1:]] for row in csv.reader(fh)}
     assert header == ["index", "component_1_re", "component_1_im", "component_2_re", "component_2_im"]
+    for idx, (re1, im1, re2, im2) in components.items():  # the two components sum to x0
+        assert abs(complex(re1 + re2, im1 + im2)) == pytest.approx(est[idx], abs=1e-12)
 
 
 def test_figure_fig3_uses_committed_rows(tmp_path, capsys):
@@ -288,3 +308,19 @@ def test_experiment_malformed_config_exits_2(tmp_path, capsys):
     cfg_path.write_text('{"matrix": {"family": "etf", "m": 7, "n": 14}}')
     code, _, _ = run(capsys, "experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"matrix": {"family": "etf", "m": 7, "n": 14}, "k_range": 5, "trials": 3},
+        {"matrix": {"family": "etf", "m": 7, "n": 14, "q": 3}, "k_range": [1, 2], "trials": 3},
+    ],
+)
+def test_experiment_config_of_the_wrong_shape_exits_2(tmp_path, capsys, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    assert err.startswith("error: malformed experiment config")
+    assert not (tmp_path / "r.json").exists()

@@ -6,6 +6,7 @@ import pytest
 
 from csense import coherence, matrices, numerics
 from csense.errors import InfeasibleScanError
+from csense.serialization import to_dict
 
 MU14 = 1.0 / math.sqrt(13.0)
 MU30 = 1.0 / math.sqrt(29.0)
@@ -100,7 +101,7 @@ def test_coherence_duplicate_columns(even_rows_dft8):
 
 
 def test_coherence_report_round_trips_to_dict(etf14):
-    d = coherence.coherence_index(etf14).to_dict()
+    d = to_dict(coherence.coherence_index(etf14))
     assert d["k_max"] == 2
     assert d["is_etf"] is True
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from csense import experiments, matrices, numerics
+from csense.serialization import to_dict
 
 
 def etf14_config(**overrides):
@@ -31,7 +32,7 @@ def test_certified_regime_recovers_every_trial():
 def test_reports_are_deterministic():
     a = experiments.run_experiment(etf14_config(k_range=(1, 3), trials=40))
     b = experiments.run_experiment(etf14_config(k_range=(1, 3), trials=40))
-    assert a.to_dict() == b.to_dict()
+    assert to_dict(a) == to_dict(b)
 
 
 def test_beyond_certificate_rate_is_interior():
@@ -50,8 +51,8 @@ def test_first_pick_rate_dominates_exact_rate():
 
 def test_single_trial_fixed_seed_repeats_bitwise():
     cfg = etf14_config(trials=1, k_range=(2, 2), seed=77)
-    once = experiments.run_experiment(cfg).to_dict()
-    again = experiments.run_experiment(cfg).to_dict()
+    once = to_dict(experiments.run_experiment(cfg))
+    again = to_dict(experiments.run_experiment(cfg))
     assert once == again
 
 
@@ -79,7 +80,7 @@ def test_config_from_dict_defaults():
     assert cfg.amplitude_model == experiments.AMPLITUDE_UNIT_EQUAL
     assert cfg.seed == 0
     assert cfg.epsilon == 1e-10
-    assert cfg.to_dict()["k_range"] == [1, 2]
+    assert to_dict(cfg)["k_range"] == [1, 2]
 
 
 def test_csv_lines_header():
@@ -115,7 +116,7 @@ def test_sweep_finds_low_coherence_subsets():
 def test_sweep_deterministic():
     a = experiments.sweep_partial_dft_subsets(12, 8, 50, seed=21)
     b = experiments.sweep_partial_dft_subsets(12, 8, 50, seed=21)
-    assert [s.to_dict() for s in a] == [s.to_dict() for s in b]
+    assert [to_dict(s) for s in a] == [to_dict(s) for s in b]
 
 
 def test_sweep_validates_arguments():

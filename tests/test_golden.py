@@ -1,4 +1,5 @@
-"""Frozen experiment reports for the acceptance configs of criteria 8 and 12.
+"""Frozen experiment reports for the acceptance configs of criteria 8 and 12,
+and the frozen stdout of two CLI commands.
 
 The reports and the per-trial selection order of every pursuit behind them
 were written once under the deterministic tie rule and must be reproduced
@@ -9,15 +10,20 @@ pursued alone and on the batched path that run_experiment takes. To rewrite
 them after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_golden.py`` and record why.
 """
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from csense import experiments, matrices, recovery
 from csense.coherence import coherence_index
-from csense.cli import figure_scenario
+from csense.cli import figure_scenario, main
 from csense.errors import RankDeficientError
+from csense.serialization import to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,7 +57,7 @@ def golden_configs() -> dict[str, experiments.ExperimentConfig]:
 
 def report_text(cfg: experiments.ExperimentConfig) -> str:
     """The report JSON exactly as ``csense experiment`` writes it."""
-    return json.dumps(experiments.run_experiment(cfg).to_dict(), indent=2) + "\n"
+    return json.dumps(to_dict(experiments.run_experiment(cfg)), indent=2) + "\n"
 
 
 def selection_order(cfg: experiments.ExperimentConfig, batched: bool = False) -> dict[str, list]:
@@ -82,6 +88,31 @@ def selection_order(cfg: experiments.ExperimentConfig, batched: bool = False) ->
     return out
 
 
+CLI_CASES = {
+    "cli_coherence_etf30": ["coherence", "--matrix", "{matrix}", "--uniqueness-k", "2", "--rip-k", "3"],
+    "cli_recover_oracle_etf30": ["recover", "--matrix", "{matrix}", "--measurements", "{y}", "--oracle"],
+}
+
+
+def cli_stdout(name: str) -> str:
+    """stdout of a CLI case on the 15x30 ETF and a 3-sparse signal with a -0.0 imaginary part."""
+    mat = matrices.build_etf(15, 30)
+    x = recovery.SparseSignal(30, (2, 5, 19), np.array([1.0, complex(-0.5, -0.0), 0.25 + 0.75j]))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"matrix": f"{tmp}/etf30.json", "y": f"{tmp}/y.json"}
+        matrices.save_matrix(mat, paths["matrix"])
+        recovery.save_measurement(recovery.measure(mat, x), paths["y"])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([arg.format(**paths) for arg in CLI_CASES[name]]) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_stdout_matches_golden(name):
+    assert cli_stdout(name) == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", sorted(golden_configs()))
 def test_report_matches_golden(name):
     assert report_text(golden_configs()[name]) == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
@@ -104,3 +135,5 @@ if __name__ == "__main__":
         (GOLDEN / f"{name}.json").write_text(report_text(cfg), encoding="utf-8")
     order = {name: selection_order(cfg) for name, cfg in golden_configs().items()}
     (GOLDEN / "selection_order.json").write_text(json.dumps(order) + "\n", encoding="utf-8")
+    for name in CLI_CASES:
+        (GOLDEN / f"{name}.txt").write_text(cli_stdout(name), encoding="utf-8")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from csense import coherence, matrices, numerics, recovery
-from csense.serialization import complex_to_pairs, pairs_to_complex
+from csense.serialization import complex_to_pairs, pairs_to_complex, to_dict
 from csense.errors import UnsupportedSizeError, ZeroColumnError
 
 MU14 = 1.0 / math.sqrt(13.0)
@@ -262,7 +262,7 @@ def test_json_files_keep_the_text_json_dump_wrote(tmp_path, fig3_dft):
     y = recovery.measure(fig3_dft, x)
     cases = [
         (matrices.save_matrix, fig3_dft, matrices.matrix_to_dict(fig3_dft)),
-        (recovery.save_signal, x, recovery.signal_to_dict(x)),
+        (recovery.save_signal, x, to_dict(x)),
         (recovery.save_measurement, y, recovery.measurement_to_dict(y)),
     ]
     for save, obj, as_dict in cases:
@@ -270,6 +270,20 @@ def test_json_files_keep_the_text_json_dump_wrote(tmp_path, fig3_dft):
         json.dump(as_dict, expected)
         save(obj, tmp_path / "out.json")
         assert (tmp_path / "out.json").read_text(encoding="utf-8") == expected.getvalue() + "\n"
+
+
+@pytest.mark.parametrize(
+    "decode, d",
+    [
+        (matrices.matrix_from_dict, [1, 2]),
+        (recovery.signal_from_dict, {"n": 4, "support": 5, "values": [[1.0, 0.0]]}),
+        (recovery.measurement_from_dict, {"m": None, "data": [[1.0, 0.0]]}),
+        (recovery.measurement_from_dict, "text"),
+    ],
+)
+def test_json_of_the_wrong_shape_is_a_value_error(decode, d):
+    with pytest.raises(ValueError, match="malformed"):
+        decode(d)
 
 
 def test_complex_pairs_round_trip_bit_exact(rng):

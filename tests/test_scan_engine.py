@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from csense import coherence, matrices, numerics, recovery
 from csense.errors import InfeasibleScanError
+from csense.serialization import to_dict
 
 from test_coherence import rip_by_charpoly
 
@@ -195,11 +196,21 @@ def test_zero_budget_scans_nothing_and_says_so():
     mat = matrices.build_gaussian(24, 64, seed=0)
     uniq = coherence.uniqueness_rank_scan(mat, 2, max_subsets=0)
     assert (uniq.scanned, uniq.all_full_rank, uniq.complete, uniq.witness) == (0, None, False, None)
-    assert uniq.to_dict()["all_full_rank"] is None
+    assert to_dict(uniq)["all_full_rank"] is None
     rip = coherence.rip_constant(mat, 2, max_subsets=0)
     assert (rip.subsets_scanned, rip.total_subsets, rip.complete, rip.delta) == (0, 2016, False, 0.0)
     l0 = recovery.exhaustive_l0_search(mat, mat.data[:, 5], 2, 1e-8, max_subsets=0)
     assert l0 == recovery.L0Report([], 0, 64 + 2016, False)
+
+
+def test_negative_budget_is_an_input_error(even_rows_dft8):
+    for strict in (False, True):
+        with pytest.raises(ValueError, match="budget"):
+            coherence.uniqueness_rank_scan(even_rows_dft8, 1, max_subsets=-1, strict=strict)
+        with pytest.raises(ValueError, match="budget"):
+            coherence.rip_constant(even_rows_dft8, 2, max_subsets=-1, strict=strict)
+        with pytest.raises(ValueError, match="budget"):
+            recovery.exhaustive_l0_search(even_rows_dft8, np.ones(4), 1, 1e-8, max_subsets=-1, strict=strict)
 
 
 def test_truncated_scan_with_witness_is_still_decided(even_rows_dft8):
