@@ -11,7 +11,6 @@ from .coherence import (
     RipReport,
     UniquenessReport,
     coherence_index,
-    gram_submatrix_condition,
     max_sparsity,
     rip_constant,
     sparsity_bound,

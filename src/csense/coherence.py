@@ -1,10 +1,14 @@
 """Uniqueness analytics for measurement matrices.
 
-Coherence index and the sparsity level it certifies, Welch-bound
-comparisons, condition numbers of support sub-matrices, combinatorial
-full-rank scans over 2K-column subsets, and brute-force restricted-isometry
-constants. The scans exist precisely to demonstrate the combinatorial cost
-that makes coherence the practical certificate.
+Coherence index mu and the sparsity level K it certifies, Welch-bound
+comparisons, full-rank scans over 2K-column subsets (with the condition
+numbers of the sub-matrices they factor), and brute-force
+restricted-isometry constants. The scans exist precisely to demonstrate the
+combinatorial cost that makes coherence the practical certificate.
+
+max_sparsity owns that certificate: K is certified when the worst-case
+signal floor 1 - (K-1) mu clears the disturbance ceiling K mu, i.e. when
+(2K-1) mu < 1, decided exactly on the rational value of the float mu.
 """
 from __future__ import annotations
 
@@ -18,7 +22,8 @@ from . import matrices, numerics
 from .errors import InfeasibleScanError
 from .matrices import welch_bound
 
-ETF_SPREAD_TOL = 1e-6
+# is_etf: largest matrices.welch_distance of an equiangular tight frame.
+ETF_WELCH_TOL = 1e-6
 DEFAULT_MAX_SUBSETS = 100_000
 # Bytes of sub-matrices one scan chunk gathers, which fixes a scan's working memory.
 SCAN_CHUNK_BYTES = 256 * 1024
@@ -29,7 +34,8 @@ class CoherenceReport:
     """Coherence index mu plus everything the sparsity bound derives from it.
 
     k_max and bound_value are None when mu == 0 (orthonormal columns): no
-    sparsity level is excluded in that case.
+    sparsity level is excluded in that case. is_etf says whether every
+    off-diagonal Gram magnitude lies within 1e-6 of the Welch bound.
     """
 
     mu: float
@@ -67,21 +73,24 @@ class RipReport:
 
 
 def sparsity_bound(mu: float) -> float | None:
-    """The strict upper bound (1 + 1/mu)/2 on sparsity; None when mu == 0."""
+    """The strict upper bound (1 + 1/mu)/2 on sparsity, in floating point; None when mu == 0."""
     mu = float(mu)
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"coherence must lie in [0, 1], got {mu}")
-    if mu == 0.0:
-        return None
-    return 0.5 * (1.0 + 1.0 / mu)
+    return None if mu == 0.0 else 0.5 * (1.0 + 1.0 / mu)
 
 
 def max_sparsity(mu: float) -> int | None:
-    """Largest integer K strictly below (1 + 1/mu)/2; None means unbounded."""
-    bound = sparsity_bound(mu)
-    if bound is None:
+    """Largest integer K with (2K-1) mu < 1, i.e. K < (1 + 1/mu)/2; None means unbounded.
+
+    Decided exactly on the rational value p/q of the double mu
+    (float.as_integer_ratio): (2K-1) p < q holds for exactly the
+    K <= ceil(q/p) // 2.
+    """
+    if sparsity_bound(mu) is None:  # which also checks 0 <= mu <= 1
         return None
-    return max(0, math.ceil(bound) - 1)
+    p, q = float(mu).as_integer_ratio()
+    return -(-q // p) // 2
 
 
 def coherence_index(a: matrices.MeasurementMatrix) -> CoherenceReport:
@@ -91,13 +100,7 @@ def coherence_index(a: matrices.MeasurementMatrix) -> CoherenceReport:
     so orthonormal columns report mu = 0 (unbounded sparsity) instead of
     rounding dust.
     """
-    g = a.gram
-    if a.n == 1:
-        off_max = off_min = 0.0
-    else:
-        off = np.abs(g[~np.eye(a.n, dtype=bool)])
-        off_max = float(np.max(off))
-        off_min = float(np.min(off))
+    off_max, off_min = matrices.gram_offdiagonal_extremes(a)
     if off_max <= a.n * np.finfo(np.float64).eps:
         mu = 0.0
     else:
@@ -107,17 +110,10 @@ def coherence_index(a: matrices.MeasurementMatrix) -> CoherenceReport:
         welch=welch_bound(a.m, a.n),
         k_max=max_sparsity(mu),
         bound_value=sparsity_bound(mu),
-        is_etf=(off_max - off_min) <= ETF_SPREAD_TOL,
+        is_etf=matrices.welch_distance(a.m, a.n, off_max, off_min) <= ETF_WELCH_TOL,
         gram_offdiag_max=off_max,
         gram_offdiag_min=off_min,
     )
-
-
-def gram_submatrix_condition(a: matrices.MeasurementMatrix, support) -> float:
-    """Condition number of the column sub-matrix selected by support."""
-    if len(tuple(support)) > a.m:
-        raise ValueError("support larger than the measurement count")
-    return numerics.condition_number(matrices.restrict_columns(a, support))
 
 
 class SubsetScan:

@@ -195,11 +195,8 @@ def sweep_partial_dft_subsets(n: int, m: int, subsets: int, seed: int) -> list[S
     appears once. Used to hunt for row sets whose coherence certifies a
     target sparsity.
     """
-    n = int(n)
-    m = int(m)
+    m, n = matrices.check_shape(m, n)
     subsets = int(subsets)
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     if subsets < 1:
         raise ValueError("subsets must be >= 1")
     rng = np.random.default_rng(int(seed))

@@ -26,8 +26,11 @@ __all__ = [
     "build_gaussian",
     "build_partial_dft",
     "build_subsampling_rows",
+    "check_indices",
+    "check_shape",
     "draw_without_replacement",
     "from_spec",
+    "gram_offdiagonal_extremes",
     "load_matrix",
     "matrix_from_dict",
     "matrix_to_dict",
@@ -37,10 +40,10 @@ __all__ = [
     "sample_rows",
     "save_matrix",
     "welch_bound",
+    "welch_distance",
 ]
 
 COLUMN_NORM_TOL = 1e-10
-ZERO_COLUMN_TOL = 1e-14
 CONFERENCE_GRAM_TOL = 1e-9
 FALLBACK_GRAM_TOL = 1e-3
 
@@ -48,6 +51,27 @@ FAMILIES = ("partial-dft", "etf", "gaussian", "subsampling", "custom")
 
 _FALLBACK_MAX_ITERS = 10_000
 _FALLBACK_SEED = 61803
+
+
+def check_shape(m, n) -> tuple[int, int]:
+    """(m, n) as ints, checked 1 <= m <= n: the shape of a short, wide frame."""
+    m, n = int(m), int(n)
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    return m, n
+
+
+def check_indices(indices, n: int, what: str, out_of_range=ValueError) -> tuple[int, ...]:
+    """indices as a tuple of ints, checked strictly increasing and inside [0, n).
+
+    An index outside [0, n) raises out_of_range, any other fault ValueError.
+    """
+    idx = tuple(int(i) for i in indices)
+    if any(b <= a for a, b in zip(idx, idx[1:])):
+        raise ValueError(f"{what} indices must be strictly increasing (no duplicates)")
+    if idx and (idx[0] < 0 or idx[-1] >= n):
+        raise out_of_range(f"{what} indices must lie in [0, {n})")
+    return idx
 
 
 @dataclass(eq=False)
@@ -61,12 +85,7 @@ class RowIndexSet:
         self.n = int(self.n)
         if self.n < 1:
             raise ValueError("ambient length must be positive")
-        idx = tuple(int(i) for i in self.indices)
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("row indices must be strictly increasing (no duplicates)")
-        if idx and (idx[0] < 0 or idx[-1] >= self.n):
-            raise ValueError(f"row indices must lie in [0, {self.n})")
-        self.indices = idx
+        self.indices = check_indices(self.indices, self.n, "row")
 
     def __len__(self):
         return len(self.indices)
@@ -90,12 +109,7 @@ class MeasurementMatrix:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.m = int(self.m)
-        self.n = int(self.n)
-        if self.m < 1 or self.n < 1:
-            raise ValueError("dimensions must be positive")
-        if self.m > self.n:
-            raise ValueError(f"measurement matrices are short and wide: need m <= n, got {self.m}x{self.n}")
+        self.m, self.n = check_shape(self.m, self.n)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         data = numerics.as_matrix(self.data)
@@ -128,12 +142,9 @@ def build_partial_dft(n: int, rows: RowIndexSet) -> MeasurementMatrix:
     Entry (m, k) is exp(+2j*pi*rows[m]*k/n) / sqrt(M), so each column has
     M entries of magnitude 1/sqrt(M) and is automatically unit norm.
     """
-    n = int(n)
+    m, n = check_shape(len(rows), n)
     if rows.n != n:
         raise ValueError(f"row set is indexed against length {rows.n}, not {n}")
-    m = len(rows)
-    if not 1 <= m <= n:
-        raise ValueError("need between 1 and n rows")
     idx = np.asarray(rows.indices, dtype=np.float64)
     cols = np.arange(n, dtype=np.float64)
     data = np.exp(2j * np.pi * np.outer(idx, cols) / n) / math.sqrt(m)
@@ -151,10 +162,7 @@ def draw_without_replacement(rng: np.random.Generator, n: int, m: int) -> tuple[
 
 def sample_rows(n: int, m: int, seed: int) -> RowIndexSet:
     """Uniform random m-subset of range(n); same (n, m, seed) -> same set."""
-    n = int(n)
-    m = int(m)
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    m, n = check_shape(m, n)
     rng = np.random.default_rng(int(seed))
     return RowIndexSet(n, draw_without_replacement(rng, n, m))
 
@@ -202,18 +210,32 @@ def paley_conference(n: int) -> np.ndarray:
 
 def welch_bound(m: int, n: int) -> float:
     """sqrt((n-m)/(m(n-1))), the coherence floor for m-by-n unit-norm frames."""
-    m = int(m)
-    n = int(n)
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    m, n = check_shape(m, n)
     if m == n:
         return 0.0
     return math.sqrt((n - m) / (m * (n - 1)))
 
 
-def _check_equiangular(a: MeasurementMatrix, tol: float) -> None:
+def gram_offdiagonal_extremes(a: MeasurementMatrix) -> tuple[float, float]:
+    """(largest, smallest) off-diagonal Gram magnitude |<a_k, a_l>|, k != l; (0, 0) for one column."""
+    if a.n == 1:
+        return 0.0, 0.0
     off = np.abs(a.gram[~np.eye(a.n, dtype=bool)])
-    worst = float(np.max(np.abs(off - welch_bound(a.m, a.n))))
+    return float(np.max(off)), float(np.min(off))
+
+
+def welch_distance(m: int, n: int, off_max: float, off_min: float) -> float:
+    """Largest |off - w| over off-diagonal Gram magnitudes in [off_min, off_max], w the Welch bound.
+
+    Rounded subtraction is monotone, so the two extremes give it bit for bit.
+    An m-by-n frame of unit columns is an ETF exactly when it is 0.
+    """
+    w = welch_bound(m, n)
+    return max(off_max - w, w - off_min)
+
+
+def _check_equiangular(a: MeasurementMatrix, tol: float) -> None:
+    worst = welch_distance(a.m, a.n, *gram_offdiagonal_extremes(a))
     if worst > tol:
         raise UnsupportedSizeError(
             f"off-diagonal Gram magnitudes deviate from the Welch bound by {worst:.3e} (tolerance {tol:g})"
@@ -255,7 +277,7 @@ def _etf_alternating_projections(m: int, n: int) -> np.ndarray:
         w[: n - m] = 0.0
         a = (v[:, n - m :] * np.sqrt(w[n - m :])).conj().T
         norms = np.linalg.norm(a, axis=0)
-        dead = norms < ZERO_COLUMN_TOL
+        dead = norms < numerics.ZERO_TOL
         if np.any(dead):
             k = int(dead.sum())
             a[:, dead] = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
@@ -277,10 +299,7 @@ def build_etf(m: int, n: int) -> MeasurementMatrix:
     (Gram tolerance 1e-3 instead of 1e-9) and may fail outright.
     meta["route"] records which path produced the matrix.
     """
-    m = int(m)
-    n = int(n)
-    if m < 1 or n < m:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    m, n = check_shape(m, n)
     if m == n:
         # orthonormal columns: every off-diagonal inner product is 0 = Welch
         return MeasurementMatrix(m, n, np.eye(n), "etf", {"route": "orthonormal"})
@@ -297,10 +316,7 @@ def build_etf(m: int, n: int) -> MeasurementMatrix:
 
 def build_gaussian(m: int, n: int, seed: int) -> MeasurementMatrix:
     """Real i.i.d. standard-normal entries (Box-Muller), columns normalized."""
-    m = int(m)
-    n = int(n)
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    m, n = check_shape(m, n)
     rng = np.random.default_rng(int(seed))
     u1 = 1.0 - rng.random((m, n))  # (0, 1] keeps the log finite
     u2 = rng.random((m, n))
@@ -310,28 +326,28 @@ def build_gaussian(m: int, n: int, seed: int) -> MeasurementMatrix:
 
 def restrict_columns(a: MeasurementMatrix, support) -> np.ndarray:
     """Sub-matrix keeping exactly the listed columns (sorted index set)."""
-    idx = [int(i) for i in support]
+    idx = check_indices(support, a.n, "support", out_of_range=IndexError)
     if not idx:
         raise ValueError("support must not be empty")
-    if any(b <= c for c, b in zip(idx, idx[1:])):
-        raise ValueError("support indices must be strictly increasing")
-    if idx[0] < 0 or idx[-1] >= a.n:
-        raise IndexError(f"support indices must lie in [0, {a.n})")
-    return a.data[:, idx].copy()
+    return a.data[:, list(idx)].copy()
 
 
 def normalize_columns(a) -> np.ndarray:
     """Scale every column to unit l2 norm."""
     arr = numerics.as_matrix(a)
     norms = np.linalg.norm(arr, axis=0)
-    if float(np.min(norms)) < ZERO_COLUMN_TOL:
+    if float(np.min(norms)) < numerics.ZERO_TOL:
         raise ZeroColumnError("cannot normalize a (near-)zero column")
     return arr / norms
 
 
 def from_spec(family: str, *, m=None, n=None, seed=0, rows=None, p=None) -> MeasurementMatrix:
-    """Build a matrix from a flat family spec (CLI flags, experiment configs)."""
+    """Build a matrix from a flat family spec (CLI flags, experiment configs); a wrongly typed value is a ValueError."""
     family = str(family).lower().replace("_", "-")
+    with decoding("matrix spec"):
+        m, n, p = (None if v is None else int(v) for v in (m, n, p))
+        seed = int(seed)
+        rows = None if rows is None else tuple(int(i) for i in rows)
     if family == "etf":
         _require(m is not None and n is not None, "etf needs m and n")
         return build_etf(m, n)
@@ -341,7 +357,7 @@ def from_spec(family: str, *, m=None, n=None, seed=0, rows=None, p=None) -> Meas
     if family == "partial-dft":
         _require(n is not None, "partial-dft needs n")
         if rows is not None:
-            row_set = RowIndexSet(n, tuple(rows))
+            row_set = RowIndexSet(n, rows)
         else:
             _require(m is not None, "partial-dft needs explicit rows or m (+ seed)")
             row_set = sample_rows(n, m, seed)
@@ -350,7 +366,7 @@ def from_spec(family: str, *, m=None, n=None, seed=0, rows=None, p=None) -> Meas
         _require(n is not None and p is not None, "subsampling needs n and p")
         row_set = build_subsampling_rows(n, p)
         mat = build_partial_dft(n, row_set)
-        return replace(mat, family="subsampling", meta={"p": int(p), "rows": list(row_set.indices)})
+        return replace(mat, family="subsampling", meta={"p": p, "rows": list(row_set.indices)})
     raise ValueError(f"unknown family {family!r}")
 
 

@@ -13,7 +13,6 @@ from .errors import NotHermitianError, RankDeficientError
 __all__ = [
     "as_matrix",
     "as_vector",
-    "condition_number",
     "gram",
     "hermitian_eigen_extremes",
     "numerical_rank",
@@ -22,6 +21,8 @@ __all__ = [
 ]
 
 HERMITIAN_TOL = 1e-10
+# Magnitudes at or below this count as numerically zero: fitted values, signal entries, column norms.
+ZERO_TOL = 1e-14
 
 
 def as_matrix(a) -> np.ndarray:
@@ -92,17 +93,6 @@ def solve_least_squares(a, y) -> np.ndarray:
     if rank < cols:
         raise RankDeficientError(f"matrix has numerical rank {rank} < {cols} columns")
     return x
-
-
-def condition_number(a) -> float:
-    """Ratio of the largest to the smallest singular value."""
-    arr = as_matrix(a)
-    s = np.linalg.svd(arr, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= rank_tolerance(arr.shape, float(s[0])):
-        raise RankDeficientError(
-            "condition number undefined: smallest singular value below rank tolerance"
-        )
-    return float(s[0] / s[-1])
 
 
 def hermitian_eigen_extremes(g) -> tuple[float, float]:

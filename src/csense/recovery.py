@@ -18,7 +18,7 @@ from . import coherence, matrices, numerics
 from .errors import DimensionMismatchError, RankDeficientError
 from .serialization import complex_to_pairs, decoding, load_json, pairs_to_complex, save_json, to_dict
 
-ZERO_VALUE_TOL = 1e-14
+ZERO_VALUE_TOL = numerics.ZERO_TOL  # public alias of the one "numerically zero" magnitude
 DEFAULT_RELATIVE_EPSILON = 1e-10
 # Correlation magnitudes within TIE_TOL * ||y|| of the largest count as tied.
 TIE_TOL = 1e-12
@@ -36,20 +36,14 @@ class SparseSignal:
         self.n = int(self.n)
         if self.n < 1:
             raise ValueError("signal length must be positive")
-        support = tuple(int(i) for i in self.support)
-        if len(support) < 1:
+        support = matrices.check_indices(self.support, self.n, "support")
+        if not support:
             raise ValueError("support must contain at least one index")
-        if len(support) > self.n:
-            raise ValueError("support larger than the signal length")
-        if any(b <= a for a, b in zip(support, support[1:])):
-            raise ValueError("support indices must be strictly increasing")
-        if support[0] < 0 or support[-1] >= self.n:
-            raise ValueError(f"support indices must lie in [0, {self.n})")
         vals = numerics.as_vector(self.values)
         if vals.shape[0] != len(support):
             raise ValueError("need exactly one value per support index")
-        if float(np.min(np.abs(vals))) <= ZERO_VALUE_TOL:
-            raise ValueError("nonzero entries must have magnitude above 1e-14")
+        if float(np.min(np.abs(vals))) <= numerics.ZERO_TOL:
+            raise ValueError(f"nonzero entries must have magnitude above {numerics.ZERO_TOL:g}")
         self.support = support
         self.values = vals
 
@@ -199,7 +193,7 @@ def ls_recover_known_support(a: matrices.MeasurementMatrix, support, y) -> Spars
     if sub.shape[1] > a.m:
         raise ValueError(f"support size {sub.shape[1]} exceeds measurement count {a.m}")
     vals = numerics.solve_least_squares(sub, _measurements(a, y))
-    keep = np.abs(vals) > ZERO_VALUE_TOL
+    keep = np.abs(vals) > numerics.ZERO_TOL
     if not bool(np.any(keep)):
         raise ValueError("every fitted value is numerically zero; nothing to return")
     kept = tuple(idx for idx, flag in zip((int(i) for i in support), keep) if flag)
@@ -526,28 +520,29 @@ def exhaustive_l0_search(
         coef = (u.conj().transpose(0, 2, 1) @ vec) / s
         vals = (vh.conj().transpose(0, 2, 1) @ coef[..., None])[..., 0]
         residual = np.linalg.norm(vec - (sub @ vals[..., None])[..., 0], axis=1)
-        consistent = (residual <= threshold) & (np.min(np.abs(vals), axis=1) > ZERO_VALUE_TOL)
+        consistent = (residual <= threshold) & (np.min(np.abs(vals), axis=1) > numerics.ZERO_TOL)
         for i in np.flatnonzero(consistent):
             solutions.append(L0Solution(tuple(idx[i].tolist()), vals[i].copy(), float(residual[i])))
     return L0Report(solutions, scan.scanned, scan.total, scan.complete)
 
 
 def worst_case_margin(mu: float, k: int) -> MarginReport:
-    """Margin arithmetic behind the sparsity bound; see MarginReport."""
-    mu = float(mu)
+    """Margin arithmetic behind the sparsity bound; see MarginReport.
+
+    detectable comes from coherence.max_sparsity, which decides the
+    certificate exactly; the two margins are the floats it compares.
+    """
     k = int(k)
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"coherence must lie in [0, 1], got {mu}")
     if k < 1:
         raise ValueError("sparsity k must be >= 1")
-    floor = 1.0 - (k - 1) * mu
-    ceiling = k * mu
+    k_max = coherence.max_sparsity(mu)
+    mu = float(mu)
     return MarginReport(
         k=k,
         mu=mu,
-        signal_floor=floor,
-        disturbance_ceiling=ceiling,
-        detectable=floor > ceiling,
+        signal_floor=1.0 - (k - 1) * mu,
+        disturbance_ceiling=k * mu,
+        detectable=k_max is None or k <= k_max,
     )
 
 

@@ -48,10 +48,10 @@ def _json_fields(items) -> dict:
 
 @contextlib.contextmanager
 def decoding(what: str):
-    """Report JSON of the wrong shape (a TypeError while decoding it) as a ValueError."""
+    """Report JSON of the wrong shape (a TypeError, or an OverflowError from an infinite integer) as a ValueError."""
     try:
         yield
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed {what}: {exc}") from exc
 
 

@@ -129,7 +129,14 @@ def test_coherence_negative_budget_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "infeasible" not in err
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", '{"m": null, "n": 2, "family": "custom", "data": [[1, 0], [1, 0]]}'])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2]",
+        '{"m": null, "n": 2, "family": "custom", "data": [[1, 0], [1, 0]]}',
+        '{"m": 1e999, "n": 2, "family": "custom", "data": [[1, 0], [1, 0]]}',
+    ],
+)
 def test_coherence_malformed_matrix_file_exits_2(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -310,17 +317,28 @@ def test_experiment_malformed_config_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        {"matrix": {"family": "etf", "m": 7, "n": 14}, "k_range": 5, "trials": 3},
-        {"matrix": {"family": "etf", "m": 7, "n": 14, "q": 3}, "k_range": [1, 2], "trials": 3},
-    ],
-)
-def test_experiment_config_of_the_wrong_shape_exits_2(tmp_path, capsys, cfg):
+def spec_config(**spec):
+    return {"matrix": spec, "k_range": [1, 2], "trials": 3}
+
+
+WRONG_SHAPES = [
+    ({"matrix": {"family": "etf", "m": 7, "n": 14}, "k_range": 5, "trials": 3}, "experiment config"),
+    ({"matrix": {"family": "etf", "m": 7, "n": 14, "q": 3}, "k_range": [1, 2], "trials": 3}, "experiment config"),
+    (spec_config(family="etf", m=[7], n=14), "matrix spec"),
+    (spec_config(family="gaussian", m=7, n=14, seed=[1]), "matrix spec"),
+    (spec_config(family="partial-dft", n=16, rows=5), "matrix spec"),
+    (spec_config(family="partial-dft", n=16, m={}), "matrix spec"),
+    (spec_config(family="subsampling", n=16, p=[4]), "matrix spec"),
+    (spec_config(family="etf", m=math.inf, n=14), "matrix spec"),
+    ({"matrix": {"family": "etf", "m": 7, "n": 14}, "k_range": [1, 2], "trials": math.inf}, "experiment config"),
+]
+
+
+@pytest.mark.parametrize("cfg, what", WRONG_SHAPES, ids=[f"cfg{i}" for i in range(len(WRONG_SHAPES))])
+def test_experiment_config_of_the_wrong_shape_exits_2(tmp_path, capsys, cfg, what):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     code, _, err = run(capsys, "experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.json"))
     assert code == 2
-    assert err.startswith("error: malformed experiment config")
+    assert err.startswith(f"error: malformed {what}")
     assert not (tmp_path / "r.json").exists()

@@ -100,6 +100,39 @@ def test_coherence_duplicate_columns(even_rows_dft8):
     assert rep.k_max == 0
 
 
+def test_is_etf_measures_the_distance_from_welch(etf14, etf30, full_dft8):
+    for mat in (etf14, etf30, full_dft8):
+        assert coherence.coherence_index(mat).is_etf
+    # equal off-diagonal magnitudes are not enough: these square frames have Welch bound 0
+    pair = matrices.MeasurementMatrix(2, 2, [[1.0, 0.6], [0.0, 0.8]], "custom")
+    g = np.full((3, 3), 0.5) + 0.5 * np.eye(3)
+    equal_angles = matrices.MeasurementMatrix(3, 3, np.linalg.cholesky(g).T, "custom")
+    for mat in (pair, equal_angles):
+        rep = coherence.coherence_index(mat)
+        assert rep.gram_offdiag_max - rep.gram_offdiag_min <= 1e-12
+        assert rep.welch == 0.0
+        assert not rep.is_etf
+
+
+def test_etf_check_and_is_etf_share_one_welch_distance(monkeypatch):
+    welch_distance = matrices.welch_distance
+    seen = []
+
+    def recording(*args):
+        seen.append(welch_distance(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(matrices, "welch_distance", recording)
+    mat = matrices.build_etf(5, 11)
+    rep = coherence.coherence_index(mat)
+    assert len(seen) == 2
+    assert seen[0] == seen[1]
+    # the same float as the largest |off - welch| over every off-diagonal magnitude
+    off = np.abs(mat.gram[~np.eye(mat.n, dtype=bool)])
+    assert seen[0] == float(np.max(np.abs(off - rep.welch)))
+    assert rep.is_etf == (seen[0] <= coherence.ETF_WELCH_TOL)
+
+
 def test_coherence_report_round_trips_to_dict(etf14):
     d = to_dict(coherence.coherence_index(etf14))
     assert d["k_max"] == 2
@@ -110,10 +143,15 @@ def test_coherence_report_round_trips_to_dict(etf14):
 
 
 def test_gram_submatrix_condition(etf14):
+    # two unit columns at inner product mu have condition number sqrt((1+mu)/(1-mu))
+    rep = coherence.uniqueness_rank_scan(etf14, 1)
     expected = math.sqrt((1.0 + MU14) / (1.0 - MU14))
-    assert coherence.gram_submatrix_condition(etf14, (2, 7)) == pytest.approx(expected, abs=1e-10)
-    with pytest.raises(ValueError):
-        coherence.gram_submatrix_condition(etf14, tuple(range(8)))
+    assert rep.min_cond == pytest.approx(expected, abs=1e-10)
+    assert rep.max_cond == pytest.approx(expected, abs=1e-10)
+    pair = matrices.MeasurementMatrix(2, 2, [[1.0, 0.6], [0.0, 0.8]], "custom")
+    rep = coherence.uniqueness_rank_scan(pair, 1)
+    assert rep.min_cond == pytest.approx(2.0, abs=1e-12)
+    assert rep.max_cond == pytest.approx(2.0, abs=1e-12)
 
 
 # ------------------------------------------------------ uniqueness rank scan

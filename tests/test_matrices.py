@@ -279,6 +279,7 @@ def test_json_files_keep_the_text_json_dump_wrote(tmp_path, fig3_dft):
         (recovery.signal_from_dict, {"n": 4, "support": 5, "values": [[1.0, 0.0]]}),
         (recovery.measurement_from_dict, {"m": None, "data": [[1.0, 0.0]]}),
         (recovery.measurement_from_dict, "text"),
+        (recovery.signal_from_dict, {"n": 1e999, "support": [0], "values": [[1.0, 0.0]]}),
     ],
 )
 def test_json_of_the_wrong_shape_is_a_value_error(decode, d):

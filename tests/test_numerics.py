@@ -1,12 +1,13 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from csense import numerics
+from csense import coherence, numerics
 from csense.errors import NotHermitianError, RankDeficientError
-from csense.matrices import restrict_columns
+from csense.matrices import MeasurementMatrix, normalize_columns, restrict_columns
 
 MU14 = 1.0 / math.sqrt(13.0)
 
@@ -172,34 +173,38 @@ def test_rank_zero_matrix():
     assert numerics.numerical_rank(np.zeros((3, 3))) == 0
 
 
-# ------------------------------------------------------- condition_number
+# ------------------------------------------------------- condition numbers
+# coherence.uniqueness_rank_scan reports them (min_cond, max_cond) for the
+# sub-matrices it factors, under numerics' shared rank tolerance.
 
 
-def test_condition_identity():
-    assert numerics.condition_number(np.eye(3)) == pytest.approx(1.0)
-
-
-def test_condition_diagonal():
-    assert numerics.condition_number(np.diag([2.0, 1.0])) == pytest.approx(2.0)
-
-
-def test_condition_etf_pair_closed_form(etf14):
-    sub = restrict_columns(etf14, (2, 7))
-    expected = math.sqrt((1.0 + MU14) / (1.0 - MU14))
-    assert numerics.condition_number(sub) == pytest.approx(expected, abs=1e-10)
+def test_condition_identity(full_dft8):
+    rep = coherence.uniqueness_rank_scan(full_dft8, 2)
+    assert rep.min_cond == pytest.approx(1.0)
+    assert rep.max_cond == pytest.approx(1.0)
 
 
 def test_condition_rank_deficient(even_rows_dft8):
-    with pytest.raises(RankDeficientError):
-        numerics.condition_number(even_rows_dft8.data[:, [0, 4]])
+    # a rank-deficient sub-matrix has no condition number, so the scan leaves it out
+    rep = coherence.uniqueness_rank_scan(even_rows_dft8, 1)
+    assert rep.witness == (0, 4)
+    assert rep.min_cond == pytest.approx(1.0)
+    assert rep.max_cond == pytest.approx(1.0)
+    twins = MeasurementMatrix(2, 2, [[1.0, 1.0], [0.0, 0.0]], "custom")
+    rep = coherence.uniqueness_rank_scan(twins, 1)
+    assert rep.min_cond == rep.max_cond == math.inf
 
 
 def test_condition_squared_equals_gram_eigen_ratio(rng):
     for _ in range(10):
-        a = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-        cond = numerics.condition_number(a)
-        lo, hi = numerics.hermitian_eigen_extremes(numerics.gram(a))
-        assert cond**2 == pytest.approx(hi / lo, rel=1e-8)
+        a = normalize_columns(rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))
+        rep = coherence.uniqueness_rank_scan(MeasurementMatrix(4, 6, a, "custom"), 2)
+        ratios = []
+        for subset in itertools.combinations(range(6), 4):
+            lo, hi = numerics.hermitian_eigen_extremes(numerics.gram(a[:, subset]))
+            ratios.append(hi / lo)
+        assert rep.min_cond**2 == pytest.approx(min(ratios), rel=1e-8)
+        assert rep.max_cond**2 == pytest.approx(max(ratios), rel=1e-8)
 
 
 # ------------------------------------------------ hermitian_eigen_extremes

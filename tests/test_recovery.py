@@ -1,9 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csense import matrices, recovery
+from csense.coherence import max_sparsity
 from csense.errors import DimensionMismatchError, InfeasibleScanError, RankDeficientError
 
 MU14 = 1.0 / math.sqrt(13.0)
@@ -325,13 +329,43 @@ def test_margin_triple_regimes():
     assert relaxed.signal_floor == pytest.approx(1 - 2 * 0.1857, abs=1e-12)
 
 
-def test_margin_matches_sparsity_bound():
-    from csense.coherence import max_sparsity
+def certified_by_fractions(mu):
+    """Oracle: the largest integer K strictly below (1 + 1/mu)/2, in exact rational arithmetic."""
+    if mu == 0.0:
+        return None
+    bound = (1 + 1 / Fraction(mu)) / 2
+    k = math.ceil(bound) - 1
+    assert (2 * k - 1) * Fraction(mu) < 1 <= (2 * k + 1) * Fraction(mu)
+    return k
 
-    for mu in np.linspace(0.01, 1.0, 67):
-        k_max = max_sparsity(float(mu))
-        for k in range(1, 7):
-            assert recovery.worst_case_margin(float(mu), k).detectable == (k <= k_max)
+
+def check_certificate(mu):
+    k_max = certified_by_fractions(mu)
+    assert max_sparsity(mu) == k_max
+    ks = list(range(1, 7))
+    if k_max is not None and k_max < 2**53:
+        ks += [k_max, k_max + 1]
+    for k in ks:
+        if k >= 1:
+            assert recovery.worst_case_margin(mu, k).detectable == (k_max is None or k <= k_max)
+
+
+def test_margin_matches_sparsity_bound():
+    edges = [1.0 / (2 * k - 1) for k in range(1, 201)]
+    neighbours = [math.nextafter(mu, direction) for mu in edges for direction in (0.0, 2.0)]
+    mus = [float(mu) for mu in np.linspace(0.01, 1.0, 67)] + edges + neighbours + [0.0, 5e-324, 1e-310]
+    for mu in mus:
+        if mu <= 1.0:
+            check_certificate(mu)
+    # the doubles nearest 1/3 and 1/49, where a rounded (1 + 1/mu)/2 or rounded margins misjudge K
+    assert max_sparsity(0.3333333333333333) == 2
+    assert max_sparsity(0.02040816326530612) == 25
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0.0, 1.0))
+def test_margin_matches_sparsity_bound_on_any_float(mu):
+    check_certificate(mu)
 
 
 def test_margin_validates_arguments():
