@@ -184,6 +184,24 @@ def test_condition_identity(full_dft8):
     assert rep.max_cond == pytest.approx(1.0)
 
 
+def test_condition_diagonal():
+    # unit columns at inner product 3/5: the Gram eigenvalues are 8/5 and 2/5
+    pair = MeasurementMatrix(2, 2, [[1.0, 0.6], [0.0, 0.8]], "custom")
+    rep = coherence.uniqueness_rank_scan(pair, 1)
+    assert rep.min_cond == pytest.approx(2.0, abs=1e-12)
+    assert rep.max_cond == pytest.approx(2.0, abs=1e-12)
+
+
+def test_condition_etf_pair_closed_form(etf14):
+    # a 2x2 frame with the Gram of ETF columns 2 and 7 has their condition number
+    g = numerics.gram(restrict_columns(etf14, (2, 7)))
+    pair = MeasurementMatrix(2, 2, np.linalg.cholesky(g).conj().T, "custom")
+    rep = coherence.uniqueness_rank_scan(pair, 1)
+    expected = math.sqrt((1.0 + MU14) / (1.0 - MU14))
+    assert rep.scanned == 1
+    assert rep.min_cond == pytest.approx(expected, abs=1e-10)
+
+
 def test_condition_rank_deficient(even_rows_dft8):
     # a rank-deficient sub-matrix has no condition number, so the scan leaves it out
     rep = coherence.uniqueness_rank_scan(even_rows_dft8, 1)
