@@ -35,7 +35,6 @@ from .experiments import (
 )
 from .matrices import (
     MeasurementMatrix,
-    RowIndexSet,
     build_etf,
     build_gaussian,
     build_partial_dft,

@@ -46,8 +46,7 @@ def figure_scenario(name: str):
         mat = matrices.build_etf(15, 30)
     else:
         cfg = json.loads(resources.files("csense").joinpath("data/fig3_rows.json").read_text())
-        rows = matrices.RowIndexSet(int(cfg["n"]), tuple(cfg["rows"]))
-        mat = matrices.build_partial_dft(int(cfg["n"]), rows)
+        mat = matrices.build_partial_dft(cfg["n"], cfg["rows"])
     return mat, _SCENARIO_SUPPORTS[name]
 
 
@@ -156,8 +155,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = experiments.ExperimentConfig.from_dict(json.load(fh))
+    cfg = experiments.ExperimentConfig.from_dict(serialization.load_json(args.config))
     report = experiments.run_experiment(cfg)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(serialization.to_dict(report), fh, indent=2)

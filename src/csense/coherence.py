@@ -123,8 +123,7 @@ class SubsetScan:
     """
 
     def __init__(self, n: int, sizes, max_subsets: int, strict: bool):
-        if max_subsets < 0:
-            raise ValueError(f"the subset budget must be >= 0, got {max_subsets}")
+        max_subsets = matrices.check_int(max_subsets, "the subset budget", 0)
         self.n, self.sizes, self.max_subsets = n, tuple(sizes), max_subsets
         self.total = sum(math.comb(n, size) for size in self.sizes)
         if strict and self.total > max_subsets:
@@ -163,11 +162,7 @@ def uniqueness_rank_scan(
     subsets are scanned; with strict=True an over-budget enumeration raises
     InfeasibleScanError instead of truncating.
     """
-    k = int(k)
-    if k < 1:
-        raise ValueError("sparsity k must be >= 1")
-    if 2 * k > a.m:
-        raise ValueError(f"need 2k <= m, got k={k}, m={a.m}")
+    k = matrices.check_int(k, "sparsity k", 1, a.m // 2)  # 2k columns must fit in m rows
     scan = SubsetScan(a.n, (2 * k,), max_subsets, strict)
     witness = None
     min_cond = math.inf
@@ -198,9 +193,7 @@ def rip_constant(
     1 - lambda_min(G_S)). The enumeration cost is the point: this
     certificate is combinatorial, hence the budget guard.
     """
-    k = int(k)
-    if not 1 <= k <= a.m:
-        raise ValueError(f"need 1 <= k <= m, got k={k}, m={a.m}")
+    k = matrices.check_int(k, "sparsity k", 1, a.m)
     scan = SubsetScan(a.n, (k,), max_subsets, strict)
     g = a.gram
     delta = 0.0

@@ -51,25 +51,18 @@ class ExperimentConfig:
     def __post_init__(self):
         self.matrix = dict(self.matrix)
         inspect.signature(matrices.from_spec).bind(**self.matrix)  # TypeError on a key from_spec lacks
-        lo, hi = (int(v) for v in self.k_range)
-        if lo < 1 or hi < lo:
-            raise ValueError(f"k_range must satisfy 1 <= low <= high, got ({lo}, {hi})")
-        self.k_range = (lo, hi)
-        self.trials = int(self.trials)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        lo, hi = self.k_range
+        lo = matrices.check_int(lo, "k_range low", 1)
+        self.k_range = (lo, matrices.check_int(hi, "k_range high", lo))
+        self.trials = matrices.check_int(self.trials, "trials", 1)
         if self.amplitude_model not in AMPLITUDE_MODELS:
             raise ValueError(f"unknown amplitude model {self.amplitude_model!r}")
-        self.seed = int(self.seed)
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        self.epsilon = float(self.epsilon)
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        self.a_min = float(self.a_min)
-        self.a_max = float(self.a_max)
-        if not 0.0 < self.a_min <= self.a_max:
-            raise ValueError("need 0 < a_min <= a_max")
+        self.seed = matrices.check_int(self.seed, "seed", 0)
+        self.epsilon = matrices.check_positive(self.epsilon, "epsilon")
+        self.a_min = matrices.check_positive(self.a_min, "a_min")
+        self.a_max = matrices.check_positive(self.a_max, "a_max")
+        if self.a_min > self.a_max:
+            raise ValueError(f"need a_min <= a_max, got {self.a_min} > {self.a_max}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -196,16 +189,14 @@ def sweep_partial_dft_subsets(n: int, m: int, subsets: int, seed: int) -> list[S
     target sparsity.
     """
     m, n = matrices.check_shape(m, n)
-    subsets = int(subsets)
-    if subsets < 1:
-        raise ValueError("subsets must be >= 1")
-    rng = np.random.default_rng(int(seed))
+    subsets = matrices.check_int(subsets, "subsets", 1)
+    rng = np.random.default_rng(matrices.check_int(seed, "seed", 0))
     seen: dict[tuple[int, ...], SubsetScore] = {}
     for _ in range(subsets):
         rows = matrices.draw_without_replacement(rng, n, m)
         if rows in seen:
             continue
-        mat = matrices.build_partial_dft(n, matrices.RowIndexSet(n, rows))
+        mat = matrices.build_partial_dft(n, rows)
         rep = coherence.coherence_index(mat)
         seen[rows] = SubsetScore(rows=rows, mu=rep.mu, k_max=rep.k_max)
     return sorted(seen.values(), key=lambda score: score.mu)

@@ -21,12 +21,13 @@ from .serialization import complex_to_pairs, decoding, load_json, pairs_to_compl
 __all__ = [
     "FAMILIES",
     "MeasurementMatrix",
-    "RowIndexSet",
     "build_etf",
     "build_gaussian",
     "build_partial_dft",
     "build_subsampling_rows",
     "check_indices",
+    "check_int",
+    "check_positive",
     "check_shape",
     "draw_without_replacement",
     "from_spec",
@@ -53,45 +54,58 @@ _FALLBACK_MAX_ITERS = 10_000
 _FALLBACK_SEED = 61803
 
 
+def check_int(value, what: str, low: int, high: int | None = None) -> int:
+    """value as an int in [low, high] (no upper bound when high is None).
+
+    An int or a whole float such as 7.0 is accepted; a fractional,
+    non-finite or non-numeric value, or one out of range, is a ValueError.
+    """
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    if whole < low or (high is not None and whole > high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{what} must be {bounds}, got {whole}")
+    return whole
+
+
+def check_positive(value, what: str) -> float:
+    """value as a positive, finite float; anything else (NaN included) is a ValueError."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{what} must be a positive, finite number, got {value!r}")
+    return x
+
+
 def check_shape(m, n) -> tuple[int, int]:
     """(m, n) as ints, checked 1 <= m <= n: the shape of a short, wide frame."""
-    m, n = int(m), int(n)
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    return m, n
+    n = check_int(n, "n", 1)
+    return check_int(m, "m", 1, n), n
 
 
 def check_indices(indices, n: int, what: str, out_of_range=ValueError) -> tuple[int, ...]:
-    """indices as a tuple of ints, checked strictly increasing and inside [0, n).
+    """indices as a tuple of ints, checked whole, strictly increasing and inside [0, n).
 
     An index outside [0, n) raises out_of_range, any other fault ValueError.
     """
-    idx = tuple(int(i) for i in indices)
+    given = tuple(indices)
+    try:
+        idx = tuple(map(int, given))
+    except (TypeError, ValueError, OverflowError):
+        idx = ()
+    if idx != given:  # 2.0 == 2 passes, 2.5 != 2 and a failed conversion do not
+        raise ValueError(f"{what} indices must be whole numbers, got {given}")
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise ValueError(f"{what} indices must be strictly increasing (no duplicates)")
     if idx and (idx[0] < 0 or idx[-1] >= n):
         raise out_of_range(f"{what} indices must lie in [0, {n})")
     return idx
-
-
-@dataclass(eq=False)
-class RowIndexSet:
-    """Strictly increasing row indices drawn from range(n)."""
-
-    n: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        self.n = int(self.n)
-        if self.n < 1:
-            raise ValueError("ambient length must be positive")
-        self.indices = check_indices(self.indices, self.n, "row")
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
 
 
 @dataclass(eq=False)
@@ -136,19 +150,18 @@ class MeasurementMatrix:
         return self.__dict__.get("gram")
 
 
-def build_partial_dft(n: int, rows: RowIndexSet) -> MeasurementMatrix:
-    """Keep the listed rows of the n-point inverse-DFT matrix.
+def build_partial_dft(n: int, rows) -> MeasurementMatrix:
+    """Keep the listed rows, strictly increasing in range(n), of the n-point inverse-DFT matrix.
 
     Entry (m, k) is exp(+2j*pi*rows[m]*k/n) / sqrt(M), so each column has
     M entries of magnitude 1/sqrt(M) and is automatically unit norm.
     """
     m, n = check_shape(len(rows), n)
-    if rows.n != n:
-        raise ValueError(f"row set is indexed against length {rows.n}, not {n}")
-    idx = np.asarray(rows.indices, dtype=np.float64)
+    rows = check_indices(rows, n, "row")
+    idx = np.asarray(rows, dtype=np.float64)
     cols = np.arange(n, dtype=np.float64)
     data = np.exp(2j * np.pi * np.outer(idx, cols) / n) / math.sqrt(m)
-    return MeasurementMatrix(m, n, data, "partial-dft", {"rows": list(rows.indices)})
+    return MeasurementMatrix(m, n, data, "partial-dft", {"rows": list(rows)})
 
 
 def draw_without_replacement(rng: np.random.Generator, n: int, m: int) -> tuple[int, ...]:
@@ -160,22 +173,19 @@ def draw_without_replacement(rng: np.random.Generator, n: int, m: int) -> tuple[
     return tuple(sorted(pool[:m]))
 
 
-def sample_rows(n: int, m: int, seed: int) -> RowIndexSet:
-    """Uniform random m-subset of range(n); same (n, m, seed) -> same set."""
+def sample_rows(n: int, m: int, seed: int) -> tuple[int, ...]:
+    """Uniform random m-subset of range(n), sorted; same (n, m, seed) -> same set."""
     m, n = check_shape(m, n)
-    rng = np.random.default_rng(int(seed))
-    return RowIndexSet(n, draw_without_replacement(rng, n, m))
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
+    return draw_without_replacement(rng, n, m)
 
 
-def build_subsampling_rows(n: int, p: int) -> RowIndexSet:
-    """Every p-th index: {0, p, 2p, ..., n-p}. p must divide n."""
-    n = int(n)
-    p = int(p)
-    if p < 1:
-        raise ValueError("subsampling period must be >= 1")
+def build_subsampling_rows(n: int, p: int) -> tuple[int, ...]:
+    """Every p-th index: (0, p, 2p, ..., n-p). p must divide n."""
+    n, p = check_int(n, "n", 1), check_int(p, "subsampling period p", 1)
     if n % p != 0:
         raise ValueError(f"period {p} does not divide {n}")
-    return RowIndexSet(n, tuple(range(0, n, p)))
+    return tuple(range(0, n, p))
 
 
 def _is_odd_prime(q: int) -> bool:
@@ -190,7 +200,7 @@ def paley_conference(n: int) -> np.ndarray:
     Requires n = 2 (mod 4) with n-1 an odd prime. The result has zero
     diagonal, +-1 elsewhere, and satisfies C^T C = (n-1) I exactly.
     """
-    n = int(n)
+    n = check_int(n, "conference matrix order n", 1)
     q = n - 1
     if n % 4 != 2 or not _is_odd_prime(q):
         raise UnsupportedSizeError(
@@ -317,11 +327,12 @@ def build_etf(m: int, n: int) -> MeasurementMatrix:
 def build_gaussian(m: int, n: int, seed: int) -> MeasurementMatrix:
     """Real i.i.d. standard-normal entries (Box-Muller), columns normalized."""
     m, n = check_shape(m, n)
-    rng = np.random.default_rng(int(seed))
+    seed = check_int(seed, "seed", 0)
+    rng = np.random.default_rng(seed)
     u1 = 1.0 - rng.random((m, n))  # (0, 1] keeps the log finite
     u2 = rng.random((m, n))
     g = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    return MeasurementMatrix(m, n, normalize_columns(g), "gaussian", {"seed": int(seed)})
+    return MeasurementMatrix(m, n, normalize_columns(g), "gaussian", {"seed": seed})
 
 
 def restrict_columns(a: MeasurementMatrix, support) -> np.ndarray:
@@ -342,12 +353,12 @@ def normalize_columns(a) -> np.ndarray:
 
 
 def from_spec(family: str, *, m=None, n=None, seed=0, rows=None, p=None) -> MeasurementMatrix:
-    """Build a matrix from a flat family spec (CLI flags, experiment configs); a wrongly typed value is a ValueError."""
+    """Build a matrix from a flat family spec (CLI flags, experiment configs); any bad value is a ValueError."""
     family = str(family).lower().replace("_", "-")
     with decoding("matrix spec"):
-        m, n, p = (None if v is None else int(v) for v in (m, n, p))
-        seed = int(seed)
-        rows = None if rows is None else tuple(int(i) for i in rows)
+        m, n, p = (None if v is None else check_int(v, name, 1) for v, name in zip((m, n, p), "mnp"))
+        seed = check_int(seed, "seed", 0)
+        rows = None if rows is None else tuple(rows)
     if family == "etf":
         _require(m is not None and n is not None, "etf needs m and n")
         return build_etf(m, n)
@@ -356,17 +367,14 @@ def from_spec(family: str, *, m=None, n=None, seed=0, rows=None, p=None) -> Meas
         return build_gaussian(m, n, seed)
     if family == "partial-dft":
         _require(n is not None, "partial-dft needs n")
-        if rows is not None:
-            row_set = RowIndexSet(n, rows)
-        else:
+        if rows is None:
             _require(m is not None, "partial-dft needs explicit rows or m (+ seed)")
-            row_set = sample_rows(n, m, seed)
-        return build_partial_dft(n, row_set)
+            rows = sample_rows(n, m, seed)
+        return build_partial_dft(n, rows)
     if family == "subsampling":
         _require(n is not None and p is not None, "subsampling needs n and p")
-        row_set = build_subsampling_rows(n, p)
-        mat = build_partial_dft(n, row_set)
-        return replace(mat, family="subsampling", meta={"p": p, "rows": list(row_set.indices)})
+        mat = build_partial_dft(n, build_subsampling_rows(n, p))
+        return replace(mat, family="subsampling", meta={"p": p, **mat.meta})
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -388,7 +396,7 @@ def matrix_to_dict(a: MeasurementMatrix) -> dict:
 
 def matrix_from_dict(d: dict) -> MeasurementMatrix:
     with decoding("matrix"):
-        m, n, flat = int(d["m"]), int(d["n"]), pairs_to_complex(d["data"])
+        (m, n), flat = check_shape(d["m"], d["n"]), pairs_to_complex(d["data"])
         family, meta = str(d["family"]), dict(d.get("meta", {}))
     if flat.shape[0] != m * n:
         raise ValueError(f"data holds {flat.shape[0]} entries, expected m*n = {m * n}")

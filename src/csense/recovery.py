@@ -18,7 +18,6 @@ from . import coherence, matrices, numerics
 from .errors import DimensionMismatchError, RankDeficientError
 from .serialization import complex_to_pairs, decoding, load_json, pairs_to_complex, save_json, to_dict
 
-ZERO_VALUE_TOL = numerics.ZERO_TOL  # public alias of the one "numerically zero" magnitude
 DEFAULT_RELATIVE_EPSILON = 1e-10
 # Correlation magnitudes within TIE_TOL * ||y|| of the largest count as tied.
 TIE_TOL = 1e-12
@@ -33,9 +32,7 @@ class SparseSignal:
     values: np.ndarray
 
     def __post_init__(self):
-        self.n = int(self.n)
-        if self.n < 1:
-            raise ValueError("signal length must be positive")
+        self.n = matrices.check_int(self.n, "signal length", 1)
         support = matrices.check_indices(self.support, self.n, "support")
         if not support:
             raise ValueError("support must contain at least one index")
@@ -196,7 +193,7 @@ def ls_recover_known_support(a: matrices.MeasurementMatrix, support, y) -> Spars
     keep = np.abs(vals) > numerics.ZERO_TOL
     if not bool(np.any(keep)):
         raise ValueError("every fitted value is numerically zero; nothing to return")
-    kept = tuple(idx for idx, flag in zip((int(i) for i in support), keep) if flag)
+    kept = tuple(itertools.compress(support, keep))
     return SparseSignal(a.n, kept, vals[keep])
 
 
@@ -319,15 +316,9 @@ def pursue_batch(
     if epsilon is None:
         thresholds = DEFAULT_RELATIVE_EPSILON * y_norms
     else:
-        epsilon = float(epsilon)
-        if epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        epsilon = matrices.check_positive(epsilon, "epsilon")
         thresholds = epsilon * y_norms if relative else np.full(len(stack), epsilon)
-    if max_iter is None:
-        max_iter = a.m
-    max_iter = int(max_iter)
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    max_iter = a.m if max_iter is None else matrices.check_int(max_iter, "max_iter", 1)
     return _pursue(a, _Live(a, stack, y_norms, thresholds), max_iter)
 
 
@@ -502,12 +493,8 @@ def exhaustive_l0_search(
     supports are fitted (strict=True raises InfeasibleScanError instead).
     """
     vec = _measurements(a, y)
-    k_max = int(k_max)
-    if not 1 <= k_max <= a.m:
-        raise ValueError(f"need 1 <= k_max <= m, got k_max={k_max}, m={a.m}")
-    epsilon = float(epsilon)
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    k_max = matrices.check_int(k_max, "k_max", 1, a.m)
+    epsilon = matrices.check_positive(epsilon, "epsilon")
     scan = coherence.SubsetScan(a.n, range(1, k_max + 1), max_subsets, strict)
     threshold = epsilon * float(np.linalg.norm(vec))
     solutions: list[L0Solution] = []
@@ -532,9 +519,7 @@ def worst_case_margin(mu: float, k: int) -> MarginReport:
     detectable comes from coherence.max_sparsity, which decides the
     certificate exactly; the two margins are the floats it compares.
     """
-    k = int(k)
-    if k < 1:
-        raise ValueError("sparsity k must be >= 1")
+    k = matrices.check_int(k, "sparsity k", 1)
     k_max = coherence.max_sparsity(mu)
     mu = float(mu)
     return MarginReport(
@@ -548,18 +533,18 @@ def worst_case_margin(mu: float, k: int) -> MarginReport:
 
 def signal_from_dict(d: dict) -> SparseSignal:
     with decoding("signal"):
-        n, support, values = int(d["n"]), tuple(int(i) for i in d["support"]), pairs_to_complex(d["values"])
+        n, support, values = matrices.check_int(d["n"], "n", 1), tuple(d["support"]), pairs_to_complex(d["values"])
     return SparseSignal(n, support, values)
 
 
 def measurement_to_dict(y) -> dict:
     vec = numerics.as_vector(y)
-    return {"m": int(vec.shape[0]), "data": complex_to_pairs(vec)}
+    return {"m": vec.shape[0], "data": complex_to_pairs(vec)}
 
 
 def measurement_from_dict(d: dict) -> np.ndarray:
     with decoding("measurement"):
-        vec, m = pairs_to_complex(d["data"]), int(d["m"])
+        vec, m = pairs_to_complex(d["data"]), matrices.check_int(d["m"], "m", 1)
     if vec.shape[0] != m:
         raise ValueError(f"data holds {vec.shape[0]} entries, expected m = {m}")
     return vec

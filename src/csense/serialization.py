@@ -48,10 +48,14 @@ def _json_fields(items) -> dict:
 
 @contextlib.contextmanager
 def decoding(what: str):
-    """Report JSON of the wrong shape (a TypeError, or an OverflowError from an infinite integer) as a ValueError."""
+    """Report JSON of the wrong shape or value as a ValueError("malformed what: ...").
+
+    That is a TypeError, a ValueError, or an OverflowError from an integer
+    too large for a double.
+    """
     try:
         yield
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed {what}: {exc}") from exc
 
 

@@ -24,12 +24,12 @@ def fig3_dft():
 @pytest.fixture(scope="session")
 def even_rows_dft8():
     """n=8 partial DFT keeping rows {0,2,4,6}; columns 0 and 4 coincide."""
-    return matrices.build_partial_dft(8, matrices.RowIndexSet(8, (0, 2, 4, 6)))
+    return matrices.build_partial_dft(8, (0, 2, 4, 6))
 
 
 @pytest.fixture(scope="session")
 def full_dft8():
-    return matrices.build_partial_dft(8, matrices.RowIndexSet(8, tuple(range(8))))
+    return matrices.build_partial_dft(8, tuple(range(8)))
 
 
 @pytest.fixture()

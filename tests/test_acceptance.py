@@ -92,7 +92,7 @@ def test_criterion_06_three_sparse_end_to_end():
 
 
 def test_criterion_07_non_unique_one_sparse():
-    mat = matrices.build_partial_dft(8, matrices.RowIndexSet(8, (0, 2, 4, 6)))
+    mat = matrices.build_partial_dft(8, (0, 2, 4, 6))
     x = recovery.SparseSignal(8, (0,), np.ones(1, dtype=complex))
     y = recovery.measure(mat, x)
     solutions = recovery.exhaustive_l0_search(mat, y, 1, 1e-8).solutions
@@ -167,7 +167,7 @@ def test_criterion_10_rip_identities():
     for mat in (matrices.build_etf(7, 14), matrices.build_etf(15, 30), fig3):
         mu = coherence.coherence_index(mat).mu
         assert abs(coherence.rip_constant(mat, 2).delta - mu) <= 1e-10
-    full = matrices.build_partial_dft(8, matrices.RowIndexSet(8, tuple(range(8))))
+    full = matrices.build_partial_dft(8, tuple(range(8)))
     for k in (1, 2, 3, 4):
         assert coherence.rip_constant(full, k).delta <= 1e-10
     _ok(10, "pairwise RIP equals mu on all shipped matrices; orthonormal RIP is 0 up to k=4")

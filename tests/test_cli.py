@@ -19,7 +19,7 @@ def run(capsys, *argv):
 
 
 def write_example1_inputs(tmp_path):
-    mat = matrices.build_partial_dft(8, matrices.RowIndexSet(8, (0, 2, 4, 6)))
+    mat = matrices.build_partial_dft(8, (0, 2, 4, 6))
     mat_path = tmp_path / "ex1.json"
     matrices.save_matrix(mat, mat_path)
     x = recovery.SparseSignal(8, (0,), np.ones(1, dtype=complex))
@@ -342,3 +342,35 @@ def test_experiment_config_of_the_wrong_shape_exits_2(tmp_path, capsys, cfg, wha
     assert code == 2
     assert err.startswith(f"error: malformed {what}")
     assert not (tmp_path / "r.json").exists()
+
+
+# id: (command, change to its config or matrix file, the error naming the field)
+FRACTIONAL_OR_NAN = {
+    "m": ("experiment", {"matrix": {"family": "etf", "m": 7.9, "n": 14}}, "m must be a whole number, got 7.9"),
+    "k_range": ("experiment", {"k_range": [1, 2.5]}, "k_range high must be a whole number, got 2.5"),
+    "trials": ("experiment", {"trials": 20.9}, "trials must be a whole number, got 20.9"),
+    "epsilon": ("experiment", {"epsilon": math.nan}, "epsilon must be a positive, finite number, got nan"),
+    "matrix_m": ("coherence", {"m": 7.5}, "m must be a whole number, got 7.5"),
+    "recover_epsilon": ("recover", {}, "epsilon must be a positive, finite number, got nan"),
+}
+
+
+@pytest.mark.parametrize("command, change, message", FRACTIONAL_OR_NAN.values(), ids=FRACTIONAL_OR_NAN.keys())
+def test_fractional_or_nan_number_exits_2(tmp_path, capsys, etf14, command, change, message):
+    cfg = {"matrix": {"family": "etf", "m": 7, "n": 14}, "k_range": [1, 2], "trials": 3}
+    mat = matrices.matrix_to_dict(etf14)
+    (cfg if command == "experiment" else mat).update(change)
+    cfg_path, mat_path, y_path, out = (tmp_path / f"{name}.json" for name in ("cfg", "etf", "y", "r"))
+    cfg_path.write_text(json.dumps(cfg))
+    mat_path.write_text(json.dumps(mat))
+    x = recovery.SparseSignal(14, (2, 7), np.ones(2, dtype=complex))
+    recovery.save_measurement(recovery.measure(etf14, x), y_path)
+    argv = {
+        "experiment": ["--config", cfg_path, "--out", out],
+        "coherence": ["--matrix", mat_path],
+        "recover": ["--matrix", mat_path, "--measurements", y_path, "--epsilon", "nan", "--oracle"],
+    }[command]
+    code, stdout, err = run(capsys, command, *map(str, argv))
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert stdout == "" and not out.exists()

@@ -5,8 +5,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from csense import coherence, matrices, numerics, recovery
+from csense.experiments import ExperimentConfig
 from csense.serialization import complex_to_pairs, pairs_to_complex, to_dict
 from csense.errors import UnsupportedSizeError, ZeroColumnError
 
@@ -29,23 +32,23 @@ def coherence_by_loops(data):
 
 
 def test_row_index_set_validation():
-    matrices.RowIndexSet(8, (0, 2, 4, 6))
+    matrices.build_partial_dft(8, (0, 2, 4, 6))
     with pytest.raises(ValueError):
-        matrices.RowIndexSet(8, (0, 2, 2, 6))
+        matrices.build_partial_dft(8, (0, 2, 2, 6))
     with pytest.raises(ValueError):
-        matrices.RowIndexSet(8, (0, 8))
+        matrices.build_partial_dft(8, (0, 8))
     with pytest.raises(ValueError):
-        matrices.RowIndexSet(8, (2, 0))
+        matrices.build_partial_dft(8, (2, 0))
 
 
 def test_sample_rows_exhaustive_draw():
-    assert matrices.sample_rows(4, 4, seed=99).indices == (0, 1, 2, 3)
+    assert matrices.sample_rows(4, 4, seed=99) == (0, 1, 2, 3)
 
 
 def test_sample_rows_deterministic():
     a = matrices.sample_rows(16, 12, seed=1)
     b = matrices.sample_rows(16, 12, seed=1)
-    assert a.indices == b.indices
+    assert a == b
     assert len(a) == 12
 
 
@@ -55,17 +58,64 @@ def test_sample_rows_rejects_oversized_draw():
 
 
 def test_subsampling_rows():
-    assert matrices.build_subsampling_rows(8, 1).indices == tuple(range(8))
-    assert matrices.build_subsampling_rows(8, 2).indices == (0, 2, 4, 6)
+    assert matrices.build_subsampling_rows(8, 1) == tuple(range(8))
+    assert matrices.build_subsampling_rows(8, 2) == (0, 2, 4, 6)
     with pytest.raises(ValueError):
         matrices.build_subsampling_rows(8, 3)
+
+
+# ------------------------------------------------------------- input checks
+
+FRACTIONAL_OR_NON_FINITE_CALLS = {
+    "from_spec": lambda a: matrices.from_spec("etf", m=7.9, n=14.2),
+    "build_partial_dft": lambda a: matrices.build_partial_dft(8, (0.5, 2.7)),
+    "SparseSignal": lambda a: recovery.SparseSignal(14, (2.2, 7), np.ones(2)),
+    "uniqueness_rank_scan": lambda a: coherence.uniqueness_rank_scan(a, 1.9),
+    "worst_case_margin": lambda a: recovery.worst_case_margin(0.3, 2.5),
+    "matching_pursuit": lambda a: recovery.matching_pursuit(a, a.data[:, 2], epsilon=math.nan),
+    "exhaustive_l0_search": lambda a: recovery.exhaustive_l0_search(a, a.data[:, 2], 2, math.nan),
+    "matching_pursuit_inf": lambda a: recovery.matching_pursuit(a, a.data[:, 2], epsilon=math.inf),
+    "exhaustive_l0_search_inf": lambda a: recovery.exhaustive_l0_search(a, a.data[:, 2], 2, math.inf),
+    "a_max_inf": lambda a: ExperimentConfig({"family": "etf", "m": 7, "n": 14}, (1, 2), 3, a_max=math.inf),
+}
+
+
+@pytest.mark.parametrize("call", FRACTIONAL_OR_NON_FINITE_CALLS.values(), ids=FRACTIONAL_OR_NON_FINITE_CALLS.keys())
+def test_fractional_or_non_finite_argument_is_a_value_error(etf14, call):
+    with pytest.raises(ValueError, match="whole number|positive, finite"):
+        call(etf14)
+
+
+def test_whole_floats_are_accepted(etf14):
+    assert np.array_equal(matrices.from_spec("etf", m=7.0, n=14.0).data, etf14.data)
+    assert matrices.build_partial_dft(8.0, (0.0, 2.0)).meta["rows"] == [0, 2]
+    support = recovery.SparseSignal(14.0, (2.0, 7.0), np.ones(2)).support
+    assert support == (2, 7) and all(type(i) is int for i in support)
+    assert coherence.uniqueness_rank_scan(etf14, 1.0).k == 1
+    assert recovery.worst_case_margin(0.3, np.int64(2)).k == 2
+
+
+@given(st.one_of(st.integers(), st.floats()))
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(7.0)
+@example(2.5)
+def test_check_int_takes_ints_and_whole_floats_only(x):
+    low = -(10**400)  # below every float, so only wholeness decides
+    if isinstance(x, int) or (math.isfinite(x) and x.is_integer()):
+        got = matrices.check_int(x, "x", low)
+        assert got == int(x) and type(got) is int
+    else:
+        with pytest.raises(ValueError, match="x must be a whole number"):
+            matrices.check_int(x, "x", low)
 
 
 # -------------------------------------------------------------- partial DFT
 
 
 def test_full_dft_gram_is_identity():
-    mat = matrices.build_partial_dft(4, matrices.RowIndexSet(4, (0, 1, 2, 3)))
+    mat = matrices.build_partial_dft(4, (0, 1, 2, 3))
     g = numerics.gram(mat.data)
     assert np.max(np.abs(g - np.eye(4))) < 1e-12
     assert np.max(np.abs(np.abs(mat.data) - 0.5)) < 1e-15
@@ -78,7 +128,7 @@ def test_even_rows_duplicate_columns(even_rows_dft8):
 
 def test_partial_dft_row_set_mismatch():
     with pytest.raises(ValueError):
-        matrices.build_partial_dft(8, matrices.RowIndexSet(16, (0, 1)))
+        matrices.build_partial_dft(8, (0, 1, 9))  # rows of a 16-point set
 
 
 def test_partial_dft_gram_circulant(fig3_dft):
@@ -169,7 +219,7 @@ def test_etf_welch_equality(etf14, etf30):
 
 def test_subsampling_restriction_gram_identity():
     rows = matrices.build_subsampling_rows(16, 4)
-    assert rows.indices == (0, 4, 8, 12)
+    assert rows == (0, 4, 8, 12)
     mat = matrices.build_partial_dft(16, rows)
     sub = matrices.restrict_columns(mat, (0, 1, 2, 3))
     g = numerics.gram(sub)

@@ -71,7 +71,7 @@ def l0_by_loop(a, y, k_max, epsilon, max_subsets):
             continue
         vals = numerics.solve_least_squares(sub, vec)
         residual = float(np.linalg.norm(vec - sub @ vals))
-        if residual <= threshold and float(np.min(np.abs(vals))) > recovery.ZERO_VALUE_TOL:
+        if residual <= threshold and float(np.min(np.abs(vals))) > numerics.ZERO_TOL:
             solutions.append(recovery.L0Solution(subset, vals, residual))
     return solutions, scanned
 
