@@ -50,13 +50,6 @@ def figure_scenario(name: str):
     return mat, _SCENARIO_SUPPORTS[name]
 
 
-def _parse_rows(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"--rows expects comma-separated integers, got {text!r}") from exc
-
-
 def _fmt_k_max(k_max) -> str:
     return "unbounded" if k_max is None else str(k_max)
 
@@ -71,8 +64,11 @@ def _print_matrix_summary(mat: matrices.MeasurementMatrix) -> None:
 
 
 def _cmd_gen_matrix(args) -> int:
-    rows = _parse_rows(args.rows) if args.rows is not None else None
-    mat = matrices.from_spec(args.family, m=args.m, n=args.n, seed=args.seed, rows=rows, p=args.p)
+    spec = {key: getattr(args, key) for key in ("m", "n", "seed", "rows", "p") if getattr(args, key) is not None}
+    if "rows" in spec:
+        with serialization.decoding("--rows, expected comma-separated integers"):
+            spec["rows"] = tuple(map(int, spec["rows"].split(",")))
+    mat = matrices.from_spec(args.family, **spec)
     matrices.save_matrix(mat, args.out)
     _print_matrix_summary(mat)
     return 0
@@ -172,10 +168,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-matrix", help="construct a measurement matrix and save it as JSON")
-    p.add_argument("--family", required=True, choices=["etf", "partial-dft", "gaussian", "subsampling"])
+    p.add_argument("--family", required=True, choices=list(matrices.SPEC_BUILDERS))
     p.add_argument("--m", type=int, default=None, help="measurement count")
     p.add_argument("--n", type=int, required=True, help="signal length")
-    p.add_argument("--seed", type=int, default=0, help="seed for random families")
+    p.add_argument("--seed", type=int, default=None, help="seed for random families (default 0)")
     p.add_argument("--rows", default=None, help="explicit partial-DFT rows, e.g. 0,2,4,6")
     p.add_argument("--p", type=int, default=None, help="subsampling period")
     p.add_argument("--out", required=True, help="output matrix JSON path")

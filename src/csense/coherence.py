@@ -74,10 +74,10 @@ class RipReport:
 
 def sparsity_bound(mu: float) -> float | None:
     """The strict upper bound (1 + 1/mu)/2 on sparsity, in floating point; None when mu == 0."""
-    mu = float(mu)
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"coherence must lie in [0, 1], got {mu}")
-    return None if mu == 0.0 else 0.5 * (1.0 + 1.0 / mu)
+    x = float(mu)
+    if x != mu or not 0.0 <= x <= 1.0:  # a numeric string or NaN is not a coherence
+        raise ValueError(f"coherence must be a number in [0, 1], got {mu!r}")
+    return None if x == 0.0 else 0.5 * (1.0 + 1.0 / x)
 
 
 def max_sparsity(mu: float) -> int | None:

@@ -8,9 +8,8 @@ reports are pure functions of the config regardless of execution order.
 """
 from __future__ import annotations
 
-import inspect
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +31,8 @@ BATCH_BYTES = 128 * 1024
 class ExperimentConfig:
     """Declarative description of one recovery-rate sweep.
 
-    matrix holds keyword arguments for matrices.from_spec. k_range is an
+    matrix holds the keyword arguments of matrices.from_spec: a family and
+    exactly the keys that family reads. k_range is an
     inclusive (low, high) pair. epsilon is the pursuit stopping threshold,
     relative to ||y|| so trials with different amplitudes are comparable.
     Random amplitudes are log-uniform magnitudes in [a_min, a_max] with
@@ -50,7 +50,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.matrix = dict(self.matrix)
-        inspect.signature(matrices.from_spec).bind(**self.matrix)  # TypeError on a key from_spec lacks
+        matrices.bind_spec(**self.matrix)  # TypeError on a missing key or one the family does not read
         lo, hi = self.k_range
         lo = matrices.check_int(lo, "k_range low", 1)
         self.k_range = (lo, matrices.check_int(hi, "k_range high", lo))
@@ -66,9 +66,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Missing required keys raise KeyError, unknown keys are ignored."""
+        """A missing required key or an unknown one is a ValueError, like any malformed value."""
         with decoding("experiment config"):
-            return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d or f.default is MISSING})
+            return cls(**d)
 
 
 @dataclass

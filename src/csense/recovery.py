@@ -66,16 +66,6 @@ class InitialEstimate:
     x0: np.ndarray
     components: np.ndarray
 
-    def __post_init__(self):
-        x0 = numerics.as_vector(self.x0)
-        comps = numerics.as_matrix(self.components)
-        if comps.shape[0] != x0.shape[0]:
-            raise ValueError("components need one row per signal index")
-        if float(np.max(np.abs(comps.sum(axis=1) - x0))) > 1e-12:
-            raise ValueError("component columns must sum to the estimate")
-        self.x0 = x0
-        self.components = comps
-
 
 @dataclass(eq=False)
 class RecoveryResult:

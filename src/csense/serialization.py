@@ -50,12 +50,14 @@ def _json_fields(items) -> dict:
 def decoding(what: str):
     """Report JSON of the wrong shape or value as a ValueError("malformed what: ...").
 
-    That is a TypeError, a ValueError, or an OverflowError from an integer
-    too large for a double.
+    That is a plain TypeError, ValueError, or OverflowError from an integer too large
+    for a double; their subclasses, such as UnsupportedSizeError, pass through unchanged.
     """
     try:
         yield
     except (TypeError, ValueError, OverflowError) as exc:
+        if type(exc) not in (TypeError, ValueError, OverflowError):
+            raise
         raise ValueError(f"malformed {what}: {exc}") from exc
 
 

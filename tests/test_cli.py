@@ -61,6 +61,20 @@ def test_gen_matrix_bad_rows_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_gen_matrix_gaussian_matches_the_library(tmp_path, capsys):
+    out = tmp_path / "gauss.json"
+    code, _, _ = run(capsys, "gen-matrix", "--family", "gaussian", "--m", "8", "--n", "20", "--seed", "3", "--out", str(out))
+    assert code == 0
+    mat = matrices.load_matrix(out)
+    assert np.array_equal(mat.data, matrices.build_gaussian(8, 20, 3).data) and mat.meta == {"seed": 3}
+
+
+def test_gen_matrix_single_column_is_unbounded(tmp_path, capsys):
+    code, stdout, _ = run(capsys, "gen-matrix", "--family", "etf", "--m", "1", "--n", "1", "--out", str(tmp_path / "x.json"))
+    assert code == 0
+    assert "k_max = unbounded" in stdout
+
+
 def test_gen_matrix_unknown_family_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["gen-matrix", "--family", "nope", "--n", "8", "--out", str(tmp_path / "x.json")])
@@ -196,6 +210,19 @@ def test_recover_oracle_complete_search(tmp_path, capsys):
     oracle = json.loads(stdout)["oracle"]
     assert (oracle["scanned"], oracle["total"], oracle["complete"]) == (8, 8, True)
     assert err == ""
+
+
+def test_recover_oracle_converts_an_absolute_epsilon(tmp_path, capsys, etf14):
+    mat_path, y_path = tmp_path / "etf.json", tmp_path / "y.json"
+    matrices.save_matrix(etf14, mat_path)
+    x = recovery.SparseSignal(14, (2, 7), np.ones(2, dtype=complex))
+    recovery.save_measurement(recovery.measure(etf14, x), y_path)
+    argv = ["recover", "--matrix", str(mat_path), "--measurements", str(y_path), "--oracle", "--epsilon", "1e-9"]
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(stdout)
+    assert sorted(payload["recovery"]["support"]) == [2, 7] and payload["recovery"]["converged"] is True
+    assert payload["oracle"]["agrees_with_pursuit"] is True and payload["oracle"]["ambiguous"] is False
 
 
 def test_recover_not_converged_exits_5(tmp_path, capsys):
@@ -350,6 +377,7 @@ FRACTIONAL_OR_NAN = {
     "k_range": ("experiment", {"k_range": [1, 2.5]}, "k_range high must be a whole number, got 2.5"),
     "trials": ("experiment", {"trials": 20.9}, "trials must be a whole number, got 20.9"),
     "epsilon": ("experiment", {"epsilon": math.nan}, "epsilon must be a positive, finite number, got nan"),
+    "epsilon_string": ("experiment", {"epsilon": "1e-3"}, "epsilon must be a positive, finite number, got '1e-3'"),
     "matrix_m": ("coherence", {"m": 7.5}, "m must be a whole number, got 7.5"),
     "recover_epsilon": ("recover", {}, "epsilon must be a positive, finite number, got nan"),
 }
@@ -374,3 +402,57 @@ def test_fractional_or_nan_number_exits_2(tmp_path, capsys, etf14, command, chan
     assert code == 2
     assert err.startswith("error:") and message in err
     assert stdout == "" and not out.exists()
+
+
+# id: (gen-matrix flags, or a change to an experiment config; the words naming the key no family reads)
+UNREAD_OR_UNKNOWN_KEYS = {
+    "subsampling_m": (["--family", "subsampling", "--n", "16", "--p", "4", "--m", "5"], "argument 'm'"),
+    "etf_seed": (["--family", "etf", "--m", "7", "--n", "14", "--seed", "3"], "argument 'seed'"),
+    "dft_rows_seed": (["--family", "partial-dft", "--n", "8", "--rows", "0,2", "--seed", "1"], "got rows and seed"),
+    "config_epsilom": ({"epsilom": 1e-3}, "argument 'epsilom'"),
+    "config_rows_and_m": ({"matrix": {"family": "partial-dft", "n": 8, "rows": [0, 2], "m": 5}}, "got rows and m"),
+}
+
+
+@pytest.mark.parametrize("change, key", UNREAD_OR_UNKNOWN_KEYS.values(), ids=UNREAD_OR_UNKNOWN_KEYS.keys())
+def test_a_key_nothing_reads_exits_2(tmp_path, capsys, change, key):
+    out, cfg_path = tmp_path / "out.json", tmp_path / "cfg.json"
+    if isinstance(change, list):
+        argv = ["gen-matrix", *change, "--out", out]
+    else:
+        cfg_path.write_text(json.dumps({"matrix": {"family": "etf", "m": 7, "n": 14}, "k_range": [1, 2], "trials": 3, **change}))
+        argv = ["experiment", "--config", cfg_path, "--out", out]
+    code, stdout, err = run(capsys, *map(str, argv))
+    assert code == 2
+    assert err.startswith("error: malformed") and key in err
+    assert stdout == "" and not out.exists()
+
+
+# id: (command, the input file it gets, that file's text, the error)
+BAD_INPUT_FILES = {
+    "a_min_above_a_max": (
+        "experiment", "cfg",
+        {"matrix": {"family": "etf", "m": 7, "n": 14}, "k_range": [1, 2], "trials": 3, "a_min": 2.0, "a_max": 1.0},
+        "need a_min <= a_max, got 2.0 > 1.0",
+    ),
+    "measurement_length": ("recover", "y", {"m": 3, "data": [[1, 0], [0, 1]]}, "data holds 2 entries, expected m = 3"),
+    "measurement_nan": ("recover", "y", {"m": 7, "data": [[math.nan, 0]] + [[0, 0]] * 6}, "vector entries must be finite"),
+    "matrix_family": ("coherence", "etf", {"m": 1, "n": 1, "family": "bogus", "data": [[1, 0]]}, "unknown family 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("command, name, content, message", BAD_INPUT_FILES.values(), ids=BAD_INPUT_FILES.keys())
+def test_bad_input_file_exits_2(tmp_path, capsys, etf14, command, name, content, message):
+    paths = {key: tmp_path / f"{key}.json" for key in ("cfg", "etf", "y", "r")}
+    matrices.save_matrix(etf14, paths["etf"])
+    recovery.save_measurement(etf14.data[:, 2], paths["y"])
+    paths[name].write_text(json.dumps(content))  # json writes NaN as the bare token NaN, which it reads back
+    argv = {
+        "experiment": ["--config", paths["cfg"], "--out", paths["r"]],
+        "coherence": ["--matrix", paths["etf"]],
+        "recover": ["--matrix", paths["etf"], "--measurements", paths["y"]],
+    }[command]
+    code, stdout, err = run(capsys, command, *map(str, argv))
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert stdout == "" and not paths["r"].exists()

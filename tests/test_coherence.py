@@ -60,6 +60,8 @@ def test_max_sparsity_boundaries():
         coherence.max_sparsity(-0.1)
     with pytest.raises(ValueError):
         coherence.max_sparsity(1.5)
+    with pytest.raises(ValueError, match=r"coherence must be a number in \[0, 1\], got '0.3'"):
+        coherence.sparsity_bound("0.3")
 
 
 def test_max_sparsity_monotone():

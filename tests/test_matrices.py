@@ -77,6 +77,7 @@ FRACTIONAL_OR_NON_FINITE_CALLS = {
     "matching_pursuit_inf": lambda a: recovery.matching_pursuit(a, a.data[:, 2], epsilon=math.inf),
     "exhaustive_l0_search_inf": lambda a: recovery.exhaustive_l0_search(a, a.data[:, 2], 2, math.inf),
     "a_max_inf": lambda a: ExperimentConfig({"family": "etf", "m": 7, "n": 14}, (1, 2), 3, a_max=math.inf),
+    "epsilon_string": lambda a: ExperimentConfig({"family": "etf", "m": 7, "n": 14}, (1, 2), 3, epsilon="1e-3"),
 }
 
 
@@ -93,6 +94,8 @@ def test_whole_floats_are_accepted(etf14):
     assert support == (2, 7) and all(type(i) is int for i in support)
     assert coherence.uniqueness_rank_scan(etf14, 1.0).k == 1
     assert recovery.worst_case_margin(0.3, np.int64(2)).k == 2
+    sub = matrices.from_spec("subsampling", n=16, p=4.0)
+    assert sub.meta == {"p": 4, "rows": [0, 4, 8, 12]} and type(sub.meta["p"]) is int
 
 
 @given(st.one_of(st.integers(), st.floats()))
@@ -387,6 +390,34 @@ def test_from_spec_dispatch():
         matrices.from_spec("mystery", m=2, n=4)
     with pytest.raises(ValueError):
         matrices.from_spec("subsampling", n=16)
+    seedless = matrices.from_spec("gaussian", m=7, n=14)
+    assert np.array_equal(seedless.data, matrices.build_gaussian(7, 14, 0).data) and seedless.meta == {"seed": 0}
+
+
+# id: (a spec with a key its family does not read, or without one it needs; the words naming that key)
+UNREAD_OR_MISSING_SPEC_KEYS = {
+    "dft_rows_and_m": ({"family": "partial-dft", "n": 8, "rows": [0, 2], "m": 5}, "got rows and m"),
+    "dft_rows_and_seed": ({"family": "partial-dft", "n": 8, "rows": [0, 2], "seed": 1}, "got rows and seed"),
+    "dft_neither": ({"family": "partial-dft", "n": 8, "seed": 1}, "needs rows or m"),
+    "etf_rows_p_seed": ({"family": "etf", "m": 7, "n": 14, "rows": [1], "p": 3, "seed": 9}, "argument 'rows'"),
+    "etf_seed": ({"family": "etf", "m": 7, "n": 14, "seed": 3}, "argument 'seed'"),
+    "subsampling_m": ({"family": "subsampling", "n": 16, "p": 4, "m": 5}, "argument 'm'"),
+    "gaussian_no_m": ({"family": "gaussian", "n": 14, "seed": 1}, "argument: 'm'"),
+}
+
+
+@pytest.mark.parametrize("spec, key", UNREAD_OR_MISSING_SPEC_KEYS.values(), ids=UNREAD_OR_MISSING_SPEC_KEYS.keys())
+def test_from_spec_rejects_an_unread_or_missing_key(spec, key):
+    with pytest.raises(ValueError, match=f"^malformed matrix spec: .*{key}"):
+        matrices.from_spec(**spec)
+
+
+def test_measurement_matrix_families_are_the_spec_table():
+    assert set(matrices.SPEC_BUILDERS) == {"etf", "gaussian", "partial-dft", "subsampling"}
+    for family in ("custom", *matrices.SPEC_BUILDERS):
+        assert matrices.MeasurementMatrix(1, 1, np.ones((1, 1)), family).family == family
+    with pytest.raises(ValueError, match="unknown family 'bogus'"):
+        matrices.MeasurementMatrix(1, 1, np.ones((1, 1)), "bogus")
 
 
 def test_measurement_matrix_rejects_bad_norms():

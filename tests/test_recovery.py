@@ -34,6 +34,8 @@ def test_sparse_signal_validation():
         recovery.SparseSignal(8, (0, 1), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         recovery.SparseSignal(8, (0, 1), np.ones(3, dtype=complex))
+    with pytest.raises(ValueError, match="support indices must be whole numbers"):
+        recovery.SparseSignal(8, ["a"], np.ones(1, dtype=complex))
 
 
 def test_sparse_signal_dense():
@@ -136,6 +138,7 @@ def test_decompose_sums_to_back_projection(etf30):
     est = recovery.decompose_initial_estimate(etf30, x)
     x0 = recovery.back_project(etf30, recovery.measure(etf30, x))
     assert np.max(np.abs(est.components.sum(axis=1) - x0)) < 1e-12
+    assert np.array_equal(est.components.sum(axis=1), est.x0)
 
 
 # --------------------------------------------------- known-support recovery
@@ -373,6 +376,8 @@ def test_margin_validates_arguments():
         recovery.worst_case_margin(1.2, 1)
     with pytest.raises(ValueError):
         recovery.worst_case_margin(0.5, 0)
+    with pytest.raises(ValueError, match=r"coherence must be a number in \[0, 1\], got '0.3'"):
+        recovery.worst_case_margin("0.3", 2)
 
 
 # ----------------------------------------------------------------- file IO
