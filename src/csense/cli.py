@@ -95,12 +95,7 @@ def _cmd_recover(args) -> int:
     result = recovery.matching_pursuit(mat, y, epsilon=args.epsilon, max_iter=args.max_iter)
     payload = {"recovery": serialization.to_dict(result)}
     if args.oracle:
-        y_norm = float(np.linalg.norm(y))
-        if args.epsilon is not None and y_norm > 0.0:
-            rel_epsilon = args.epsilon / y_norm
-        else:
-            rel_epsilon = recovery.DEFAULT_RELATIVE_EPSILON
-        search = recovery.exhaustive_l0_search(mat, y, max(1, len(result.support)), rel_epsilon)
+        search = recovery.exhaustive_l0_search(mat, y, max(1, len(result.support)), args.epsilon)
         solutions = search.solutions
         minimal_size = len(solutions[0].support) if solutions else 0
         minimal = [s for s in solutions if len(s.support) == minimal_size]
@@ -187,7 +182,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="matching pursuit on saved measurements")
     p.add_argument("--matrix", required=True)
     p.add_argument("--measurements", required=True)
-    p.add_argument("--epsilon", type=float, default=None, help="absolute residual stop threshold")
+    p.add_argument(
+        "--epsilon", type=float, default=recovery.DEFAULT_RELATIVE_EPSILON, help="residual stop threshold, relative to ||y||"
+    )
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--oracle", action="store_true", help="cross-check against the exhaustive search")
     p.set_defaults(func=_cmd_recover)

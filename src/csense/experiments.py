@@ -126,7 +126,7 @@ def trial_outcomes(cfg: ExperimentConfig, mat: matrices.MeasurementMatrix, k: in
     for start in range(0, cfg.trials, per_batch):
         signals = [trial_signal(cfg, mat, k, t) for t in range(start, min(start + per_batch, cfg.trials))]
         ys = [recovery.measure(mat, x) for x in signals]
-        batch = recovery.pursue_batch(mat, ys, epsilon=cfg.epsilon, relative=True)
+        batch = recovery.pursue_batch(mat, ys, epsilon=cfg.epsilon)
         yield from zip(signals, batch.first_picks.tolist(), batch.outcomes)
 
 

@@ -372,11 +372,13 @@ SPEC_BUILDERS = {
 }
 
 
-def bind_spec(family: str, **spec) -> partial:
+def bind_spec(family: str | None = None, **spec) -> partial:
     """The builder call a flat family spec stands for, its keys checked but nothing built.
 
-    An unknown family is a ValueError, a missing key or one the family does not read a TypeError.
+    An unknown family is a ValueError; a missing family or key, or one the family does not read, a TypeError.
     """
+    if family is None:
+        raise TypeError("missing a required argument: 'family'")
     builder = SPEC_BUILDERS.get(str(family).lower().replace("_", "-"))
     if builder is None:
         raise ValueError(f"unknown family {family!r}")
@@ -384,7 +386,7 @@ def bind_spec(family: str, **spec) -> partial:
     return partial(builder, *bound.args, **bound.kwargs)
 
 
-def from_spec(family: str, **spec) -> MeasurementMatrix:
+def from_spec(family: str | None = None, **spec) -> MeasurementMatrix:
     """Build a matrix from a flat family spec (CLI flags, experiment configs); any fault in it is a ValueError."""
     with decoding("matrix spec"):
         return bind_spec(family, **spec)()

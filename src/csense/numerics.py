@@ -1,8 +1,12 @@
 """Dense complex linear algebra with one shared notion of numerical rank.
 
-Everything here is a pure function of its inputs. Other modules delegate
-their numerically delicate decisions (rank tolerance, least-squares method,
-eigenvalue extraction) to this module so there is a single place to audit.
+Everything here is a pure function of its inputs. The rank tolerance, the
+Gram matrix, ZERO_TOL and the input coercions are the ones every module uses.
+The batched scans and the pursuit factor their own stacks, so
+solve_least_squares serves only recovery.ls_recover_known_support, and
+numerical_rank and hermitian_eigen_extremes have no caller in csense: they
+are the one-matrix reference implementations the tests check those engines
+against.
 """
 from __future__ import annotations
 

@@ -204,16 +204,15 @@ def select_column(correlations, scale):
 def matching_pursuit(
     a: matrices.MeasurementMatrix,
     y,
-    epsilon: float | None = None,
+    epsilon: float = DEFAULT_RELATIVE_EPSILON,
     max_iter: int | None = None,
-    relative: bool = False,
 ) -> RecoveryResult:
     """Greedy sparse reconstruction (orthogonal matching pursuit).
 
-    Repeats until the residual norm drops to epsilon: pick the column with
-    the largest back-projected residual magnitude (select_column: lowest
-    index among magnitudes within 1e-12 * ||y|| of the largest), add it to
-    the selected set, least-squares refit on all selected columns, and
+    Repeats until the residual norm drops to epsilon * ||y||: pick the
+    column with the largest back-projected residual magnitude (select_column:
+    lowest index among magnitudes within 1e-12 * ||y|| of the largest), add
+    it to the selected set, least-squares refit on all selected columns, and
     recompute the residual.
 
     This is pursue_batch on a stack of one measurement vector; see there
@@ -224,15 +223,12 @@ def matching_pursuit(
     a : MeasurementMatrix
     y : array-like
         Measurement vector of length a.m.
-    epsilon : float, optional
-        Stopping threshold on the residual l2 norm, absolute by default.
-        With relative=True it is scaled by ||y||. When omitted, the
-        threshold defaults to 1e-10 * ||y||.
+    epsilon : float
+        Stopping threshold on the residual l2 norm, relative to ||y||, so
+        x and c * x give the same run.
     max_iter : int, optional
         Iteration cap; defaults to a.m (further columns cannot be
         independent).
-    relative : bool
-        Interpret epsilon relative to ||y||.
 
     Returns
     -------
@@ -251,7 +247,7 @@ def matching_pursuit(
         On invalid arguments, or when a run that has not stopped at m
         columns picks one more (the refit would be underdetermined).
     """
-    (outcome,) = pursue_batch(a, _measurements(a, y)[None], epsilon, max_iter, relative).outcomes
+    (outcome,) = pursue_batch(a, _measurements(a, y)[None], epsilon, max_iter).outcomes
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -273,16 +269,15 @@ class BatchPursuit(NamedTuple):
 def pursue_batch(
     a: matrices.MeasurementMatrix,
     ys,
-    epsilon: float | None = None,
+    epsilon: float = DEFAULT_RELATIVE_EPSILON,
     max_iter: int | None = None,
-    relative: bool = False,
 ) -> BatchPursuit:
     """matching_pursuit on every row of a (T, m) stack of measurement vectors.
 
     The arguments mean what they mean for matching_pursuit, with epsilon
-    relative to each row's own norm when relative=True. The trials run as
-    one batch (Batch-OMP): every trial still running at step j has exactly
-    j picks, so each iteration is a few array operations over all of them.
+    relative to each row's own norm. The trials run as one batch (Batch-OMP):
+    every trial still running at step j has exactly j picks, so each
+    iteration is a few array operations over all of them.
 
     The refit is incremental: each new column is orthogonalized against the
     earlier ones (Gram-Schmidt, applied twice), which extends a QR
@@ -303,11 +298,7 @@ def pursue_batch(
     if stack.shape[1] != a.m:
         raise DimensionMismatchError(f"measurement length {stack.shape[1]} != row count {a.m}")
     y_norms = np.linalg.norm(stack, axis=1)
-    if epsilon is None:
-        thresholds = DEFAULT_RELATIVE_EPSILON * y_norms
-    else:
-        epsilon = matrices.check_positive(epsilon, "epsilon")
-        thresholds = epsilon * y_norms if relative else np.full(len(stack), epsilon)
+    thresholds = matrices.check_positive(epsilon, "epsilon") * y_norms
     max_iter = a.m if max_iter is None else matrices.check_int(max_iter, "max_iter", 1)
     return _pursue(a, _Live(a, stack, y_norms, thresholds), max_iter)
 
@@ -467,15 +458,16 @@ def exhaustive_l0_search(
     a: matrices.MeasurementMatrix,
     y,
     k_max: int,
-    epsilon: float,
+    epsilon: float = DEFAULT_RELATIVE_EPSILON,
     max_subsets: int = coherence.DEFAULT_MAX_SUBSETS,
     strict: bool = False,
 ) -> L0Report:
     """Enumerate every support of size 1..k_max and keep the consistent ones.
 
     A support qualifies when its full-rank least-squares fit leaves a
-    residual of at most epsilon * ||y|| and every fitted value is nonzero
-    (supports that fit only by zeroing entries belong to a smaller k).
+    residual of at most epsilon * ||y|| and every fitted value is above
+    ZERO_TOL * ||y|| in magnitude (supports that fit only by zeroing entries
+    belong to a smaller k). Both tests scale with y, as the pursuit's do.
     Solutions are ordered by (size, lexicographic), so the minimal-size
     explanations come first and non-uniqueness shows up as several entries
     of the same size. Computationally infeasible beyond desk scale, which
@@ -486,7 +478,7 @@ def exhaustive_l0_search(
     k_max = matrices.check_int(k_max, "k_max", 1, a.m)
     epsilon = matrices.check_positive(epsilon, "epsilon")
     scan = coherence.SubsetScan(a.n, range(1, k_max + 1), max_subsets, strict)
-    threshold = epsilon * float(np.linalg.norm(vec))
+    y_norm = float(np.linalg.norm(vec))
     solutions: list[L0Solution] = []
     for idx in scan.chunks(a.m * a.data.itemsize):
         sub = a.data[:, idx].transpose(1, 0, 2)  # (c, m, size) stack
@@ -497,7 +489,7 @@ def exhaustive_l0_search(
         coef = (u.conj().transpose(0, 2, 1) @ vec) / s
         vals = (vh.conj().transpose(0, 2, 1) @ coef[..., None])[..., 0]
         residual = np.linalg.norm(vec - (sub @ vals[..., None])[..., 0], axis=1)
-        consistent = (residual <= threshold) & (np.min(np.abs(vals), axis=1) > numerics.ZERO_TOL)
+        consistent = (residual <= epsilon * y_norm) & (np.min(np.abs(vals), axis=1) > numerics.ZERO_TOL * y_norm)
         for i in np.flatnonzero(consistent):
             solutions.append(L0Solution(tuple(idx[i].tolist()), vals[i].copy(), float(residual[i])))
     return L0Report(solutions, scan.scanned, scan.total, scan.complete)

@@ -411,6 +411,7 @@ UNREAD_OR_UNKNOWN_KEYS = {
     "dft_rows_seed": (["--family", "partial-dft", "--n", "8", "--rows", "0,2", "--seed", "1"], "got rows and seed"),
     "config_epsilom": ({"epsilom": 1e-3}, "argument 'epsilom'"),
     "config_rows_and_m": ({"matrix": {"family": "partial-dft", "n": 8, "rows": [0, 2], "m": 5}}, "got rows and m"),
+    "config_no_family": ({"matrix": {"m": 7, "n": 14}}, "missing a required argument: 'family'"),
 }
 
 

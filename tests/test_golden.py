@@ -78,7 +78,7 @@ def selection_order(cfg: experiments.ExperimentConfig, batched: bool = False) ->
             for trial in range(cfg.trials):
                 y = recovery.measure(mat, experiments.trial_signal(cfg, mat, k, trial))
                 try:
-                    outcomes.append(recovery.matching_pursuit(mat, y, epsilon=cfg.epsilon, relative=True))
+                    outcomes.append(recovery.matching_pursuit(mat, y, epsilon=cfg.epsilon))
                 except RankDeficientError as exc:
                     outcomes.append(exc)
         out[str(k)] = [

@@ -403,6 +403,7 @@ UNREAD_OR_MISSING_SPEC_KEYS = {
     "etf_seed": ({"family": "etf", "m": 7, "n": 14, "seed": 3}, "argument 'seed'"),
     "subsampling_m": ({"family": "subsampling", "n": 16, "p": 4, "m": 5}, "argument 'm'"),
     "gaussian_no_m": ({"family": "gaussian", "n": 14, "seed": 1}, "argument: 'm'"),
+    "no_family": ({"m": 7, "n": 14}, "argument: 'family'"),
 }
 
 

@@ -8,6 +8,8 @@ and the same RankDeficientError, stall and ValueError outcomes, whether it
 updates the correlations from a cached Gram or recomputes them from A. The
 batched engine must give every trial of a batch exactly what it gets alone.
 """
+import dataclasses
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -25,13 +27,13 @@ VALUE_TOL = 1e-8
 # land on either side of it, depending on evaluation order; a tenth of TIE_TOL,
 # so correlations that all tie at rounding level still count as clean.
 EDGE_TOL = 1e-13
-# Likewise a residual norm this close to the stopping threshold: an absolute
+# Likewise a residual norm this close to the stopping threshold: an
 # epsilon below rounding meets residuals that are rounding noise, and one
 # engine's noise may be exactly zero where the other's is not.
 STOP_TOL = 1e-12
 
 
-def pursuit_by_refit(a, y, epsilon=None, max_iter=None, relative=False):
+def pursuit_by_refit(a, y, epsilon=recovery.DEFAULT_RELATIVE_EPSILON, max_iter=None):
     """(outcome, margin) of the refit loop.
 
     outcome is a RecoveryResult, or the type of the error the loop raised.
@@ -41,10 +43,7 @@ def pursuit_by_refit(a, y, epsilon=None, max_iter=None, relative=False):
     """
     vec = numerics.as_vector(y)
     y_norm = float(np.linalg.norm(vec))
-    if epsilon is None:
-        threshold = recovery.DEFAULT_RELATIVE_EPSILON * y_norm
-    else:
-        threshold = epsilon * y_norm if relative else epsilon
+    threshold = epsilon * y_norm
     max_iter = a.m if max_iter is None else max_iter
     selected = []
     values = np.zeros(0, dtype=np.complex128)
@@ -127,7 +126,7 @@ def pursuit_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(pursuit_cases(), st.sampled_from([None, 1e-6, 1e-300]), st.booleans())
+@given(pursuit_cases(), st.sampled_from([recovery.DEFAULT_RELATIVE_EPSILON, 1e-6, 1e-300]), st.booleans())
 def test_pursuit_matches_refit_oracle(case, epsilon, cached):
     mat, y, max_iter = case
     expected, clear = pursuit_by_refit(mat, y, epsilon, max_iter)
@@ -260,7 +259,7 @@ def test_pursuit_stall_matches_oracle():
 
 
 def test_pursuit_past_m_columns_matches_oracle(tmp_path, capsys):
-    # an absolute epsilon below rounding never stops the run. After m picks every
+    # an epsilon below rounding never stops the run. After m picks every
     # correlation ties at rounding level and index 0 is picked: a stall when it
     # is already selected, else a ValueError, as the refit loop raises
     errors = 0
@@ -366,12 +365,12 @@ def batch_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(batch_cases(), st.sampled_from([None, 1e-6, 1e-300]), st.booleans(), st.booleans())
-def test_batch_matches_each_trial_alone(case, epsilon, relative, cached):
+@given(batch_cases(), st.sampled_from([recovery.DEFAULT_RELATIVE_EPSILON, 1e-6, 1e-300]), st.booleans())
+def test_batch_matches_each_trial_alone(case, epsilon, cached):
     # every product is taken per trial, so a batch reproduces each trial's
     # lone run bit for bit, on either correlation path
     mat, ys, max_iter = case
-    assert_batch_matches_each_trial_alone(with_gram(mat, cached), ys, epsilon, max_iter, relative)
+    assert_batch_matches_each_trial_alone(with_gram(mat, cached), ys, epsilon, max_iter)
 
 
 def test_trial_outcomes_match_each_trial_alone_in_any_batch_size():
@@ -391,7 +390,7 @@ def test_trial_outcomes_match_each_trial_alone_in_any_batch_size():
     lengths = set()
     for k in range(3, 6):
         signals = [experiments.trial_signal(cfg, mat, k, t) for t in range(cfg.trials)]
-        expected = [alone(mat, recovery.measure(mat, x), cfg.epsilon, None, True) for x in signals]
+        expected = [alone(mat, recovery.measure(mat, x), cfg.epsilon) for x in signals]
         lengths |= {(k, r.iterations) for r in expected if not isinstance(r, Exception)}
         for batch_bytes in (1, 3 * (2 * mat.m + mat.n) * 16, experiments.BATCH_BYTES):
             with mock.patch.object(experiments, "BATCH_BYTES", batch_bytes):
@@ -514,3 +513,52 @@ def test_select_column_lowest_index_within_tolerance():
     assert recovery.select_column(np.array([1.0 - 1e-10, 1.0, 0.2]), 1.0) == 1
     assert recovery.select_column(np.array([1.0 - 1e-10, 1.0j]), 100.0) == 0  # scaled by ||y||
     assert recovery.select_column(np.zeros(4), 1.0) == 0
+
+
+# -------------------------------------------------------------------- scale
+
+
+def scaled(result, c):
+    """result with its values and residual norms multiplied by c; an error as it is."""
+    if isinstance(result, Exception):
+        return result
+    return dataclasses.replace(
+        result,
+        values=c * result.values,
+        residual_norm=c * result.residual_norm,
+        residual_trace=tuple(c * r for r in result.residual_trace),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch_cases(), st.integers(-60, 60), st.booleans())
+def test_pursuit_and_oracle_are_scale_equivariant(case, p, cached):
+    # x and c x have the same support and the same certificate, and every
+    # tolerance on a quantity derived from y is relative to ||y||. A power of
+    # two scales every product exactly, so the runs match bit for bit
+    mat, ys, max_iter = case
+    mat, c = with_gram(mat, cached), 2.0**p
+    batch = recovery.pursue_batch(mat, ys, max_iter=max_iter)
+    batch_c = recovery.pursue_batch(mat, c * ys, max_iter=max_iter)
+    assert np.array_equal(batch_c.first_picks, batch.first_picks)
+    k_max = min(3, mat.m)
+    for y, got, expected in zip(ys, batch_c.outcomes, batch.outcomes):
+        assert_same_outcome(got, scaled(expected, c))
+        assert_same_outcome(alone(mat, c * y, recovery.DEFAULT_RELATIVE_EPSILON, max_iter), scaled(expected, c))
+        supports = [s.support for s in recovery.exhaustive_l0_search(mat, y, k_max).solutions]
+        assert [s.support for s in recovery.exhaustive_l0_search(mat, c * y, k_max).solutions] == supports
+
+
+def test_recover_oracle_agrees_on_a_tiny_measurement(tmp_path, capsys):
+    # fig4's 3-sparse signal times 2^-50: its fitted values lie far below
+    # numerics.ZERO_TOL, yet the oracle finds the support the pursuit found
+    mat, support = cli.figure_scenario("fig4")
+    x = recovery.SparseSignal(mat.n, support, np.array([1.0, -0.5, 0.25 + 0.75j]))
+    matrices.save_matrix(mat, tmp_path / "a.json")
+    recovery.save_measurement(2.0**-50 * recovery.measure(mat, x), tmp_path / "y.json")
+    argv = ["recover", "--matrix", str(tmp_path / "a.json"), "--measurements", str(tmp_path / "y.json"), "--oracle"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["recovery"]["support"] == [2, 19, 5]
+    assert [s["support"] for s in payload["oracle"]["solutions"]] == [[2, 5, 19]]
+    assert payload["oracle"]["agrees_with_pursuit"] is True and payload["oracle"]["ambiguous"] is False

@@ -247,9 +247,9 @@ def test_pursuit_hits_iteration_cap(etf14):
 
 def test_pursuit_absolute_vs_relative_epsilon(etf14):
     y = 1e-3 * etf14.data[:, 0]
-    loose = recovery.matching_pursuit(etf14, y, epsilon=1e-2)
+    loose = recovery.matching_pursuit(etf14, y, epsilon=1.0)
     assert loose.converged and loose.iterations == 0
-    tight = recovery.matching_pursuit(etf14, y, epsilon=1e-2, relative=True)
+    tight = recovery.matching_pursuit(etf14, y, epsilon=1e-2)
     assert tight.iterations == 1
 
 
