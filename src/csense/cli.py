@@ -12,11 +12,9 @@ Exit codes: 0 ok, 2 usage or input error, 3 construction failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-from importlib import resources
 
 import numpy as np
 
@@ -28,26 +26,22 @@ from .errors import (
     ZeroColumnError,
 )
 
-_SCENARIO_SUPPORTS = {"fig2": (2, 7), "fig3": (2, 7), "fig4": (2, 5, 19)}
+# name: (matrices.from_spec keywords, support); every nonzero is 1.
+# fig3's rows come from sweep_partial_dft_subsets(16, 12, 500, seed=20260810): they have its least mu,
+# which 14 of its subsets share to within 1e-12, so rounding, not the rows, decides which sorts first.
+_SCENARIOS = {
+    "fig2": ({"family": "etf", "m": 7, "n": 14}, (2, 7)),
+    "fig3": ({"family": "partial-dft", "n": 16, "rows": (0, 1, 2, 3, 4, 5, 7, 10, 11, 12, 14, 15)}, (2, 7)),
+    "fig4": ({"family": "etf", "m": 15, "n": 30}, (2, 5, 19)),
+}
 
 
 def figure_scenario(name: str):
-    """Bundled demo scenario: (matrix, support), unit-valued nonzeros.
-
-    fig2: 7x14 ETF, support (2, 7). fig3: 12x16 partial DFT built from the
-    committed row subset in data/fig3_rows.json, support (2, 7). fig4:
-    15x30 ETF, support (2, 5, 19).
-    """
-    if name not in _SCENARIO_SUPPORTS:
+    """Bundled demo scenario: (matrix, support) from the _SCENARIOS table, unit-valued nonzeros."""
+    if name not in _SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}")
-    if name == "fig2":
-        mat = matrices.build_etf(7, 14)
-    elif name == "fig4":
-        mat = matrices.build_etf(15, 30)
-    else:
-        cfg = json.loads(resources.files("csense").joinpath("data/fig3_rows.json").read_text())
-        mat = matrices.build_partial_dft(cfg["n"], cfg["rows"])
-    return mat, _SCENARIO_SUPPORTS[name]
+    spec, support = _SCENARIOS[name]
+    return matrices.from_spec(**spec), support
 
 
 def _fmt_k_max(k_max) -> str:
@@ -110,11 +104,10 @@ def _cmd_recover(args) -> int:
     return 0 if result.converged else 5
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(path, lines) -> None:
+    """Write CSV text lines, each ending in LF, as every JSON file csense writes does."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _cmd_figure(args) -> int:
@@ -132,16 +125,16 @@ def _cmd_figure(args) -> int:
         [idx] + [v for pair in serialization.complex_to_pairs(row) for v in pair]
         for idx, row in enumerate(estimate.components)
     ]
-    _write_csv(os.path.join(args.outdir, "components.csv"), comp_header, comp_rows)
-
-    est_rows = [[idx, float(abs(estimate.x0[idx]))] for idx in range(mat.n)]
-    _write_csv(os.path.join(args.outdir, "estimate.csv"), ["index", "abs_x0"], est_rows)
-
-    _write_csv(
-        os.path.join(args.outdir, "margins.csv"),
-        ["signal_floor", "disturbance_ceiling"],
-        [[float(margin.signal_floor), float(margin.disturbance_ceiling)]],
-    )
+    tables = {
+        "components.csv": [comp_header, *comp_rows],
+        "estimate.csv": [["index", "abs_x0"]] + [[idx, float(abs(estimate.x0[idx]))] for idx in range(mat.n)],
+        "margins.csv": [
+            ["signal_floor", "disturbance_ceiling"],
+            [float(margin.signal_floor), float(margin.disturbance_ceiling)],
+        ],
+    }
+    for filename, rows in tables.items():
+        _write_csv(os.path.join(args.outdir, filename), (",".join(map(str, row)) for row in rows))
     return 0
 
 
@@ -152,8 +145,7 @@ def _cmd_experiment(args) -> int:
         json.dump(serialization.to_dict(report), fh, indent=2)
         fh.write("\n")
     csv_path = os.path.splitext(args.out)[0] + ".csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(report.csv_lines()) + "\n")
+    _write_csv(csv_path, report.csv_lines())
     print(f"wrote {args.out} and {csv_path}")
     return 0
 
@@ -190,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("figure", help="write the CSV data behind a bundled demo scenario")
-    p.add_argument("--name", required=True, choices=sorted(_SCENARIO_SUPPORTS))
+    p.add_argument("--name", required=True, choices=list(_SCENARIOS))
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=_cmd_figure)
 

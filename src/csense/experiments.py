@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import coherence, matrices, recovery
+from . import coherence, matrices, numerics, recovery
 from .errors import RankDeficientError
 from .serialization import decoding
 
@@ -60,6 +60,8 @@ class ExperimentConfig:
         self.seed = matrices.check_int(self.seed, "seed", 0)
         self.epsilon = matrices.check_positive(self.epsilon, "epsilon")
         self.a_min = matrices.check_positive(self.a_min, "a_min")
+        if self.a_min <= numerics.ZERO_TOL:  # a signal's nonzeros must be above it
+            raise ValueError(f"a_min must be above {numerics.ZERO_TOL:g}, got {self.a_min}")
         self.a_max = matrices.check_positive(self.a_max, "a_max")
         if self.a_min > self.a_max:
             raise ValueError(f"need a_min <= a_max, got {self.a_min} > {self.a_max}")

@@ -50,15 +50,17 @@ def _json_fields(items) -> dict:
 def decoding(what: str):
     """Report JSON of the wrong shape or value as a ValueError("malformed what: ...").
 
-    That is a plain TypeError, ValueError, or OverflowError from an integer too large
-    for a double; their subclasses, such as UnsupportedSizeError, pass through unchanged.
+    That is a plain TypeError, ValueError, OverflowError from an integer too large
+    for a double, or KeyError from a missing key; their subclasses, such as
+    UnsupportedSizeError, pass through unchanged.
     """
     try:
         yield
-    except (TypeError, ValueError, OverflowError) as exc:
-        if type(exc) not in (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError, KeyError) as exc:
+        if type(exc) not in (TypeError, ValueError, OverflowError, KeyError):
             raise
-        raise ValueError(f"malformed {what}: {exc}") from exc
+        detail = f"missing key {exc}" if type(exc) is KeyError else exc
+        raise ValueError(f"malformed {what}: {detail}") from exc
 
 
 def complex_to_pairs(values) -> list[list[float]]:

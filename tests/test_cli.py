@@ -7,6 +7,8 @@ import pytest
 
 from csense import matrices, recovery
 from csense.cli import figure_scenario, main
+from csense.coherence import coherence_index
+from csense.experiments import sweep_partial_dft_subsets
 
 MU14 = 1.0 / math.sqrt(13.0)
 MU30 = 1.0 / math.sqrt(29.0)
@@ -212,7 +214,7 @@ def test_recover_oracle_complete_search(tmp_path, capsys):
     assert err == ""
 
 
-def test_recover_oracle_converts_an_absolute_epsilon(tmp_path, capsys, etf14):
+def test_recover_passes_one_relative_epsilon_to_pursuit_and_oracle(tmp_path, capsys, etf14):
     mat_path, y_path = tmp_path / "etf.json", tmp_path / "y.json"
     matrices.save_matrix(etf14, mat_path)
     x = recovery.SparseSignal(14, (2, 7), np.ones(2, dtype=complex))
@@ -266,6 +268,8 @@ def test_figure_fig2_outputs(tmp_path, capsys):
     assert header == ["index", "component_1_re", "component_1_im", "component_2_re", "component_2_im"]
     for idx, (re1, im1, re2, im2) in components.items():  # the two components sum to x0
         assert abs(complex(re1 + re2, im1 + im2)) == pytest.approx(est[idx], abs=1e-12)
+    for name in ("components.csv", "estimate.csv", "margins.csv"):  # LF lines, like every file csense writes
+        assert b"\r" not in (outdir / name).read_bytes()
 
 
 def test_figure_fig3_uses_committed_rows(tmp_path, capsys):
@@ -275,14 +279,21 @@ def test_figure_fig3_uses_committed_rows(tmp_path, capsys):
     mat, support = figure_scenario("fig3")
     assert mat.m == 12 and mat.n == 16
     assert support == (2, 7)
-    from csense.coherence import coherence_index
-
     mu = coherence_index(mat).mu
     assert mu < 1.0 / 3.0
     with open(outdir / "margins.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert float(rows[0]["signal_floor"]) == pytest.approx(1.0 - mu, abs=1e-12)
     assert float(rows[0]["disturbance_ceiling"]) == pytest.approx(2.0 * mu, abs=1e-12)
+
+
+def test_fig3_rows_come_from_their_sweep():
+    # 14 of the sweep's subsets share its least mu to within 1e-12, so rounding, not the rows,
+    # decides which of them sorts first: check membership and mu, never sweep[0].rows
+    mat, _ = figure_scenario("fig3")
+    sweep = sweep_partial_dft_subsets(16, 12, 500, seed=20260810)
+    assert tuple(mat.meta["rows"]) in {score.rows for score in sweep}
+    assert coherence_index(mat).mu == pytest.approx(sweep[0].mu, abs=1e-12)
 
 
 def test_figure_fig4_margins(tmp_path, capsys):
@@ -436,9 +447,19 @@ BAD_INPUT_FILES = {
         {"matrix": {"family": "etf", "m": 7, "n": 14}, "k_range": [1, 2], "trials": 3, "a_min": 2.0, "a_max": 1.0},
         "need a_min <= a_max, got 2.0 > 1.0",
     ),
+    "a_min_at_zero_tol": (
+        "experiment", "cfg",
+        {
+            "matrix": {"family": "etf", "m": 7, "n": 14}, "k_range": [1, 2], "trials": 3,
+            "amplitude_model": "random_magnitude_phase", "a_min": 1e-16, "a_max": 1e-15,
+        },
+        "a_min must be above 1e-14, got 1e-16",
+    ),
     "measurement_length": ("recover", "y", {"m": 3, "data": [[1, 0], [0, 1]]}, "data holds 2 entries, expected m = 3"),
+    "measurement_no_data": ("recover", "y", {"m": 7}, "malformed measurement: missing key 'data'"),
     "measurement_nan": ("recover", "y", {"m": 7, "data": [[math.nan, 0]] + [[0, 0]] * 6}, "vector entries must be finite"),
     "matrix_family": ("coherence", "etf", {"m": 1, "n": 1, "family": "bogus", "data": [[1, 0]]}, "unknown family 'bogus'"),
+    "matrix_no_m": ("coherence", "etf", {"n": 1, "family": "custom", "data": [[1, 0]]}, "malformed matrix: missing key 'm'"),
 }
 
 

@@ -392,6 +392,13 @@ def test_signal_json_round_trip(tmp_path):
     assert np.array_equal(back.values, x.values)
 
 
+def test_signal_file_without_values_is_a_value_error(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text('{"n": 10, "support": [1, 8]}')
+    with pytest.raises(ValueError, match="^malformed signal: missing key 'values'$"):
+        recovery.load_signal(path)
+
+
 def test_measurement_json_round_trip(tmp_path, etf14):
     y = recovery.measure(etf14, unit_signal(14, (2, 7)))
     path = tmp_path / "y.json"
