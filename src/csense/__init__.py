@@ -42,7 +42,6 @@ from .matrices import (
     from_spec,
     load_matrix,
     normalize_columns,
-    restrict_columns,
     sample_rows,
     save_matrix,
 )

@@ -39,7 +39,6 @@ __all__ = [
     "matrix_to_dict",
     "normalize_columns",
     "paley_conference",
-    "restrict_columns",
     "sample_rows",
     "save_matrix",
     "welch_bound",
@@ -89,11 +88,8 @@ def check_shape(m, n) -> tuple[int, int]:
     return check_int(m, "m", 1, n), n
 
 
-def check_indices(indices, n: int, what: str, out_of_range=ValueError) -> tuple[int, ...]:
-    """indices as a tuple of ints, checked whole, strictly increasing and inside [0, n).
-
-    An index outside [0, n) raises out_of_range, any other fault ValueError.
-    """
+def check_indices(indices, n: int, what: str) -> tuple[int, ...]:
+    """indices as a tuple of ints, checked whole, strictly increasing and inside [0, n); any fault is a ValueError."""
     given = tuple(indices)
     try:
         idx = tuple(map(int, given))
@@ -104,7 +100,7 @@ def check_indices(indices, n: int, what: str, out_of_range=ValueError) -> tuple[
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise ValueError(f"{what} indices must be strictly increasing (no duplicates)")
     if idx and (idx[0] < 0 or idx[-1] >= n):
-        raise out_of_range(f"{what} indices must lie in [0, {n})")
+        raise ValueError(f"{what} indices must lie in [0, {n})")
     return idx
 
 
@@ -153,14 +149,14 @@ class MeasurementMatrix:
 def build_partial_dft(n: int, rows) -> MeasurementMatrix:
     """Keep the listed rows, strictly increasing in range(n), of the n-point inverse-DFT matrix.
 
-    Entry (m, k) is exp(+2j*pi*rows[m]*k/n) / sqrt(M), so each column has
-    M entries of magnitude 1/sqrt(M) and is automatically unit norm.
+    Entry (m, k) is exp(+2j*pi*((rows[m]*k) mod n)/n) / sqrt(M), so each
+    column has M entries of magnitude 1/sqrt(M) and is automatically unit norm.
     """
     m, n = check_shape(len(rows), n)
     rows = check_indices(rows, n, "row")
-    idx = np.asarray(rows, dtype=np.float64)
-    cols = np.arange(n, dtype=np.float64)
-    data = np.exp(2j * np.pi * np.outer(idx, cols) / n) / math.sqrt(m)
+    # the phase index r*k is reduced mod n in integers, so equal phases give equal bits
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    data = roots[np.outer(rows, np.arange(n)) % n] / math.sqrt(m)
     return MeasurementMatrix(m, n, data, "partial-dft", {"rows": list(rows)})
 
 
@@ -228,8 +224,11 @@ def gram_offdiagonal_extremes(a: MeasurementMatrix) -> tuple[float, float]:
     """(largest, smallest) off-diagonal Gram magnitude |<a_k, a_l>|, k != l; (0, 0) for one column."""
     if a.n == 1:
         return 0.0, 0.0
-    off = np.abs(a.gram[~np.eye(a.n, dtype=bool)])
-    return float(np.max(off)), float(np.min(off))
+    mags = np.abs(a.gram)
+    np.fill_diagonal(mags, 0.0)  # below every magnitude: the max is off-diagonal
+    off_max = float(np.max(mags))
+    np.fill_diagonal(mags, np.inf)
+    return off_max, float(np.min(mags))
 
 
 def welch_distance(m: int, n: int, off_max: float, off_min: float) -> float:
@@ -322,14 +321,6 @@ def build_gaussian(m: int, n: int, seed: int = 0) -> MeasurementMatrix:
     u2 = rng.random((m, n))
     g = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
     return MeasurementMatrix(m, n, normalize_columns(g), "gaussian", {"seed": seed})
-
-
-def restrict_columns(a: MeasurementMatrix, support) -> np.ndarray:
-    """Sub-matrix keeping exactly the listed columns (sorted index set)."""
-    idx = check_indices(support, a.n, "support", out_of_range=IndexError)
-    if not idx:
-        raise ValueError("support must not be empty")
-    return a.data[:, list(idx)].copy()
 
 
 def normalize_columns(a) -> np.ndarray:

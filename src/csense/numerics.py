@@ -2,11 +2,10 @@
 
 Everything here is a pure function of its inputs. The rank tolerance, the
 Gram matrix, ZERO_TOL and the input coercions are the ones every module uses.
-The batched scans and the pursuit factor their own stacks, so
-solve_least_squares serves only recovery.ls_recover_known_support, and
-numerical_rank and hermitian_eigen_extremes have no caller in csense: they
-are the one-matrix reference implementations the tests check those engines
-against.
+The batched scans, the least-squares fits and the pursuit factor their own
+stacks, so solve_least_squares, numerical_rank and hermitian_eigen_extremes
+have no caller in csense: they are the one-matrix reference implementations
+the tests check those engines against.
 """
 from __future__ import annotations
 

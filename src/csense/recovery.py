@@ -166,25 +166,46 @@ def decompose_initial_estimate(a: matrices.MeasurementMatrix, x: SparseSignal) -
 def ls_recover_known_support(a: matrices.MeasurementMatrix, support, y) -> SparseSignal:
     """Least-squares fit restricted to the given support columns.
 
-    Fitted entries with magnitude at or below 1e-14 are dropped from the
-    returned support, so a consistent system with extra candidate indices
-    comes back with exact zeros pruned.
+    The fit is exhaustive_l0_search's, so both give the same values for
+    one support. Fitted entries with magnitude at or below ZERO_TOL * ||y||
+    are dropped from the returned support, so a consistent system with
+    extra candidate indices comes back with exact zeros pruned, at any scale
+    of y.
 
     Raises
     ------
     RankDeficientError
         If the selected columns are linearly dependent; for this support
         the measurements cannot pin down a unique coefficient vector.
+    ValueError
+        If the support is not a strictly increasing set of 1 to m column
+        indices, or if every fitted value is numerically zero.
     """
-    sub = matrices.restrict_columns(a, support)
-    if sub.shape[1] > a.m:
-        raise ValueError(f"support size {sub.shape[1]} exceeds measurement count {a.m}")
-    vals = numerics.solve_least_squares(sub, _measurements(a, y))
-    keep = np.abs(vals) > numerics.ZERO_TOL
+    idx = matrices.check_indices(support, a.n, "support")
+    matrices.check_int(len(idx), "support size", 1, a.m)
+    vec = _measurements(a, y)
+    full, vals, _ = _fit(a.data[:, idx][None], vec)
+    if not full[0]:
+        raise RankDeficientError(f"selected columns {list(idx)} are linearly dependent")
+    keep = np.abs(vals[0]) > numerics.ZERO_TOL * np.linalg.norm(vec)
     if not bool(np.any(keep)):
         raise ValueError("every fitted value is numerically zero; nothing to return")
-    kept = tuple(itertools.compress(support, keep))
-    return SparseSignal(a.n, kept, vals[keep])
+    return SparseSignal(a.n, tuple(itertools.compress(idx, keep)), vals[0][keep])
+
+
+def _fit(sub, vec):
+    """Least-squares fit of vec on every (m, size) matrix of a stack, by one thin SVD each.
+
+    Returns the mask of the matrices that pass the shared rank test and, for
+    those only, the values x = V diag(1/s) U^H vec and the residual norms.
+    """
+    u, s, vh = np.linalg.svd(sub, full_matrices=False)
+    full = s[:, -1] > numerics.rank_tolerance(sub.shape[1:], s[:, 0])
+    sub, u, s, vh = sub[full], u[full], s[full], vh[full]
+    coef = (u.conj().transpose(0, 2, 1) @ vec) / s
+    vals = (vh.conj().transpose(0, 2, 1) @ coef[..., None])[..., 0]
+    residual = np.linalg.norm(vec - (sub @ vals[..., None])[..., 0], axis=1)
+    return full, vals, residual
 
 
 def select_column(correlations, scale):
@@ -291,8 +312,9 @@ def pursue_batch(
     Every product is taken row by row, so a trial computes the same numbers
     in any batch as alone. Each step taken adds a basis vector and a column
     of R (m values each) and, with a Gram, a row A^H q (n values) per trial;
-    the room for steps doubles when it runs out, and ended trials leave the
-    batch.
+    the room for steps doubles when it runs out. A trial that ends is
+    recorded at that step and keeps its row, unread, until the whole batch
+    ends.
     """
     stack = numerics.as_matrix(ys)
     if stack.shape[1] != a.m:
@@ -304,7 +326,7 @@ def pursue_batch(
 
 
 class _Live:
-    """State of the trials of a batch that are still running.
+    """State of the trials of a batch.
 
     The per-trial arrays hold one row per trial. The step arrays hold one
     row per step, each with one entry per trial: q[i, t] is the i-th
@@ -313,11 +335,8 @@ class _Live:
     and z[i, t] = q[i, t]^H y. Their room for steps doubles when it runs out.
     """
 
-    STEP_ARRAYS = ("picks", "q", "b", "r", "z", "trace")
-
     def __init__(self, a: matrices.MeasurementMatrix, ys, y_norms, thresholds):
         t = len(ys)
-        self.index = np.arange(t)  # position in the stack
         self.y_norm, self.threshold = y_norms, thresholds
         self.residual = ys.copy()
         self.norm = y_norms.copy()
@@ -329,29 +348,20 @@ class _Live:
         self.z = np.empty((1, t), dtype=np.complex128)
         self.trace = np.empty((1, t))
 
-    def resize(self, room: int, taken: int, rows: np.ndarray | None = None) -> None:
-        """Give the step arrays room for room steps, keeping the taken ones.
-
-        With a boolean mask rows, keep only the trials it marks.
-        """
-        for name, value in vars(self).items():
-            if name in self.STEP_ARRAYS:
-                if value is None:
-                    continue
-                count = value.shape[1] if rows is None else np.count_nonzero(rows)
-                new = np.empty((room, count) + value.shape[2:], dtype=value.dtype)
-                if rows is None:
-                    new[:taken] = value[:taken]
-                else:
-                    np.compress(rows, value[:taken], axis=1, out=new[:taken])
+    def resize(self, room: int, taken: int) -> None:
+        """Give the step arrays room for room steps, keeping the taken ones."""
+        for name in ("picks", "q", "b", "r", "z", "trace"):
+            value = getattr(self, name)
+            if value is not None:
+                new = np.empty((room,) + value.shape[1:], dtype=value.dtype)
+                new[:taken] = value[:taken]
                 setattr(self, name, new)
-            elif rows is not None and isinstance(value, np.ndarray):
-                setattr(self, name, value[rows])
 
 
 def _pursue(a: matrices.MeasurementMatrix, live: _Live, max_iter: int) -> BatchPursuit:
     """Run every trial of live to its end."""
-    outcomes: list = [None] * len(live.index)
+    outcomes: list = [None] * len(live.norm)
+    done = np.zeros(len(outcomes), dtype=bool)
     gram = a.cached_gram
     cap = min(max_iter, a.m)
     # Unit columns give sigma_max(A_S) >= 1 and sigma_min(A_S) <= r_jj, so a
@@ -364,13 +374,12 @@ def _pursue(a: matrices.MeasurementMatrix, live: _Live, max_iter: int) -> BatchP
             first_picks = pick
         stopped = (live.norm <= live.threshold) | (j >= max_iter)
         stalled = (live.picks[:j] == pick).any(axis=0)  # no progress possible
-        ended = live.dependent | stopped | stalled | (j == a.m)
+        ended = ~done & (live.dependent | stopped | stalled | (j == a.m))
         if ended.any():
             _finish(a, live, j, ended, stopped | stalled, outcomes)
-            live.resize(len(live.q), j, ~ended)
-            if not len(live.index):
+            done |= ended
+            if done.all():
                 return BatchPursuit(first_picks, outcomes)
-            pick, correlations = pick[~ended], correlations[~ended]
         if j == len(live.q):
             live.resize(min(2 * j, cap), j)
         v = a.data.T[pick]  # the picked columns, one row per trial
@@ -410,7 +419,7 @@ def _finish(a, live: _Live, k: int, ended, halted, outcomes) -> None:
     """
     picks = live.picks[:k].T
     for i in np.flatnonzero(ended & live.dependent):
-        outcomes[live.index[i]] = RankDeficientError(f"selected columns {picks[i].tolist()} are linearly dependent")
+        outcomes[i] = RankDeficientError(f"selected columns {picks[i].tolist()} are linearly dependent")
     rows = np.flatnonzero(ended & ~live.dependent)
     if not len(rows):
         return
@@ -441,7 +450,7 @@ def _finish(a, live: _Live, k: int, ended, halted, outcomes) -> None:
                 converged=norm <= float(live.threshold[row]),
                 residual_trace=tuple(live.trace[:k, row].tolist()),
             )
-        outcomes[live.index[row]] = outcome
+        outcomes[row] = outcome
 
 
 def _rows_times(x, y):
@@ -481,14 +490,8 @@ def exhaustive_l0_search(
     y_norm = float(np.linalg.norm(vec))
     solutions: list[L0Solution] = []
     for idx in scan.chunks(a.m * a.data.itemsize):
-        sub = a.data[:, idx].transpose(1, 0, 2)  # (c, m, size) stack
-        # one thin SVD per support gives both the rank test and x = V diag(1/s) U^H y
-        u, s, vh = np.linalg.svd(sub, full_matrices=False)
-        full = s[:, -1] > numerics.rank_tolerance(sub.shape[1:], s[:, 0])
-        idx, sub, u, s, vh = idx[full], sub[full], u[full], s[full], vh[full]
-        coef = (u.conj().transpose(0, 2, 1) @ vec) / s
-        vals = (vh.conj().transpose(0, 2, 1) @ coef[..., None])[..., 0]
-        residual = np.linalg.norm(vec - (sub @ vals[..., None])[..., 0], axis=1)
+        full, vals, residual = _fit(a.data[:, idx].transpose(1, 0, 2), vec)  # a (c, m, size) stack
+        idx = idx[full]
         consistent = (residual <= epsilon * y_norm) & (np.min(np.abs(vals), axis=1) > numerics.ZERO_TOL * y_norm)
         for i in np.flatnonzero(consistent):
             solutions.append(L0Solution(tuple(idx[i].tolist()), vals[i].copy(), float(residual[i])))

@@ -176,7 +176,7 @@ def test_criterion_10_rip_identities():
 def test_criterion_11_subsampling_identity_gram():
     rows = matrices.build_subsampling_rows(16, 4)
     mat = matrices.build_partial_dft(16, rows)
-    g = numerics.gram(matrices.restrict_columns(mat, (0, 1, 2, 3)))
+    g = numerics.gram(mat.data[:, :4])
     assert np.max(np.abs(g - np.eye(4))) <= 1e-12
     _ok(11, "subsampled rows restricted to the first 4 columns give an identity Gram")
 

@@ -15,6 +15,7 @@ from csense.errors import UnsupportedSizeError, ZeroColumnError
 
 MU14 = 1.0 / math.sqrt(13.0)
 MU30 = 1.0 / math.sqrt(29.0)
+EPS = np.finfo(np.float64).eps
 
 
 def coherence_by_loops(data):
@@ -118,10 +119,43 @@ def test_check_int_takes_ints_and_whole_floats_only(x):
 
 
 def test_full_dft_gram_is_identity():
+    for n in (1, 4, 8, 60, 64, 256, 512):
+        mat = matrices.build_partial_dft(n, range(n))
+        g = numerics.gram(mat.data)
+        assert np.max(np.abs(g - np.eye(n))) <= n * EPS
     mat = matrices.build_partial_dft(4, (0, 1, 2, 3))
-    g = numerics.gram(mat.data)
-    assert np.max(np.abs(g - np.eye(4))) < 1e-12
     assert np.max(np.abs(np.abs(mat.data) - 0.5)) < 1e-15
+
+
+@st.composite
+def fourier_specs(draw):
+    """Spec of a partial DFT (any rows) or of a subsampling matrix, n <= 512."""
+    n = draw(st.integers(1, 512))
+    if draw(st.booleans()):
+        return {"family": "subsampling", "n": n, "p": draw(st.sampled_from([p for p in range(1, n + 1) if n % p == 0]))}
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return {"family": "partial-dft", "n": n, "rows": sorted(rows)}
+
+
+@given(fourier_specs())
+def test_fourier_mu_matches_the_fft_oracle(spec):
+    # Gram entry (k, l) of rows R is the sum over r in R of w^(r (l - k)) / m: the
+    # DFT of R's indicator at l - k, over m. An extended-precision FFT is exact
+    # enough to judge the matrix; every Gram entry sums m products of magnitude
+    # 1/m, so a few eps of absolute error is rounding (float phases reach 380 eps)
+    mat = matrices.from_spec(**spec)
+    indicator = np.zeros(mat.n, dtype=np.longdouble)
+    indicator[mat.meta["rows"]] = 1.0
+    oracle = float(np.max(np.abs(np.fft.fft(indicator)[1:]), initial=0.0) / mat.m)
+    mu = coherence.coherence_index(mat).mu
+    assert abs(mu - (oracle if oracle > mat.n * EPS else 0.0)) <= 8 * EPS
+
+
+@pytest.mark.parametrize("n, p", [(8, 2), (64, 4), (1024, 8), (4096, 8), (12, 3)])
+def test_aliased_subsampling_columns_are_bit_identical(n, p):
+    # rows r = p i give phase indices r (l + n/p) = r l + i n, equal to r l mod n
+    mat = matrices.from_spec("subsampling", n=n, p=p)
+    assert np.array_equal(mat.data[:, : n - mat.m], mat.data[:, mat.m :])
 
 
 def test_even_rows_duplicate_columns(even_rows_dft8):
@@ -209,6 +243,28 @@ def test_etf_rejects_bad_shape():
         matrices.build_etf(5, 3)
 
 
+@st.composite
+def small_frames(draw):
+    """Unit-column matrices up to 6x12, n = 1 included: complex Gaussian or partial DFT."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, min(n, 6)))
+    if draw(st.booleans()):
+        return matrices.build_partial_dft(n, sorted(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m, unique=True))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = matrices.normalize_columns(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    return matrices.MeasurementMatrix(m, n, data, "custom")
+
+
+@given(small_frames())
+def test_gram_extremes_match_a_loop_over_the_off_diagonal(mat):
+    # magnitudes from numpy's array loop, which may differ from a scalar abs in the last bit
+    mags = np.abs(mat.gram)
+    off = [mags[i, j] for i in range(mat.n) for j in range(mat.n) if i != j]
+    expected = (max(off, default=0.0), min(off, default=0.0))
+    got = matrices.gram_offdiagonal_extremes(mat)
+    assert [x.hex() for x in got] == [float(x).hex() for x in expected]
+
+
 def test_etf_welch_equality(etf14, etf30):
     from csense.coherence import coherence_index, welch_bound
 
@@ -224,7 +280,7 @@ def test_subsampling_restriction_gram_identity():
     rows = matrices.build_subsampling_rows(16, 4)
     assert rows == (0, 4, 8, 12)
     mat = matrices.build_partial_dft(16, rows)
-    sub = matrices.restrict_columns(mat, (0, 1, 2, 3))
+    sub = mat.data[:, :4]
     g = numerics.gram(sub)
     assert np.max(np.abs(g - np.eye(4))) < 1e-12
 
@@ -253,24 +309,6 @@ def test_all_families_unit_columns(etf14, etf30, fig3_dft, even_rows_dft8):
 
 
 # ------------------------------------------------------------- column tools
-
-
-def test_restrict_columns_full_support(etf14):
-    full = matrices.restrict_columns(etf14, tuple(range(14)))
-    assert np.array_equal(full, etf14.data)
-
-
-def test_restrict_columns_pair(etf14):
-    sub = matrices.restrict_columns(etf14, (2, 7))
-    assert sub.shape == (7, 2)
-    assert np.array_equal(sub[:, 0], etf14.data[:, 2])
-
-
-def test_restrict_columns_rejects_unsorted(etf14):
-    with pytest.raises((ValueError, IndexError)):
-        matrices.restrict_columns(etf14, (7, 2))
-    with pytest.raises(IndexError):
-        matrices.restrict_columns(etf14, (0, 14))
 
 
 def test_normalize_columns_idempotent(etf14):

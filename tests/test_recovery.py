@@ -165,6 +165,46 @@ def test_ls_recover_prunes_exact_zeros(etf14):
     assert np.max(np.abs(got.values - 1.0)) < 1e-9
 
 
+@pytest.mark.parametrize("scale", [2.0**20, 2.0**40, 2.0**60])
+def test_ls_recover_prunes_at_every_scale(etf14, scale):
+    # the zero test is relative to ||y||, so c * y prunes the same indices
+    y = recovery.measure(etf14, unit_signal(14, (2, 7)))
+    base = recovery.ls_recover_known_support(etf14, (2, 7, 11), y)
+    got = recovery.ls_recover_known_support(etf14, (2, 7, 11), scale * y)
+    assert got.support == base.support == (2, 7)
+    assert np.array_equal(got.values, scale * base.values)
+
+
+@pytest.mark.parametrize("name, support", [("etf14", (2, 7)), ("etf30", (2, 5, 19)), ("gaussian", (0, 4, 6))])
+def test_ls_recover_values_are_the_oracles(request, name, support):
+    # one fit: the oracle's solution for a support has the known-support fit's values, bit for bit
+    mat = matrices.build_gaussian(6, 9, seed=5) if name == "gaussian" else request.getfixturevalue(name)
+    x = recovery.SparseSignal(mat.n, support, np.array([1.5, -0.5j, 0.25 + 2j][: len(support)]))
+    y = recovery.measure(mat, x)
+    solutions = recovery.exhaustive_l0_search(mat, y, len(support)).solutions
+    (oracle,) = [s for s in solutions if s.support == support]
+    got = recovery.ls_recover_known_support(mat, support, y)
+    assert got.support == support
+    assert np.array_equal(got.values, oracle.values)
+
+
+@pytest.mark.parametrize(
+    "support, message",
+    [
+        ((7, 2), "strictly increasing"),
+        ((2, 2), "strictly increasing"),
+        ((0, 14), r"lie in \[0, 14\)"),
+        ((-1, 2), r"lie in \[0, 14\)"),
+        ((), "support size"),
+        (tuple(range(8)), "support size"),
+    ],
+)
+def test_ls_recover_rejects_bad_supports(etf14, support, message):
+    y = recovery.measure(etf14, unit_signal(14, (2, 7)))
+    with pytest.raises(ValueError, match=message):
+        recovery.ls_recover_known_support(etf14, support, y)
+
+
 # ---------------------------------------------------------- matching pursuit
 
 
