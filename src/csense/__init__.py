@@ -19,7 +19,6 @@ from .coherence import (
 )
 from .errors import (
     DimensionMismatchError,
-    InfeasibleScanError,
     NotHermitianError,
     RankDeficientError,
     UnsupportedSizeError,

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrices, numerics
-from .errors import InfeasibleScanError
 from .matrices import welch_bound
 
 # is_etf: largest matrices.welch_distance of an equiangular tight frame.
@@ -75,7 +74,7 @@ class RipReport:
 def sparsity_bound(mu: float) -> float | None:
     """The strict upper bound (1 + 1/mu)/2 on sparsity, in floating point; None when mu == 0."""
     x = float(mu)
-    if x != mu or not 0.0 <= x <= 1.0:  # a numeric string or NaN is not a coherence
+    if x != mu or isinstance(mu, (bool, np.bool_)) or not 0.0 <= x <= 1.0:  # nor is a string, NaN or a bool
         raise ValueError(f"coherence must be a number in [0, 1], got {mu!r}")
     return None if x == 0.0 else 0.5 * (1.0 + 1.0 / x)
 
@@ -117,17 +116,12 @@ def coherence_index(a: matrices.MeasurementMatrix) -> CoherenceReport:
 
 
 class SubsetScan:
-    """Subsets of range(n) by size, then lexicographically, cut off after max_subsets.
+    """Subsets of range(n) by size, then lexicographically, cut off after max_subsets."""
 
-    strict=True raises InfeasibleScanError up front when the total exceeds the budget.
-    """
-
-    def __init__(self, n: int, sizes, max_subsets: int, strict: bool):
+    def __init__(self, n: int, sizes, max_subsets: int):
         max_subsets = matrices.check_int(max_subsets, "the subset budget", 0)
         self.n, self.sizes, self.max_subsets = n, tuple(sizes), max_subsets
         self.total = sum(math.comb(n, size) for size in self.sizes)
-        if strict and self.total > max_subsets:
-            raise InfeasibleScanError(f"{self.total} subsets exceed the budget of {max_subsets}")
         self.scanned = 0
 
     @property
@@ -152,18 +146,16 @@ def uniqueness_rank_scan(
     a: matrices.MeasurementMatrix,
     k: int,
     max_subsets: int = DEFAULT_MAX_SUBSETS,
-    strict: bool = False,
 ) -> UniquenessReport:
     """Check that every 2k-column sub-matrix has full rank 2k.
 
     Full rank for all subsets rules out two distinct k-sparse vectors
     explaining the same measurements. Subsets are visited in lexicographic
     order and the witness is the first failure. Only the first max_subsets
-    subsets are scanned; with strict=True an over-budget enumeration raises
-    InfeasibleScanError instead of truncating.
+    subsets are scanned, and complete says whether that was all of them.
     """
     k = matrices.check_int(k, "sparsity k", 1, a.m // 2)  # 2k columns must fit in m rows
-    scan = SubsetScan(a.n, (2 * k,), max_subsets, strict)
+    scan = SubsetScan(a.n, (2 * k,), max_subsets)
     witness = None
     min_cond = math.inf
     max_cond = 0.0
@@ -185,7 +177,6 @@ def rip_constant(
     a: matrices.MeasurementMatrix,
     k: int,
     max_subsets: int = DEFAULT_MAX_SUBSETS,
-    strict: bool = False,
 ) -> RipReport:
     """Brute-force isometry constant over k-column subsets.
 
@@ -194,7 +185,7 @@ def rip_constant(
     certificate is combinatorial, hence the budget guard.
     """
     k = matrices.check_int(k, "sparsity k", 1, a.m)
-    scan = SubsetScan(a.n, (k,), max_subsets, strict)
+    scan = SubsetScan(a.n, (k,), max_subsets)
     g = a.gram
     delta = 0.0
     for idx in scan.chunks(k * g.itemsize):

@@ -19,7 +19,3 @@ class ZeroColumnError(ValueError):
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible dimensions."""
-
-
-class InfeasibleScanError(RuntimeError):
-    """A combinatorial scan exceeds the configured subset budget."""

@@ -51,19 +51,21 @@ FALLBACK_GRAM_TOL = 1e-3
 
 _FALLBACK_MAX_ITERS = 10_000
 _FALLBACK_SEED = 61803
+# JSON true and false parse to these; they compare equal to 1 and 0 but are not numbers.
+_BOOLS = frozenset((bool, np.bool_))
 
 
 def check_int(value, what: str, low: int, high: int | None = None) -> int:
     """value as an int in [low, high] (no upper bound when high is None).
 
     An int or a whole float such as 7.0 is accepted; a fractional,
-    non-finite or non-numeric value, or one out of range, is a ValueError.
+    non-finite, boolean or non-numeric value, or one out of range, is a ValueError.
     """
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):
         whole = None
-    if whole is None or whole != value:
+    if whole is None or whole != value or type(value) in _BOOLS:
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     if whole < low or (high is not None and whole > high):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
@@ -72,12 +74,12 @@ def check_int(value, what: str, low: int, high: int | None = None) -> int:
 
 
 def check_positive(value, what: str) -> float:
-    """value as a positive, finite float; anything else (NaN or a numeric string included) is a ValueError."""
+    """value as a positive, finite float; anything else (NaN, a numeric string or a bool included) is a ValueError."""
     try:
         x = float(value)
     except (TypeError, ValueError):
         x = math.nan
-    if x != value or not 0.0 < x < math.inf:
+    if x != value or type(value) in _BOOLS or not 0.0 < x < math.inf:
         raise ValueError(f"{what} must be a positive, finite number, got {value!r}")
     return x
 
@@ -95,7 +97,7 @@ def check_indices(indices, n: int, what: str) -> tuple[int, ...]:
         idx = tuple(map(int, given))
     except (TypeError, ValueError, OverflowError):
         idx = ()
-    if idx != given:  # 2.0 == 2 passes, 2.5 != 2 and a failed conversion do not
+    if idx != given or not _BOOLS.isdisjoint(map(type, given)):  # 2.0 == 2 passes, 2.5 != 2 and True do not
         raise ValueError(f"{what} indices must be whole numbers, got {given}")
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise ValueError(f"{what} indices must be strictly increasing (no duplicates)")

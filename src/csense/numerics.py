@@ -1,7 +1,10 @@
 """Dense complex linear algebra with one shared notion of numerical rank.
 
 Everything here is a pure function of its inputs. The rank tolerance, the
-Gram matrix, ZERO_TOL and the input coercions are the ones every module uses.
+Gram matrix and the input coercions are the ones every module uses. ZERO_TOL
+is the zero test on column norms and signal entries and, times ||y||, on
+fitted values; coherence_index and the pursuit's pivot test scale theirs
+with the problem (n * eps and m * eps).
 The batched scans, the least-squares fits and the pursuit factor their own
 stacks, so solve_least_squares, numerical_rank and hermitian_eigen_extremes
 have no caller in csense: they are the one-matrix reference implementations

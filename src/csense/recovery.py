@@ -469,7 +469,6 @@ def exhaustive_l0_search(
     k_max: int,
     epsilon: float = DEFAULT_RELATIVE_EPSILON,
     max_subsets: int = coherence.DEFAULT_MAX_SUBSETS,
-    strict: bool = False,
 ) -> L0Report:
     """Enumerate every support of size 1..k_max and keep the consistent ones.
 
@@ -481,12 +480,12 @@ def exhaustive_l0_search(
     explanations come first and non-uniqueness shows up as several entries
     of the same size. Computationally infeasible beyond desk scale, which
     is exactly what the budget guard documents: only the first max_subsets
-    supports are fitted (strict=True raises InfeasibleScanError instead).
+    supports are fitted, and complete says whether that was all of them.
     """
     vec = _measurements(a, y)
     k_max = matrices.check_int(k_max, "k_max", 1, a.m)
     epsilon = matrices.check_positive(epsilon, "epsilon")
-    scan = coherence.SubsetScan(a.n, range(1, k_max + 1), max_subsets, strict)
+    scan = coherence.SubsetScan(a.n, range(1, k_max + 1), max_subsets)
     y_norm = float(np.linalg.norm(vec))
     solutions: list[L0Solution] = []
     for idx in scan.chunks(a.m * a.data.itemsize):

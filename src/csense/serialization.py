@@ -8,6 +8,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -35,10 +36,15 @@ def to_dict(record) -> dict:
 
 
 def _json_fields(items) -> dict:
-    """asdict's dict_factory: tuples become lists, complex arrays [re, im] pairs."""
+    """asdict's dict_factory: tuples become lists, complex arrays [re, im] pairs, inf and NaN null.
+
+    JSON (RFC 8259) has no Infinity or NaN, so a non-finite float field is written as null.
+    """
     out = {}
     for name, value in items:
-        if isinstance(value, tuple):
+        if isinstance(value, float) and not math.isfinite(value):
+            value = None
+        elif isinstance(value, tuple):
             value = list(value)
         elif isinstance(value, np.ndarray) and np.iscomplexobj(value):
             value = complex_to_pairs(value)

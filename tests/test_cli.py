@@ -20,6 +20,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """Parse text as RFC 8259 JSON: Infinity, -Infinity and NaN are errors."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def write_example1_inputs(tmp_path):
     mat = matrices.build_partial_dft(8, (0, 2, 4, 6))
     mat_path = tmp_path / "ex1.json"
@@ -90,7 +99,7 @@ def test_printed_mu_round_trips_through_coherence(tmp_path, capsys):
     printed_mu = float(dict(line.split(" = ") for line in stdout.strip().splitlines())["mu"])
     code, stdout, _ = run(capsys, "coherence", "--matrix", str(out))
     assert code == 0
-    assert json.loads(stdout)["coherence"]["mu"] == printed_mu
+    assert strict_json(stdout)["coherence"]["mu"] == printed_mu
 
 
 # ---------------------------------------------------------------- coherence
@@ -100,7 +109,7 @@ def test_coherence_uniqueness_witness(tmp_path, capsys):
     mat_path, _ = write_example1_inputs(tmp_path)
     code, stdout, _ = run(capsys, "coherence", "--matrix", str(mat_path), "--uniqueness-k", "1")
     assert code == 0
-    payload = json.loads(stdout)
+    payload = strict_json(stdout)
     assert payload["uniqueness"]["all_full_rank"] is False
     assert payload["uniqueness"]["witness"] == [0, 4]
 
@@ -110,7 +119,7 @@ def test_coherence_rip_pairs(tmp_path, capsys):
     run(capsys, "gen-matrix", "--family", "etf", "--m", "7", "--n", "14", "--out", str(out))
     code, stdout, _ = run(capsys, "coherence", "--matrix", str(out), "--rip-k", "2")
     assert code == 0
-    payload = json.loads(stdout)
+    payload = strict_json(stdout)
     assert payload["rip"]["delta"] == pytest.approx(payload["coherence"]["mu"], abs=1e-10)
 
 
@@ -119,7 +128,7 @@ def test_coherence_scans_report_completeness(tmp_path, capsys):
     run(capsys, "gen-matrix", "--family", "etf", "--m", "7", "--n", "14", "--out", str(out))
     code, stdout, _ = run(capsys, "coherence", "--matrix", str(out), "--uniqueness-k", "1", "--rip-k", "2")
     assert code == 0
-    payload = json.loads(stdout)
+    payload = strict_json(stdout)
     assert payload["uniqueness"]["complete"] is True and payload["uniqueness"]["all_full_rank"] is True
     assert (payload["rip"]["subsets_scanned"], payload["rip"]["total_subsets"], payload["rip"]["complete"]) == (91, 91, True)
 
@@ -127,9 +136,35 @@ def test_coherence_scans_report_completeness(tmp_path, capsys):
 def test_coherence_infeasible_scan_exits_4(tmp_path, capsys):
     out = tmp_path / "etf.json"
     run(capsys, "gen-matrix", "--family", "etf", "--m", "15", "--n", "30", "--out", str(out))
-    code, _, err = run(capsys, "coherence", "--matrix", str(out), "--uniqueness-k", "3", "--max-subsets", "100")
+    code, stdout, err = run(capsys, "coherence", "--matrix", str(out), "--uniqueness-k", "3", "--max-subsets", "100")
     assert code == 4
     assert "593775" in err
+    report = strict_json(stdout)["uniqueness"]
+    assert (report["scanned"], report["total_subsets"], report["complete"]) == (100, 593775, False)
+    # a zero budget counts the subsets of every scan and scans none of them
+    argv = ["coherence", "--matrix", str(out), "--uniqueness-k", "2", "--rip-k", "3", "--max-subsets", "0"]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 4
+    payload = strict_json(stdout)
+    uniqueness, rip = payload["uniqueness"], payload["rip"]
+    assert (uniqueness["scanned"], uniqueness["total_subsets"], uniqueness["complete"]) == (0, 27405, False)
+    assert (uniqueness["all_full_rank"], uniqueness["min_cond"], uniqueness["max_cond"]) == (None, None, None)
+    assert (rip["subsets_scanned"], rip["total_subsets"], rip["complete"]) == (0, 4060, False)
+    assert "0 of 27405" in err and "0 of 4060" in err and len(err.splitlines()) == 2
+    assert payload["coherence"]["mu"] == pytest.approx(MU30, abs=1e-12)
+
+
+def test_coherence_report_of_equal_columns_is_json(tmp_path, capsys):
+    # every pair of three equal columns is rank deficient, so no condition number exists
+    path = tmp_path / "equal.json"
+    col = [[1 / math.sqrt(2), 0.0]] * 2
+    path.write_text(json.dumps({"m": 2, "n": 3, "family": "custom", "data": col * 3}))
+    code, stdout, _ = run(capsys, "coherence", "--matrix", str(path), "--uniqueness-k", "1")
+    assert code == 0
+    report = strict_json(stdout)["uniqueness"]
+    assert (report["all_full_rank"], report["witness"], report["min_cond"], report["max_cond"]) == (False, [0, 1], None, None)
+    with pytest.raises(ValueError, match="Infinity is not JSON"):
+        strict_json('{"min_cond": Infinity}')
 
 
 def test_coherence_missing_file_exits_2(tmp_path, capsys):
@@ -140,9 +175,11 @@ def test_coherence_missing_file_exits_2(tmp_path, capsys):
 def test_coherence_negative_budget_exits_2(tmp_path, capsys):
     out = tmp_path / "etf.json"
     run(capsys, "gen-matrix", "--family", "etf", "--m", "7", "--n", "14", "--out", str(out))
-    code, _, err = run(capsys, "coherence", "--matrix", str(out), "--uniqueness-k", "2", "--max-subsets", "-1")
-    assert code == 2
-    assert err.startswith("error:") and "infeasible" not in err
+    for scans in (["--uniqueness-k", "2"], []):
+        code, stdout, err = run(capsys, "coherence", "--matrix", str(out), *scans, "--max-subsets", "-1")
+        assert code == 2
+        assert err.startswith("error:") and "infeasible" not in err
+        assert stdout == ""
 
 
 @pytest.mark.parametrize(
@@ -173,7 +210,7 @@ def test_recover_two_sparse(tmp_path, capsys):
     recovery.save_measurement(recovery.measure(mat, x), y_path)
     code, stdout, _ = run(capsys, "recover", "--matrix", str(mat_path), "--measurements", str(y_path))
     assert code == 0
-    payload = json.loads(stdout)
+    payload = strict_json(stdout)
     assert sorted(payload["recovery"]["support"]) == [2, 7]
     assert payload["recovery"]["converged"] is True
 
@@ -182,7 +219,7 @@ def test_recover_oracle_flags_ambiguity(tmp_path, capsys):
     mat_path, y_path = write_example1_inputs(tmp_path)
     code, stdout, _ = run(capsys, "recover", "--matrix", str(mat_path), "--measurements", str(y_path), "--oracle")
     assert code == 0
-    payload = json.loads(stdout)
+    payload = strict_json(stdout)
     supports = [sol["support"] for sol in payload["oracle"]["solutions"]]
     assert supports == [[0], [4]]
     assert payload["oracle"]["ambiguous"] is True
@@ -198,7 +235,7 @@ def test_recover_oracle_says_when_budget_cut_it_short(tmp_path, capsys):
     recovery.save_measurement(recovery.measure(mat, x), y_path)
     code, stdout, err = run(capsys, "recover", "--matrix", str(mat_path), "--measurements", str(y_path), "--oracle")
     assert code == 0
-    payload = json.loads(stdout)
+    payload = strict_json(stdout)
     assert sorted(payload["recovery"]["support"]) == [40, 50, 55, 60]
     oracle = payload["oracle"]
     assert (oracle["scanned"], oracle["total"], oracle["complete"]) == (100_000, 679_120, False)
@@ -209,7 +246,7 @@ def test_recover_oracle_says_when_budget_cut_it_short(tmp_path, capsys):
 def test_recover_oracle_complete_search(tmp_path, capsys):
     mat_path, y_path = write_example1_inputs(tmp_path)
     code, stdout, err = run(capsys, "recover", "--matrix", str(mat_path), "--measurements", str(y_path), "--oracle")
-    oracle = json.loads(stdout)["oracle"]
+    oracle = strict_json(stdout)["oracle"]
     assert (oracle["scanned"], oracle["total"], oracle["complete"]) == (8, 8, True)
     assert err == ""
 
@@ -222,7 +259,7 @@ def test_recover_passes_one_relative_epsilon_to_pursuit_and_oracle(tmp_path, cap
     argv = ["recover", "--matrix", str(mat_path), "--measurements", str(y_path), "--oracle", "--epsilon", "1e-9"]
     code, stdout, _ = run(capsys, *argv)
     assert code == 0
-    payload = json.loads(stdout)
+    payload = strict_json(stdout)
     assert sorted(payload["recovery"]["support"]) == [2, 7] and payload["recovery"]["converged"] is True
     assert payload["oracle"]["agrees_with_pursuit"] is True and payload["oracle"]["ambiguous"] is False
 
@@ -238,7 +275,7 @@ def test_recover_not_converged_exits_5(tmp_path, capsys):
         capsys, "recover", "--matrix", str(mat_path), "--measurements", str(y_path), "--max-iter", "1"
     )
     assert code == 5
-    payload = json.loads(stdout)  # best effort still printed
+    payload = strict_json(stdout)  # best effort still printed
     assert payload["recovery"]["converged"] is False
 
 
@@ -322,7 +359,7 @@ def test_experiment_minimal_config(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, _, _ = run(capsys, "experiment", "--config", str(cfg_path), "--out", str(out))
     assert code == 0
-    payload = json.loads(out.read_text())
+    payload = strict_json(out.read_text())
     assert payload["rows"][0]["k"] == 1
     csv_text = (tmp_path / "report.csv").read_text()
     assert csv_text.splitlines()[0] == "k,trials,first_pick_rate,exact_rate,mean_iters"
@@ -341,7 +378,7 @@ def test_experiment_certified_regime_and_reruns_identical(tmp_path, capsys):
     out = tmp_path / "report.json"
     run(capsys, "experiment", "--config", str(cfg_path), "--out", str(out))
     first = out.read_bytes(), (tmp_path / "report.csv").read_bytes()
-    payload = json.loads(first[0])
+    payload = strict_json(first[0])
     assert all(row["exact_recovery_rate"] == 1.0 for row in payload["rows"])
     run(capsys, "experiment", "--config", str(cfg_path), "--out", str(out))
     second = out.read_bytes(), (tmp_path / "report.csv").read_bytes()
@@ -391,6 +428,10 @@ FRACTIONAL_OR_NAN = {
     "epsilon_string": ("experiment", {"epsilon": "1e-3"}, "epsilon must be a positive, finite number, got '1e-3'"),
     "matrix_m": ("coherence", {"m": 7.5}, "m must be a whole number, got 7.5"),
     "recover_epsilon": ("recover", {}, "epsilon must be a positive, finite number, got nan"),
+    "k_range_true": ("experiment", {"k_range": [1, True]}, "k_range high must be a whole number, got True"),
+    "trials_true": ("experiment", {"trials": True}, "trials must be a whole number, got True"),
+    "epsilon_true": ("experiment", {"epsilon": True}, "epsilon must be a positive, finite number, got True"),
+    "matrix_m_true": ("coherence", {"m": True}, "m must be a whole number, got True"),
 }
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from csense import coherence, matrices, numerics
-from csense.errors import InfeasibleScanError
 from csense.serialization import to_dict
 
 MU14 = 1.0 / math.sqrt(13.0)
@@ -62,6 +61,9 @@ def test_max_sparsity_boundaries():
         coherence.max_sparsity(1.5)
     with pytest.raises(ValueError, match=r"coherence must be a number in \[0, 1\], got '0.3'"):
         coherence.sparsity_bound("0.3")
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError, match=r"coherence must be a number in \[0, 1\], got (np\.)?(True|False)"):
+            coherence.sparsity_bound(flag)
 
 
 def test_max_sparsity_monotone():
@@ -184,8 +186,6 @@ def test_uniqueness_scan_truncation_and_strict(etf14):
     rep = coherence.uniqueness_rank_scan(etf14, 2, max_subsets=10)
     assert rep.scanned == 10
     assert rep.total_subsets == 1001
-    with pytest.raises(InfeasibleScanError):
-        coherence.uniqueness_rank_scan(etf14, 2, max_subsets=10, strict=True)
 
 
 def test_uniqueness_scan_requires_2k_measurements(etf14):
@@ -226,8 +226,6 @@ def test_rip_etf_triples_match_charpoly_oracle(etf14):
 
 
 def test_rip_budget_guard(etf30):
-    with pytest.raises(InfeasibleScanError):
-        coherence.rip_constant(etf30, 3, max_subsets=100, strict=True)
     rep = coherence.rip_constant(etf30, 3, max_subsets=100)
     assert rep.subsets_scanned == 100
 

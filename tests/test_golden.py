@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from csense import experiments, matrices, recovery
-from csense.coherence import coherence_index
 from csense.cli import figure_scenario, main
 from csense.errors import RankDeficientError
 from csense.serialization import to_dict
@@ -68,7 +67,7 @@ def selection_order(cfg: experiments.ExperimentConfig, batched: bool = False) ->
     """
     mat = matrices.from_spec(**cfg.matrix)
     if batched:
-        coherence_index(mat)  # run_experiment's matrix holds its Gram
+        mat.gram  # run_experiment's matrix holds its Gram
     out = {}
     for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
         if batched:

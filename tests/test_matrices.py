@@ -79,6 +79,12 @@ FRACTIONAL_OR_NON_FINITE_CALLS = {
     "exhaustive_l0_search_inf": lambda a: recovery.exhaustive_l0_search(a, a.data[:, 2], 2, math.inf),
     "a_max_inf": lambda a: ExperimentConfig({"family": "etf", "m": 7, "n": 14}, (1, 2), 3, a_max=math.inf),
     "epsilon_string": lambda a: ExperimentConfig({"family": "etf", "m": 7, "n": 14}, (1, 2), 3, epsilon="1e-3"),
+    "trials_true": lambda a: ExperimentConfig({"family": "etf", "m": 7, "n": 14}, (1, True), True),
+    "epsilon_true": lambda a: ExperimentConfig({"family": "etf", "m": 7, "n": 14}, (1, 2), 3, epsilon=True),
+    "rows_bool": lambda a: matrices.check_indices((False, True, 3), 5, "row"),
+    "rows_numpy_bool": lambda a: matrices.build_partial_dft(8, np.array([False, True])),
+    "measurement_m_true": lambda a: recovery.measurement_from_dict({"m": True, "data": [[1.0, 0.0]]}),
+    "uniqueness_k_numpy_true": lambda a: coherence.uniqueness_rank_scan(a, np.True_),
 }
 
 

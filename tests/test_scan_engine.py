@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csense import coherence, matrices, numerics, recovery
-from csense.errors import InfeasibleScanError
 from csense.serialization import to_dict
 
 from test_coherence import rip_by_charpoly
@@ -204,13 +203,12 @@ def test_zero_budget_scans_nothing_and_says_so():
 
 
 def test_negative_budget_is_an_input_error(even_rows_dft8):
-    for strict in (False, True):
-        with pytest.raises(ValueError, match="budget"):
-            coherence.uniqueness_rank_scan(even_rows_dft8, 1, max_subsets=-1, strict=strict)
-        with pytest.raises(ValueError, match="budget"):
-            coherence.rip_constant(even_rows_dft8, 2, max_subsets=-1, strict=strict)
-        with pytest.raises(ValueError, match="budget"):
-            recovery.exhaustive_l0_search(even_rows_dft8, np.ones(4), 1, 1e-8, max_subsets=-1, strict=strict)
+    with pytest.raises(ValueError, match="budget"):
+        coherence.uniqueness_rank_scan(even_rows_dft8, 1, max_subsets=-1)
+    with pytest.raises(ValueError, match="budget"):
+        coherence.rip_constant(even_rows_dft8, 2, max_subsets=-1)
+    with pytest.raises(ValueError, match="budget"):
+        recovery.exhaustive_l0_search(even_rows_dft8, np.ones(4), 1, 1e-8, max_subsets=-1)
 
 
 def test_truncated_scan_with_witness_is_still_decided(even_rows_dft8):
@@ -233,16 +231,14 @@ def test_scan_memory_is_bounded_by_the_chunk(etf30):
 
 
 def test_subset_scan_enumerates_in_order_and_stops_at_budget():
-    scan = coherence.SubsetScan(6, (1, 2), 12, strict=False)
+    scan = coherence.SubsetScan(6, (1, 2), 12)
     rows = [tuple(r) for c in scan.chunks(16) for r in c.tolist()]
     expected = [(i,) for i in range(6)] + list(itertools.combinations(range(6), 2))
     assert rows == expected[:12]
     assert (scan.scanned, scan.total, scan.complete) == (12, 21, False)
-    scan = coherence.SubsetScan(6, (2,), 100, strict=True)
+    scan = coherence.SubsetScan(6, (2,), 100)
     with mock.patch.object(coherence, "SCAN_CHUNK_BYTES", 3 * 2 * 16):
         chunks = list(scan.chunks(16))
     assert [len(c) for c in chunks] == [3, 3, 3, 3, 3]
     assert [tuple(r) for c in chunks for r in c.tolist()] == list(itertools.combinations(range(6), 2))
     assert scan.complete
-    with pytest.raises(InfeasibleScanError):
-        coherence.SubsetScan(6, (2,), 14, strict=True)
