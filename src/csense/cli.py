@@ -140,12 +140,14 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    csv_path = os.path.splitext(args.out)[0] + ".csv"
+    if csv_path == args.out:
+        raise ValueError(f"--out {args.out} is also the CSV path; give the report another extension, such as .json")
     cfg = experiments.ExperimentConfig.from_dict(serialization.load_json(args.config))
     report = experiments.run_experiment(cfg)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(serialization.to_dict(report), fh, indent=2)
         fh.write("\n")
-    csv_path = os.path.splitext(args.out)[0] + ".csv"
     _write_csv(csv_path, report.csv_lines())
     print(f"wrote {args.out} and {csv_path}")
     return 0
@@ -178,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--epsilon", type=float, default=recovery.DEFAULT_RELATIVE_EPSILON, help="residual stop threshold, relative to ||y||"
     )
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--max-iter", type=int, default=None, help="iteration cap, 1 to m (default m)")
     p.add_argument("--oracle", action="store_true", help="cross-check against the exhaustive search")
     p.set_defaults(func=_cmd_recover)
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import matrices, numerics
 from .matrices import welch_bound
+from .serialization import BOOLS
 
 # is_etf: largest matrices.welch_distance of an equiangular tight frame.
 ETF_WELCH_TOL = 1e-6
@@ -74,7 +75,7 @@ class RipReport:
 def sparsity_bound(mu: float) -> float | None:
     """The strict upper bound (1 + 1/mu)/2 on sparsity, in floating point; None when mu == 0."""
     x = float(mu)
-    if x != mu or isinstance(mu, (bool, np.bool_)) or not 0.0 <= x <= 1.0:  # nor is a string, NaN or a bool
+    if x != mu or type(mu) in BOOLS or not 0.0 <= x <= 1.0:  # nor is a string, NaN or a bool
         raise ValueError(f"coherence must be a number in [0, 1], got {mu!r}")
     return None if x == 0.0 else 0.5 * (1.0 + 1.0 / x)
 

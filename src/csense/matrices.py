@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics
 from .errors import UnsupportedSizeError, ZeroColumnError
-from .serialization import complex_to_pairs, decoding, load_json, pairs_to_complex, save_json
+from .serialization import BOOLS, complex_to_pairs, decoding, load_json, pairs_to_complex, save_json
 
 __all__ = [
     "SPEC_BUILDERS",
@@ -51,8 +51,6 @@ FALLBACK_GRAM_TOL = 1e-3
 
 _FALLBACK_MAX_ITERS = 10_000
 _FALLBACK_SEED = 61803
-# JSON true and false parse to these; they compare equal to 1 and 0 but are not numbers.
-_BOOLS = frozenset((bool, np.bool_))
 
 
 def check_int(value, what: str, low: int, high: int | None = None) -> int:
@@ -65,7 +63,7 @@ def check_int(value, what: str, low: int, high: int | None = None) -> int:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):
         whole = None
-    if whole is None or whole != value or type(value) in _BOOLS:
+    if whole is None or whole != value or type(value) in BOOLS:
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     if whole < low or (high is not None and whole > high):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
@@ -79,7 +77,7 @@ def check_positive(value, what: str) -> float:
         x = float(value)
     except (TypeError, ValueError):
         x = math.nan
-    if x != value or type(value) in _BOOLS or not 0.0 < x < math.inf:
+    if x != value or type(value) in BOOLS or not 0.0 < x < math.inf:
         raise ValueError(f"{what} must be a positive, finite number, got {value!r}")
     return x
 
@@ -97,7 +95,7 @@ def check_indices(indices, n: int, what: str) -> tuple[int, ...]:
         idx = tuple(map(int, given))
     except (TypeError, ValueError, OverflowError):
         idx = ()
-    if idx != given or not _BOOLS.isdisjoint(map(type, given)):  # 2.0 == 2 passes, 2.5 != 2 and True do not
+    if idx != given or not BOOLS.isdisjoint(map(type, given)):  # 2.0 == 2 passes, 2.5 != 2 and True do not
         raise ValueError(f"{what} indices must be whole numbers, got {given}")
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise ValueError(f"{what} indices must be strictly increasing (no duplicates)")

@@ -248,8 +248,8 @@ def matching_pursuit(
         Stopping threshold on the residual l2 norm, relative to ||y||, so
         x and c * x give the same run.
     max_iter : int, optional
-        Iteration cap; defaults to a.m (further columns cannot be
-        independent).
+        Iteration cap, 1 to a.m; defaults to a.m (further columns cannot
+        be independent).
 
     Returns
     -------
@@ -265,8 +265,7 @@ def matching_pursuit(
         the shared rank tolerance max(m, k) * sigma_max * eps. The run
         aborts rather than skipping the offending index.
     ValueError
-        On invalid arguments, or when a run that has not stopped at m
-        columns picks one more (the refit would be underdetermined).
+        On invalid arguments, max_iter outside [1, a.m] included.
     """
     (outcome,) = pursue_batch(a, _measurements(a, y)[None], epsilon, max_iter).outcomes
     if isinstance(outcome, Exception):
@@ -279,8 +278,8 @@ class BatchPursuit(NamedTuple):
 
     first_picks holds each trial's first selection, also for trials that
     stopped before their first iteration or raised. outcomes holds a
-    RecoveryResult, or the RankDeficientError or ValueError that
-    matching_pursuit raises for that row.
+    RecoveryResult, or the RankDeficientError that matching_pursuit
+    raises for that row.
     """
 
     first_picks: np.ndarray
@@ -321,7 +320,7 @@ def pursue_batch(
         raise DimensionMismatchError(f"measurement length {stack.shape[1]} != row count {a.m}")
     y_norms = np.linalg.norm(stack, axis=1)
     thresholds = matrices.check_positive(epsilon, "epsilon") * y_norms
-    max_iter = a.m if max_iter is None else matrices.check_int(max_iter, "max_iter", 1)
+    max_iter = a.m if max_iter is None else matrices.check_int(max_iter, "max_iter", 1, a.m)
     return _pursue(a, _Live(a, stack, y_norms, thresholds), max_iter)
 
 
@@ -363,10 +362,9 @@ def _pursue(a: matrices.MeasurementMatrix, live: _Live, max_iter: int) -> BatchP
     outcomes: list = [None] * len(live.norm)
     done = np.zeros(len(outcomes), dtype=bool)
     gram = a.cached_gram
-    cap = min(max_iter, a.m)
     # Unit columns give sigma_max(A_S) >= 1 and sigma_min(A_S) <= r_jj, so a
     # pivot r_jj at or below this already fails the shared rank test.
-    step_tol = numerics.rank_tolerance((a.m, cap), 1.0)
+    step_tol = numerics.rank_tolerance((a.m, max_iter), 1.0)
     correlations = _correlate(a, live.residual)
     for j in itertools.count():
         pick = select_column(correlations, live.y_norm)
@@ -374,14 +372,14 @@ def _pursue(a: matrices.MeasurementMatrix, live: _Live, max_iter: int) -> BatchP
             first_picks = pick
         stopped = (live.norm <= live.threshold) | (j >= max_iter)
         stalled = (live.picks[:j] == pick).any(axis=0)  # no progress possible
-        ended = ~done & (live.dependent | stopped | stalled | (j == a.m))
+        ended = ~done & (live.dependent | stopped | stalled)
         if ended.any():
-            _finish(a, live, j, ended, stopped | stalled, outcomes)
+            _finish(a, live, j, ended, outcomes)
             done |= ended
             if done.all():
                 return BatchPursuit(first_picks, outcomes)
         if j == len(live.q):
-            live.resize(min(2 * j, cap), j)
+            live.resize(min(2 * j, max_iter), j)
         v = a.data.T[pick]  # the picked columns, one row per trial
         q = live.q[:j].swapaxes(0, 1)  # trial t's basis vectors are the rows of q[t]
         c = _project(q, v)
@@ -411,12 +409,8 @@ def _pursue(a: matrices.MeasurementMatrix, live: _Live, max_iter: int) -> BatchP
         live.trace[j] = live.norm
 
 
-def _finish(a, live: _Live, k: int, ended, halted, outcomes) -> None:
-    """Record the outcomes of the trials that end with k picks.
-
-    halted marks the trials that stopped or stalled; the others that are
-    neither dependent nor halted have reached m picks and need one more.
-    """
+def _finish(a, live: _Live, k: int, ended, outcomes) -> None:
+    """Record the outcomes of the trials that end with k picks."""
     picks = live.picks[:k].T
     for i in np.flatnonzero(ended & live.dependent):
         outcomes[i] = RankDeficientError(f"selected columns {picks[i].tolist()} are linearly dependent")
@@ -431,15 +425,12 @@ def _finish(a, live: _Live, k: int, ended, halted, outcomes) -> None:
         # this one test fails in the same runs as a rank test after every refit
         s = np.linalg.svd(r, compute_uv=False)
         sound = s[:, -1] > numerics.rank_tolerance((a.m, k), s[:, 0])
-        fits = sound & halted[rows]
-        if fits.any():
-            values[fits] = np.linalg.solve(r[fits], live.z[:k, rows[fits]].T[:, :, None])[:, :, 0]
+        if sound.any():
+            values[sound] = np.linalg.solve(r[sound], live.z[:k, rows[sound]].T[:, :, None])[:, :, 0]
     for i, row in enumerate(rows):
         support = picks[row].tolist()
         if not sound[i]:
             outcome = RankDeficientError(f"selected columns {support} have numerical rank below {k}")
-        elif not halted[row]:
-            outcome = ValueError(f"pursuit needs more than m = {a.m} columns; the refit would be underdetermined")
         else:
             norm = float(live.norm[row])
             outcome = RecoveryResult(
@@ -470,12 +461,15 @@ def exhaustive_l0_search(
     epsilon: float = DEFAULT_RELATIVE_EPSILON,
     max_subsets: int = coherence.DEFAULT_MAX_SUBSETS,
 ) -> L0Report:
-    """Enumerate every support of size 1..k_max and keep the consistent ones.
+    """Enumerate every support of size 0..k_max and keep the consistent ones.
 
-    A support qualifies when its full-rank least-squares fit leaves a
-    residual of at most epsilon * ||y|| and every fitted value is above
-    ZERO_TOL * ||y|| in magnitude (supports that fit only by zeroing entries
-    belong to a smaller k). Both tests scale with y, as the pursuit's do.
+    The empty support qualifies when ||y|| <= epsilon * ||y|| (y = 0, or
+    epsilon >= 1), the rule by which the pursuit stops before its first pick;
+    it needs no fit and is not counted in scanned or total. Any other
+    support qualifies when its full-rank least-squares fit leaves a residual
+    of at most epsilon * ||y|| and every fitted value is above ZERO_TOL *
+    ||y|| in magnitude (supports that fit only by zeroing entries belong to
+    a smaller k). Both tests scale with y, as the pursuit's do.
     Solutions are ordered by (size, lexicographic), so the minimal-size
     explanations come first and non-uniqueness shows up as several entries
     of the same size. Computationally infeasible beyond desk scale, which
@@ -487,7 +481,7 @@ def exhaustive_l0_search(
     epsilon = matrices.check_positive(epsilon, "epsilon")
     scan = coherence.SubsetScan(a.n, range(1, k_max + 1), max_subsets)
     y_norm = float(np.linalg.norm(vec))
-    solutions: list[L0Solution] = []
+    solutions = [L0Solution((), np.zeros(0, dtype=np.complex128), y_norm)] if y_norm <= epsilon * y_norm else []
     for idx in scan.chunks(a.m * a.data.itemsize):
         full, vals, residual = _fit(a.data[:, idx].transpose(1, 0, 2), vec)  # a (c, m, size) stack
         idx = idx[full]

@@ -7,10 +7,14 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 
 import numpy as np
+
+# JSON true and false parse to these; they compare equal to 1 and 0 but are not numbers.
+BOOLS = frozenset((bool, np.bool_))
 
 
 def save_json(obj, path) -> None:
@@ -86,4 +90,6 @@ def pairs_to_complex(pairs) -> np.ndarray:
         return np.zeros(0, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("expected a list of [re, im] pairs")
+    if not BOOLS.isdisjoint(map(type, itertools.chain.from_iterable(pairs))):
+        raise ValueError("[re, im] pairs must hold numbers, not booleans")
     return arr.view(np.complex128).reshape(-1)

@@ -251,6 +251,21 @@ def test_recover_oracle_complete_search(tmp_path, capsys):
     assert err == ""
 
 
+def test_recover_oracle_agrees_on_zero_measurements(tmp_path, capsys, etf14):
+    # the pursuit stops before its first pick, and the oracle's one minimal support is that empty one
+    mat_path, y_path = tmp_path / "etf.json", tmp_path / "y.json"
+    matrices.save_matrix(etf14, mat_path)
+    recovery.save_measurement(np.zeros(7), y_path)
+    code, stdout, err = run(capsys, "recover", "--matrix", str(mat_path), "--measurements", str(y_path), "--oracle")
+    assert code == 0 and err == ""
+    payload = strict_json(stdout)
+    assert (payload["recovery"]["support"], payload["recovery"]["converged"]) == ([], True)
+    oracle = payload["oracle"]
+    assert oracle["solutions"] == [{"support": [], "values": [], "residual": 0.0}]
+    assert (oracle["scanned"], oracle["total"], oracle["complete"]) == (14, 14, True)
+    assert oracle["ambiguous"] is False and oracle["agrees_with_pursuit"] is True
+
+
 def test_recover_passes_one_relative_epsilon_to_pursuit_and_oracle(tmp_path, capsys, etf14):
     mat_path, y_path = tmp_path / "etf.json", tmp_path / "y.json"
     matrices.save_matrix(etf14, mat_path)
@@ -385,6 +400,16 @@ def test_experiment_certified_regime_and_reruns_identical(tmp_path, capsys):
     assert first == second
 
 
+def test_experiment_out_that_is_its_own_csv_exits_2(tmp_path, capsys):
+    # the CSV lands at --out with .csv for its extension; it must not overwrite the report.
+    # The config path does not exist: the check comes before anything is read or run
+    out = tmp_path / "r.csv"
+    code, stdout, err = run(capsys, "experiment", "--config", str(tmp_path / "none.json"), "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"error: --out {out} is also the CSV path")
+    assert stdout == "" and not out.exists()
+
+
 def test_experiment_malformed_config_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"matrix": {"family": "etf", "m": 7, "n": 14}}')
@@ -501,6 +526,14 @@ BAD_INPUT_FILES = {
     "measurement_nan": ("recover", "y", {"m": 7, "data": [[math.nan, 0]] + [[0, 0]] * 6}, "vector entries must be finite"),
     "matrix_family": ("coherence", "etf", {"m": 1, "n": 1, "family": "bogus", "data": [[1, 0]]}, "unknown family 'bogus'"),
     "matrix_no_m": ("coherence", "etf", {"n": 1, "family": "custom", "data": [[1, 0]]}, "malformed matrix: missing key 'm'"),
+    "matrix_data_true": (
+        "coherence", "etf", {"m": 1, "n": 1, "family": "custom", "data": [[True, False]]},
+        "malformed matrix: [re, im] pairs must hold numbers, not booleans",
+    ),
+    "measurement_data_true": (
+        "recover", "y", {"m": 7, "data": [[1, 0]] * 6 + [[0, True]]},
+        "malformed measurement: [re, im] pairs must hold numbers, not booleans",
+    ),
 }
 
 

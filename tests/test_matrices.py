@@ -377,6 +377,7 @@ def test_json_files_keep_the_text_json_dump_wrote(tmp_path, fig3_dft):
         (recovery.measurement_from_dict, {"m": None, "data": [[1.0, 0.0]]}),
         (recovery.measurement_from_dict, "text"),
         (recovery.signal_from_dict, {"n": 1e999, "support": [0], "values": [[1.0, 0.0]]}),
+        (recovery.signal_from_dict, {"n": 4, "support": [0], "values": [[True, 0.0]]}),
     ],
 )
 def test_json_of_the_wrong_shape_is_a_value_error(decode, d):
@@ -402,6 +403,11 @@ def test_pairs_to_complex_rejects_bad_layout():
         pairs_to_complex([[1.0, 2.0, 3.0]])
     with pytest.raises(ValueError):
         pairs_to_complex([1.0, 2.0])
+    # JSON true and false are not numbers; a bad layout keeps its own message
+    with pytest.raises(ValueError, match=r"^\[re, im\] pairs must hold numbers, not booleans$"):
+        pairs_to_complex([[1.0, 0.0], [0.5, False]])
+    with pytest.raises(ValueError, match=r"^expected a list of \[re, im\] pairs$"):
+        pairs_to_complex([[True, False, True]])
 
 
 def test_matrix_dict_shape_check(etf14):

@@ -307,6 +307,8 @@ def test_pursuit_validates_arguments(etf14):
         recovery.matching_pursuit(etf14, np.ones(7), epsilon=0.0)
     with pytest.raises(ValueError):
         recovery.matching_pursuit(etf14, np.ones(7), max_iter=0)
+    with pytest.raises(ValueError, match=r"max_iter must be in \[1, 7\], got 8"):
+        recovery.matching_pursuit(etf14, np.ones(7), max_iter=8)
     with pytest.raises(DimensionMismatchError):
         recovery.matching_pursuit(etf14, np.ones(6))
 
@@ -335,7 +337,22 @@ def test_exhaustive_reports_non_uniqueness(even_rows_dft8):
 
 
 def test_exhaustive_zero_measurements(etf14):
-    assert recovery.exhaustive_l0_search(etf14, np.zeros(7), 2, 1e-8).solutions == []
+    # y = 0 is explained by the empty support alone, the one the pursuit stops at
+    report = recovery.exhaustive_l0_search(etf14, np.zeros(7), 2, 1e-8)
+    assert [(s.support, s.values.shape, s.residual) for s in report.solutions] == [((), (0,), 0.0)]
+    assert (report.scanned, report.total, report.complete) == (105, 105, True)  # 14 + 91 non-empty supports
+
+
+def test_exhaustive_lists_the_empty_support_where_the_pursuit_stops(etf14):
+    # ||y|| <= epsilon * ||y||: the pursuit picks nothing, and the empty support comes first
+    y = etf14.data[:, 3]
+    for epsilon in (1.0, 2.0):
+        assert recovery.matching_pursuit(etf14, y, epsilon).support == ()
+        sols = recovery.exhaustive_l0_search(etf14, y, 1, epsilon).solutions
+        assert [s.support for s in sols] == [()] + [(i,) for i in range(14)]
+        assert sols[0].residual == float(np.linalg.norm(y))
+    sols = recovery.exhaustive_l0_search(etf14, y, 1, 0.999).solutions
+    assert [s.support for s in sols] == [(i,) for i in range(14)]
 
 
 def test_exhaustive_budget(etf14):
