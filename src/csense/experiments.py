@@ -5,6 +5,11 @@ inside the certified regime every single trial must recover exactly, while
 beyond it the observed rates show how much slack typical (non worst-case)
 signals enjoy. Each trial draws its generator from (seed, k, trial), so
 reports are pure functions of the config regardless of execution order.
+
+Only what that rule forces runs per trial: seeding the generator and its
+draws, k Fisher-Yates indices and, for random amplitudes, 2k uniform
+doubles. The swaps, the amplitude transforms, the measurements and the
+tally run once per batch of trials, over arrays.
 """
 from __future__ import annotations
 
@@ -102,34 +107,101 @@ class ExperimentReport:
         return lines
 
 
-def _draw_values(rng: np.random.Generator, k: int, cfg: ExperimentConfig) -> np.ndarray:
-    if cfg.amplitude_model == AMPLITUDE_UNIT_EQUAL:
-        return np.ones(k, dtype=np.complex128)
-    mags = np.exp(rng.uniform(math.log(cfg.a_min), math.log(cfg.a_max), size=k))
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=k)
-    return mags * np.exp(1j * phases)
+def _entropy_words(value: int) -> list[int]:
+    """An int of a SeedSequence entropy tuple as the sequence reads it: 32-bit words, lowest first."""
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def draw_trials(cfg: ExperimentConfig, n: int, k: int, trials: range) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted supports (T, k) and their values (T, k) for the given trials.
+
+    Trial t seeds its own generator from (seed, k, t) and draws, in this
+    order, the k indices of matrices.draw_without_replacement's partial
+    Fisher-Yates shuffle of range(n) and, for random amplitudes, the 2k
+    doubles of two rng.uniform calls (log-magnitudes, then phases). The
+    swaps, the sort and the amplitude transforms then run over the whole
+    batch, element by element, so each trial gets the bits it gets alone.
+    """
+    picks = np.empty((len(trials), k), dtype=np.intp)
+    uniform = np.empty((len(trials), 2 * k)) if cfg.amplitude_model == AMPLITUDE_RANDOM else None
+    bounds = range(n, n - k, -1)
+    key = _entropy_words(cfg.seed) + _entropy_words(k)
+    for row, trial in enumerate(trials):
+        # default_rng(SeedSequence((seed, k, trial))), handed the words it would assemble
+        entropy = np.array(key + _entropy_words(trial), dtype=np.uint32)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+        picks[row] = [rng.integers(bound) for bound in bounds]
+        if uniform is not None:
+            rng.random(out=uniform[row])
+    pool = np.tile(np.arange(n), (len(trials), 1))
+    rows = np.arange(len(trials))
+    for i in range(k):
+        j = picks[:, i] + i
+        pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i]
+    supports = np.sort(pool[:, :k], axis=1)
+    if uniform is None:
+        return supports, np.ones((len(trials), k), dtype=np.complex128)
+    low = math.log(cfg.a_min)
+    mags = np.exp(low + (math.log(cfg.a_max) - low) * uniform[:, :k])
+    phases = 2.0 * math.pi * uniform[:, k:]  # uniform(0, 2 pi): 0 + 2 pi u
+    return supports, mags * np.exp(1j * phases)
+
+
+def measure_trials(a: matrices.MeasurementMatrix, supports: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The (T, m) stack of y = A x, one row per trial of draw_trials.
+
+    The stacked product takes a.data @ x for each row on its own, the
+    matrix-vector product recovery.measure takes, so every row has the
+    bits of that trial's measure; one matrix product for the whole stack
+    would round differently.
+    """
+    dense = np.zeros((len(supports), a.n), dtype=np.complex128)
+    np.put_along_axis(dense, supports, values, axis=1)
+    return (a.data @ dense[:, :, None])[:, :, 0]
 
 
 def trial_signal(cfg: ExperimentConfig, mat: matrices.MeasurementMatrix, k: int, trial: int) -> recovery.SparseSignal:
-    """The k-sparse signal of one trial, drawn from its own generator keyed by (seed, k, trial)."""
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k, trial)))
-    support = matrices.draw_without_replacement(rng, mat.n, k)
-    return recovery.SparseSignal(mat.n, support, _draw_values(rng, k, cfg))
+    """The k-sparse signal of one trial: draw_trials for that trial alone."""
+    supports, values = draw_trials(cfg, mat.n, k, range(trial, trial + 1))
+    return recovery.SparseSignal(mat.n, tuple(supports[0].tolist()), values[0])
 
 
 def trial_outcomes(cfg: ExperimentConfig, mat: matrices.MeasurementMatrix, k: int):
-    """(signal, first pick, pursuit outcome) of every trial at sparsity k, in trial order.
+    """(supports, values, pursuit) of each batch of trials at sparsity k, in trial order.
 
-    The trials run through recovery.pursue_batch in batches of at most
-    BATCH_BYTES / (16 (2m + n)) trials. The engine gives every trial the
-    numbers it gets alone, so the batch size never shows in a report.
+    supports and values are draw_trials' and pursuit is recovery.pursue_batch's
+    BatchPursuit for their measurements. A batch holds at most
+    BATCH_BYTES / (16 (2m + n)) trials. The draw, the measurements and the
+    engine give every trial the numbers it gets alone, so the batch size
+    never shows in a report.
     """
     per_batch = max(1, BATCH_BYTES // ((2 * mat.m + mat.n) * mat.data.itemsize))
     for start in range(0, cfg.trials, per_batch):
-        signals = [trial_signal(cfg, mat, k, t) for t in range(start, min(start + per_batch, cfg.trials))]
-        ys = [recovery.measure(mat, x) for x in signals]
-        batch = recovery.pursue_batch(mat, ys, epsilon=cfg.epsilon)
-        yield from zip(signals, batch.first_picks.tolist(), batch.outcomes)
+        supports, values = draw_trials(cfg, mat.n, k, range(start, min(start + per_batch, cfg.trials)))
+        ys = measure_trials(mat, supports, values)
+        yield supports, values, recovery.pursue_batch(mat, ys, epsilon=cfg.epsilon)
+
+
+def _tally(m: int, supports, values, pursuit: recovery.BatchPursuit) -> tuple[int, int, int]:
+    """(first-pick hits, exact recoveries, iteration sum) of one batch; see run_experiment."""
+    outcomes = pursuit.outcomes
+    first_hits = int((supports == pursuit.first_picks[:, None]).any(axis=1).sum())
+    failed = [isinstance(outcome, RankDeficientError) for outcome in outcomes]
+    iterations = [m if bad else outcome.iterations for bad, outcome in zip(failed, outcomes)]
+    k = supports.shape[1]
+    full = [t for t, steps in enumerate(iterations) if steps == k and not failed[t]]
+    if not full:
+        return first_hits, 0, sum(iterations)
+    got = np.array([outcomes[t].support for t in full])
+    order = np.argsort(got, axis=1)
+    same = (np.take_along_axis(got, order, axis=1) == supports[full]).all(axis=1)
+    got_values = np.take_along_axis(np.array([outcomes[t].values for t in full]), order, axis=1)
+    err = np.linalg.norm(got_values - values[full], axis=1)
+    exact = same & (err <= VALUE_MATCH_RTOL * np.linalg.norm(values[full], axis=1))
+    return first_hits, int(exact.sum()), sum(iterations)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -139,7 +211,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     support as a set and the value error is at most 1e-6 * ||values||.
     The first pick is the pursuit's first selection: recovery.select_column
     on the back-projection A^H y. A mid-run rank-deficiency counts as a
-    failed trial at the iteration cap.
+    failed trial at the iteration cap. The counts are taken a batch at a
+    time, over arrays.
     """
     mat = matrices.from_spec(**cfg.matrix)
     lo, hi = cfg.k_range
@@ -148,20 +221,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     base = coherence.coherence_index(mat)
     rows = []
     for k in range(lo, hi + 1):
-        first_hits = 0
-        exact_hits = 0
-        iteration_sum = 0
-        for x, first, result in trial_outcomes(cfg, mat, k):
-            first_hits += first in x.support
-            if isinstance(result, RankDeficientError):
-                iteration_sum += mat.m
-                continue
-            iteration_sum += result.iterations
-            if tuple(sorted(result.support)) == x.support:
-                order = np.argsort(result.support)
-                err = float(np.linalg.norm(result.values[order] - x.values))
-                if err <= VALUE_MATCH_RTOL * float(np.linalg.norm(x.values)):
-                    exact_hits += 1
+        tallies = [_tally(mat.m, *batch) for batch in trial_outcomes(cfg, mat, k)]
+        first_hits, exact_hits, iteration_sum = map(sum, zip(*tallies))
         rows.append(
             ExperimentRow(
                 k=k,

@@ -1,10 +1,16 @@
+import contextlib
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from csense import experiments, matrices, numerics
+from csense import experiments, matrices, numerics, recovery
+from csense.errors import RankDeficientError
 from csense.serialization import to_dict
+from test_golden import golden_configs
 
 
 def etf14_config(**overrides):
@@ -164,3 +170,135 @@ def test_first_pick_counts_when_the_pursuit_raises(cfg):
         assert got.first_pick_correct_rate == expected.first_pick_correct_rate
         assert got.exact_recovery_rate == 0.0
         assert got.mean_iterations == m
+
+
+# ------------------------------------------------ batch draw and batch tally
+
+
+def reference_signal(cfg, n, k, trial):
+    """One trial drawn on its own: a generator keyed by (seed, k, trial), then a
+    partial Fisher-Yates support and two rng.uniform calls for the amplitudes."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, k, trial)))
+    support = matrices.draw_without_replacement(rng, n, k)
+    if cfg.amplitude_model == experiments.AMPLITUDE_UNIT_EQUAL:
+        return recovery.SparseSignal(n, support, np.ones(k, dtype=np.complex128))
+    mags = np.exp(rng.uniform(math.log(cfg.a_min), math.log(cfg.a_max), size=k))
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=k)
+    return recovery.SparseSignal(n, support, mags * np.exp(1j * phases))
+
+
+@st.composite
+def draw_cases(draw):
+    """(matrix, config, k, trials): a seeded partial DFT with n <= 256, any k in [1, m],
+    seeds and trial numbers on both sides of 2**32, and both amplitude models."""
+    n = draw(st.integers(1, 256))
+    m = draw(st.integers(1, min(n, 24)))
+    k = draw(st.integers(1, m))
+    a_min, a_max = sorted(draw(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=2)))
+    cfg = experiments.ExperimentConfig(
+        matrix={"family": "partial-dft", "n": n, "m": m, "seed": 0},
+        k_range=(1, k),
+        trials=1,
+        amplitude_model=draw(st.sampled_from(experiments.AMPLITUDE_MODELS)),
+        seed=draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80))),
+        a_min=a_min,
+        a_max=a_max,
+    )
+    start = draw(st.one_of(st.integers(0, 10**6), st.integers(2**32 - 4, 2**32 + 4)))
+    return matrices.from_spec(**cfg.matrix), cfg, k, range(start, start + draw(st.integers(1, 12)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(draw_cases())
+def test_batch_draw_is_the_stream_of_each_trial_alone(case):
+    # the generator, the support and the value bits of every trial, and the
+    # bits of its y = A x, are those of the trial drawn and measured alone;
+    # a numpy whose uniform fuses low + range * u into one rounding fails here
+    mat, cfg, k, trials = case
+    supports, values = experiments.draw_trials(cfg, mat.n, k, trials)
+    ys = experiments.measure_trials(mat, supports, values)
+    assert supports.shape == values.shape == (len(trials), k)
+    assert ys.shape == (len(trials), mat.m)
+    for row, trial in enumerate(trials):
+        x = reference_signal(cfg, mat.n, k, trial)
+        assert tuple(supports[row].tolist()) == x.support
+        assert values[row].tobytes() == x.values.tobytes()
+        assert ys[row].tobytes() == (mat.data @ x.dense()).tobytes()
+        one = experiments.trial_signal(cfg, mat, k, trial)
+        assert one.support == x.support and one.values.tobytes() == x.values.tobytes()
+
+
+def tally_by_trial(cfg):
+    """run_experiment's rows counted one trial at a time: the reference for the batch tally."""
+    mat = matrices.from_spec(**cfg.matrix)
+    mat.gram  # run_experiment's matrix holds its Gram
+    rows = []
+    for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
+        first_hits = 0
+        exact_hits = 0
+        iteration_sum = 0
+        for supports, values, pursuit in experiments.trial_outcomes(cfg, mat, k):
+            for support, x_values, first, result in zip(
+                supports.tolist(), values, pursuit.first_picks.tolist(), pursuit.outcomes
+            ):
+                x = recovery.SparseSignal(mat.n, tuple(support), x_values)
+                first_hits += first in x.support
+                if isinstance(result, RankDeficientError):
+                    iteration_sum += mat.m
+                    continue
+                iteration_sum += result.iterations
+                if tuple(sorted(result.support)) == x.support:
+                    order = np.argsort(result.support)
+                    err = float(np.linalg.norm(result.values[order] - x.values))
+                    if err <= experiments.VALUE_MATCH_RTOL * float(np.linalg.norm(x.values)):
+                        exact_hits += 1
+        rows.append(
+            experiments.ExperimentRow(
+                k=k,
+                trials=cfg.trials,
+                first_pick_correct_rate=first_hits / cfg.trials,
+                exact_recovery_rate=exact_hits / cfg.trials,
+                mean_iterations=iteration_sum / cfg.trials,
+            )
+        )
+    return rows
+
+
+def early_stop_config():
+    # a relative epsilon loose enough that trials beyond the certificate stop
+    # at different steps
+    return experiments.ExperimentConfig(
+        matrix={"family": "etf", "m": 15, "n": 30},
+        k_range=(3, 5),
+        trials=40,
+        amplitude_model=experiments.AMPLITUDE_RANDOM,
+        seed=3,
+        epsilon=0.2,
+    )
+
+
+TALLY_CASES = {
+    **golden_configs(),
+    "duplicate_columns": duplicate_columns_config(),
+    "early_stop": early_stop_config(),
+    "k_up_to_m": etf14_config(k_range=(6, 7), trials=30),
+}
+
+
+@pytest.mark.parametrize("rank_deficient", [False, True])
+@pytest.mark.parametrize("name", sorted(TALLY_CASES))
+def test_batch_tally_matches_the_per_trial_tally(name, rank_deficient):
+    # rank_deficient: no pivot clears an infinite rank tolerance, so every
+    # trial raises at its first step and counts m iterations
+    cfg = TALLY_CASES[name]
+    patch = mock.patch.object(numerics, "rank_tolerance", return_value=np.inf)
+    with patch if rank_deficient else contextlib.nullcontext():
+        assert experiments.run_experiment(cfg).rows == tally_by_trial(cfg)
+
+
+@pytest.mark.parametrize("batch_bytes", [1, 3 * (2 * 15 + 30) * 16, experiments.BATCH_BYTES])
+def test_report_does_not_depend_on_the_batch_size(batch_bytes):
+    cfg = early_stop_config()
+    expected = tally_by_trial(cfg)
+    with mock.patch.object(experiments, "BATCH_BYTES", batch_bytes):
+        assert experiments.run_experiment(cfg).rows == expected

@@ -71,7 +71,8 @@ def selection_order(cfg: experiments.ExperimentConfig, batched: bool = False) ->
     out = {}
     for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
         if batched:
-            outcomes = [result for _, _, result in experiments.trial_outcomes(cfg, mat, k)]
+            batches = experiments.trial_outcomes(cfg, mat, k)
+            outcomes = [result for _, _, pursuit in batches for result in pursuit.outcomes]
         else:
             outcomes = []
             for trial in range(cfg.trials):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from csense import cli, experiments, matrices, numerics, recovery
 from csense.errors import DimensionMismatchError, RankDeficientError
+from test_experiments import early_stop_config
 
 VALUE_TOL = 1e-8
 # A correlation this close (relative to ||y||) to the edge of the tie set may
@@ -371,16 +372,8 @@ def test_batch_matches_each_trial_alone(case, epsilon, cached):
 
 def test_trial_outcomes_match_each_trial_alone_in_any_batch_size():
     # run_experiment's batches: one trial each, three each (a last batch of
-    # one) and the shipped size, with a relative epsilon loose enough that
-    # trials beyond the certificate stop at different steps
-    cfg = experiments.ExperimentConfig(
-        matrix={"family": "etf", "m": 15, "n": 30},
-        k_range=(3, 5),
-        trials=40,
-        amplitude_model=experiments.AMPLITUDE_RANDOM,
-        seed=3,
-        epsilon=0.2,
-    )
+    # one) and the shipped size, on a config whose trials stop at different steps
+    cfg = early_stop_config()
     mat = matrices.from_spec(**cfg.matrix)
     mat.gram
     lengths = set()
@@ -390,9 +383,15 @@ def test_trial_outcomes_match_each_trial_alone_in_any_batch_size():
         lengths |= {(k, r.iterations) for r in expected if not isinstance(r, Exception)}
         for batch_bytes in (1, 3 * (2 * mat.m + mat.n) * 16, experiments.BATCH_BYTES):
             with mock.patch.object(experiments, "BATCH_BYTES", batch_bytes):
-                got = list(experiments.trial_outcomes(cfg, mat, k))
-            assert [x.support for x, _, _ in got] == [x.support for x in signals]
-            for (_, first, result), lone in zip(got, expected):
+                batches = list(experiments.trial_outcomes(cfg, mat, k))
+            supports = np.concatenate([supports for supports, _, _ in batches])
+            values = np.concatenate([values for _, values, _ in batches])
+            first_picks = np.concatenate([pursuit.first_picks for _, _, pursuit in batches]).tolist()
+            outcomes = [result for _, _, pursuit in batches for result in pursuit.outcomes]
+            assert [tuple(s) for s in supports.tolist()] == [x.support for x in signals]
+            assert values.tobytes() == np.array([x.values for x in signals]).tobytes()
+            assert len(first_picks) == len(outcomes) == cfg.trials
+            for first, result, lone in zip(first_picks, outcomes, expected):
                 assert_same_outcome(result, lone)
                 if not isinstance(lone, Exception):
                     assert first == lone.support[0]
