@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coherence, matrices, numerics, recovery
-from .errors import RankDeficientError
 from .serialization import decoding
 
 AMPLITUDE_UNIT_EQUAL = "unit_equal"
@@ -163,12 +162,6 @@ def measure_trials(a: matrices.MeasurementMatrix, supports: np.ndarray, values: 
     return (a.data @ dense[:, :, None])[:, :, 0]
 
 
-def trial_signal(cfg: ExperimentConfig, mat: matrices.MeasurementMatrix, k: int, trial: int) -> recovery.SparseSignal:
-    """The k-sparse signal of one trial: draw_trials for that trial alone."""
-    supports, values = draw_trials(cfg, mat.n, k, range(trial, trial + 1))
-    return recovery.SparseSignal(mat.n, tuple(supports[0].tolist()), values[0])
-
-
 def trial_outcomes(cfg: ExperimentConfig, mat: matrices.MeasurementMatrix, k: int):
     """(supports, values, pursuit) of each batch of trials at sparsity k, in trial order.
 
@@ -187,21 +180,20 @@ def trial_outcomes(cfg: ExperimentConfig, mat: matrices.MeasurementMatrix, k: in
 
 def _tally(m: int, supports, values, pursuit: recovery.BatchPursuit) -> tuple[int, int, int]:
     """(first-pick hits, exact recoveries, iteration sum) of one batch; see run_experiment."""
-    outcomes = pursuit.outcomes
     first_hits = int((supports == pursuit.first_picks[:, None]).any(axis=1).sum())
-    failed = [isinstance(outcome, RankDeficientError) for outcome in outcomes]
-    iterations = [m if bad else outcome.iterations for bad, outcome in zip(failed, outcomes)]
+    failed = np.isin(np.arange(len(supports)), list(pursuit.errors))
+    iterations = np.where(failed, m, pursuit.iterations)
     k = supports.shape[1]
-    full = [t for t, steps in enumerate(iterations) if steps == k and not failed[t]]
-    if not full:
-        return first_hits, 0, sum(iterations)
-    got = np.array([outcomes[t].support for t in full])
+    full = np.flatnonzero((iterations == k) & ~failed)
+    if not len(full):  # then picks may hold fewer than k columns
+        return first_hits, 0, int(iterations.sum())
+    got = pursuit.picks[full, :k]
     order = np.argsort(got, axis=1)
     same = (np.take_along_axis(got, order, axis=1) == supports[full]).all(axis=1)
-    got_values = np.take_along_axis(np.array([outcomes[t].values for t in full]), order, axis=1)
+    got_values = np.take_along_axis(pursuit.values[full, :k], order, axis=1)
     err = np.linalg.norm(got_values - values[full], axis=1)
     exact = same & (err <= VALUE_MATCH_RTOL * np.linalg.norm(values[full], axis=1))
-    return first_hits, int(exact.sum()), sum(iterations)
+    return first_hits, int(exact.sum()), int(iterations.sum())
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

@@ -72,7 +72,9 @@ class RecoveryResult:
     """Outcome of a matching-pursuit run.
 
     support is kept in selection order; residual_trace holds the residual
-    norm after each least-squares refit and is strictly decreasing.
+    norm after each least-squares refit. In exact arithmetic a refit cannot
+    raise it, but a pick of zero correlation (the lowest index wins an
+    all-zero tie) leaves it unchanged, so the trace need not strictly fall.
     """
 
     support: tuple[int, ...]
@@ -267,23 +269,37 @@ def matching_pursuit(
     ValueError
         On invalid arguments, max_iter outside [1, a.m] included.
     """
-    (outcome,) = pursue_batch(a, _measurements(a, y)[None], epsilon, max_iter).outcomes
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return pursue_batch(a, _measurements(a, y)[None], epsilon, max_iter).result(0)
 
 
 class BatchPursuit(NamedTuple):
-    """Result of pursue_batch, one entry per row of the measurement stack.
+    """Result of pursue_batch, one entry or row per row t of the measurement stack.
 
-    first_picks holds each trial's first selection, also for trials that
-    stopped before their first iteration or raised. outcomes holds a
-    RecoveryResult, or the RankDeficientError that matching_pursuit
-    raises for that row.
+    first_picks[t] is trial t's first selection, also if it stopped before
+    its first iteration or raised. picks, values and traces (support in
+    selection order, fitted values, residual norm after each step) are read
+    up to iterations[t]. errors maps each trial that raised to its
+    RankDeficientError; the other arrays are unread for it.
     """
 
     first_picks: np.ndarray
-    outcomes: list
+    iterations: np.ndarray
+    residual_norms: np.ndarray
+    converged: np.ndarray
+    picks: np.ndarray
+    values: np.ndarray
+    traces: np.ndarray
+    errors: dict
+
+    def result(self, t: int) -> RecoveryResult:
+        """Trial t as matching_pursuit returns it; raises the trial's error instead if it has one."""
+        t = range(len(self.iterations))[t]  # errors is keyed by row, so -1 must become the last row
+        if t in self.errors:
+            raise self.errors[t]
+        k = int(self.iterations[t])
+        support, trace = tuple(self.picks[t, :k].tolist()), tuple(self.traces[t, :k].tolist())
+        norm, converged = float(self.residual_norms[t]), bool(self.converged[t])
+        return RecoveryResult(support, self.values[t, :k], norm, k, converged, trace)
 
 
 def pursue_batch(
@@ -327,11 +343,12 @@ def pursue_batch(
 class _Live:
     """State of the trials of a batch.
 
-    The per-trial arrays hold one row per trial. The step arrays hold one
+    The per-trial arrays hold one entry per trial. The step arrays hold one
     row per step, each with one entry per trial: q[i, t] is the i-th
     orthonormal basis vector of trial t's selected span, b[i, t] = A^H q[i, t]
-    (kept only with a Gram), r[j, t] holds column j of trial t's R (A_S = Q R)
-    and z[i, t] = q[i, t]^H y. Their room for steps doubles when it runs out.
+    (kept only with a Gram), r[j, t] holds column j of trial t's R (A_S = Q R),
+    z[i, t] = q[i, t]^H y and x[i, t] the i-th fitted value, written when the
+    trial ends. Their room for steps doubles when it runs out.
     """
 
     def __init__(self, a: matrices.MeasurementMatrix, ys, y_norms, thresholds):
@@ -340,16 +357,21 @@ class _Live:
         self.residual = ys.copy()
         self.norm = y_norms.copy()
         self.dependent = np.zeros(t, dtype=bool)  # the last pick failed the pivot test
+        self.done = np.zeros(t, dtype=bool)
+        self.iterations = np.zeros(t, dtype=np.intp)
+        self.final_norm = np.empty(t)  # norm when the trial ended; ended rows keep running, unread
+        self.errors: dict[int, RankDeficientError] = {}
         self.picks = np.empty((1, t), dtype=np.intp)
         self.q = np.empty((1, t, a.m), dtype=np.complex128)
         self.b = np.empty((1, t, a.n), dtype=np.complex128) if a.cached_gram is not None else None
         self.r = np.empty((1, t, a.m), dtype=np.complex128)
         self.z = np.empty((1, t), dtype=np.complex128)
+        self.x = np.empty((1, t), dtype=np.complex128)
         self.trace = np.empty((1, t))
 
     def resize(self, room: int, taken: int) -> None:
         """Give the step arrays room for room steps, keeping the taken ones."""
-        for name in ("picks", "q", "b", "r", "z", "trace"):
+        for name in ("picks", "q", "b", "r", "z", "x", "trace"):
             value = getattr(self, name)
             if value is not None:
                 new = np.empty((room,) + value.shape[1:], dtype=value.dtype)
@@ -359,8 +381,6 @@ class _Live:
 
 def _pursue(a: matrices.MeasurementMatrix, live: _Live, max_iter: int) -> BatchPursuit:
     """Run every trial of live to its end."""
-    outcomes: list = [None] * len(live.norm)
-    done = np.zeros(len(outcomes), dtype=bool)
     gram = a.cached_gram
     # Unit columns give sigma_max(A_S) >= 1 and sigma_min(A_S) <= r_jj, so a
     # pivot r_jj at or below this already fails the shared rank test.
@@ -372,12 +392,13 @@ def _pursue(a: matrices.MeasurementMatrix, live: _Live, max_iter: int) -> BatchP
             first_picks = pick
         stopped = (live.norm <= live.threshold) | (j >= max_iter)
         stalled = (live.picks[:j] == pick).any(axis=0)  # no progress possible
-        ended = ~done & (live.dependent | stopped | stalled)
+        ended = ~live.done & (live.dependent | stopped | stalled)
         if ended.any():
-            _finish(a, live, j, ended, outcomes)
-            done |= ended
-            if done.all():
-                return BatchPursuit(first_picks, outcomes)
+            _finish(a, live, j, ended)
+            if live.done.all():
+                steps = (np.ascontiguousarray(s[:j].T) for s in (live.picks, live.x, live.trace))
+                converged = live.final_norm <= live.threshold
+                return BatchPursuit(first_picks, live.iterations, live.final_norm, converged, *steps, live.errors)
         if j == len(live.q):
             live.resize(min(2 * j, max_iter), j)
         v = a.data.T[pick]  # the picked columns, one row per trial
@@ -409,39 +430,26 @@ def _pursue(a: matrices.MeasurementMatrix, live: _Live, max_iter: int) -> BatchP
         live.trace[j] = live.norm
 
 
-def _finish(a, live: _Live, k: int, ended, outcomes) -> None:
-    """Record the outcomes of the trials that end with k picks."""
-    picks = live.picks[:k].T
-    for i in np.flatnonzero(ended & live.dependent):
-        outcomes[i] = RankDeficientError(f"selected columns {picks[i].tolist()} are linearly dependent")
+def _finish(a, live: _Live, k: int, ended) -> None:
+    """Record the trials that end with k picks."""
+    live.done |= ended
+    live.iterations[ended] = k
+    live.final_norm[ended] = live.norm[ended]
+    picks = live.picks[:k]
+    for t in np.flatnonzero(ended & live.dependent).tolist():
+        live.errors[t] = RankDeficientError(f"selected columns {picks[:, t].tolist()} are linearly dependent")
     rows = np.flatnonzero(ended & ~live.dependent)
-    if not len(rows):
+    if not k or not len(rows):
         return
-    sound = np.ones(len(rows), dtype=bool)
-    values = np.empty((len(rows), k), dtype=np.complex128)
-    if k:
-        r = live.r[:k, rows, :k].transpose(1, 2, 0)  # r[t][i, j] = R_ij of trial t
-        # sigma(R) = sigma(A_S), and adding columns never raises sigma_min, so
-        # this one test fails in the same runs as a rank test after every refit
-        s = np.linalg.svd(r, compute_uv=False)
-        sound = s[:, -1] > numerics.rank_tolerance((a.m, k), s[:, 0])
-        if sound.any():
-            values[sound] = np.linalg.solve(r[sound], live.z[:k, rows[sound]].T[:, :, None])[:, :, 0]
-    for i, row in enumerate(rows):
-        support = picks[row].tolist()
-        if not sound[i]:
-            outcome = RankDeficientError(f"selected columns {support} have numerical rank below {k}")
-        else:
-            norm = float(live.norm[row])
-            outcome = RecoveryResult(
-                support=tuple(support),
-                values=values[i],
-                residual_norm=norm,
-                iterations=k,
-                converged=norm <= float(live.threshold[row]),
-                residual_trace=tuple(live.trace[:k, row].tolist()),
-            )
-        outcomes[row] = outcome
+    r = live.r[:k, rows, :k].transpose(1, 2, 0)  # r[t][i, j] = R_ij of trial t
+    # sigma(R) = sigma(A_S), and adding columns never raises sigma_min, so
+    # this one test fails in the same runs as a rank test after every refit
+    s = np.linalg.svd(r, compute_uv=False)
+    sound = s[:, -1] > numerics.rank_tolerance((a.m, k), s[:, 0])
+    for t in rows[~sound].tolist():
+        live.errors[t] = RankDeficientError(f"selected columns {picks[:, t].tolist()} have numerical rank below {k}")
+    if sound.any():
+        live.x[:k, rows[sound]] = np.linalg.solve(r[sound], live.z[:k, rows[sound]].T[:, :, None])[:, :, 0].T
 
 
 def _rows_times(x, y):

@@ -59,32 +59,37 @@ def report_text(cfg: experiments.ExperimentConfig) -> str:
     return json.dumps(to_dict(experiments.run_experiment(cfg)), indent=2) + "\n"
 
 
+def lone_signal(cfg: experiments.ExperimentConfig, mat, k: int, trial: int) -> recovery.SparseSignal:
+    """The k-sparse signal of one trial, from experiments.draw_trials on that trial alone."""
+    supports, values = experiments.draw_trials(cfg, mat.n, k, range(trial, trial + 1))
+    return recovery.SparseSignal(mat.n, tuple(supports[0].tolist()), values[0])
+
+
 def selection_order(cfg: experiments.ExperimentConfig, batched: bool = False) -> dict[str, list]:
     """Per k, each trial's pursuit support in selection order ("rank-deficient" if it aborted).
 
     batched=False runs matching_pursuit on each trial alone; batched=True
-    takes the outcomes run_experiment tallies, from experiments.trial_outcomes.
+    reads the arrays run_experiment tallies, from the BatchPursuit of each
+    batch of experiments.trial_outcomes: picks[t] up to iterations[t], or
+    the trial's entry in errors.
     """
     mat = matrices.from_spec(**cfg.matrix)
     if batched:
         mat.gram  # run_experiment's matrix holds its Gram
     out = {}
     for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
+        orders = out[str(k)] = []
         if batched:
-            batches = experiments.trial_outcomes(cfg, mat, k)
-            outcomes = [result for _, _, pursuit in batches for result in pursuit.outcomes]
+            for _, _, pursuit in experiments.trial_outcomes(cfg, mat, k):
+                for t, steps in enumerate(pursuit.iterations.tolist()):
+                    orders.append("rank-deficient" if t in pursuit.errors else pursuit.picks[t, :steps].tolist())
         else:
-            outcomes = []
             for trial in range(cfg.trials):
-                y = recovery.measure(mat, experiments.trial_signal(cfg, mat, k, trial))
+                y = recovery.measure(mat, lone_signal(cfg, mat, k, trial))
                 try:
-                    outcomes.append(recovery.matching_pursuit(mat, y, epsilon=cfg.epsilon))
-                except RankDeficientError as exc:
-                    outcomes.append(exc)
-        out[str(k)] = [
-            "rank-deficient" if isinstance(result, RankDeficientError) else list(result.support)
-            for result in outcomes
-        ]
+                    orders.append(list(recovery.matching_pursuit(mat, y, epsilon=cfg.epsilon).support))
+                except RankDeficientError:
+                    orders.append("rank-deficient")
     return out
 
 

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from csense import cli, experiments, matrices, numerics, recovery
 from csense.errors import DimensionMismatchError, RankDeficientError
-from test_experiments import early_stop_config
+from test_experiments import early_stop_config, outcomes
+from test_golden import lone_signal
 
 VALUE_TOL = 1e-8
 # A correlation this close (relative to ||y||) to the edge of the tie set may
@@ -327,8 +328,8 @@ def assert_same_outcome(got, expected):
 
 def assert_batch_matches_each_trial_alone(mat, ys, *args):
     batch = recovery.pursue_batch(mat, ys, *args)
-    assert len(batch.first_picks) == len(batch.outcomes) == len(ys)
-    for y, first, got in zip(ys, batch.first_picks, batch.outcomes):
+    assert len(batch.first_picks) == len(batch.iterations) == len(batch.picks) == len(ys)
+    for y, first, got in zip(ys, batch.first_picks, outcomes(batch)):
         expected = alone(mat, y, *args)
         assert_same_outcome(got, expected)
         assert first == recovery.pursue_batch(mat, y[None], *args).first_picks[0]
@@ -367,7 +368,7 @@ def test_batch_matches_each_trial_alone(case, epsilon, cached):
     # lone run bit for bit, on either correlation path
     mat, ys, max_iter = case
     batch = assert_batch_matches_each_trial_alone(with_gram(mat, cached), ys, epsilon, max_iter)
-    assert all(isinstance(o, (recovery.RecoveryResult, RankDeficientError)) for o in batch.outcomes)
+    assert all(isinstance(o, (recovery.RecoveryResult, RankDeficientError)) for o in outcomes(batch))
 
 
 def test_trial_outcomes_match_each_trial_alone_in_any_batch_size():
@@ -378,7 +379,7 @@ def test_trial_outcomes_match_each_trial_alone_in_any_batch_size():
     mat.gram
     lengths = set()
     for k in range(3, 6):
-        signals = [experiments.trial_signal(cfg, mat, k, t) for t in range(cfg.trials)]
+        signals = [lone_signal(cfg, mat, k, t) for t in range(cfg.trials)]
         expected = [alone(mat, recovery.measure(mat, x), cfg.epsilon) for x in signals]
         lengths |= {(k, r.iterations) for r in expected if not isinstance(r, Exception)}
         for batch_bytes in (1, 3 * (2 * mat.m + mat.n) * 16, experiments.BATCH_BYTES):
@@ -387,11 +388,11 @@ def test_trial_outcomes_match_each_trial_alone_in_any_batch_size():
             supports = np.concatenate([supports for supports, _, _ in batches])
             values = np.concatenate([values for _, values, _ in batches])
             first_picks = np.concatenate([pursuit.first_picks for _, _, pursuit in batches]).tolist()
-            outcomes = [result for _, _, pursuit in batches for result in pursuit.outcomes]
+            results = [result for _, _, pursuit in batches for result in outcomes(pursuit)]
             assert [tuple(s) for s in supports.tolist()] == [x.support for x in signals]
             assert values.tobytes() == np.array([x.values for x in signals]).tobytes()
-            assert len(first_picks) == len(outcomes) == cfg.trials
-            for first, result, lone in zip(first_picks, outcomes, expected):
+            assert len(first_picks) == len(results) == cfg.trials
+            for first, result, lone in zip(first_picks, results, expected):
                 assert_same_outcome(result, lone)
                 if not isinstance(lone, Exception):
                     assert first == lone.support[0]
@@ -408,11 +409,18 @@ def test_batch_retires_trials_at_every_step():
     ys = np.array([y, a - 0.1 * b, a, [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     for cached in (False, True):
         batch = assert_batch_matches_each_trial_alone(with_gram(mat, cached), ys)
-        dependent, *returned = batch.outcomes
+        dependent, *returned = outcomes(batch)
         assert isinstance(dependent, RankDeficientError)
         assert [r.iterations for r in returned] == [2, 1, 1, 0]
         assert [r.converged for r in returned] == [True, True, False, True]
         assert batch.first_picks.tolist() == [1, 1, 1, 0, 0]
+        assert list(batch.errors) == [0]
+        assert batch.iterations[1:].tolist() == [2, 1, 1, 0]
+        assert batch.converged[1:].tolist() == [True, True, False, True]
+        assert batch.picks.shape == (5, 3)  # the dependent trial ended at the third step
+        assert batch.result(-1).iterations == 0  # a negative row counts from the end, as in the arrays
+        with pytest.raises(RankDeficientError):
+            batch.result(-5)
 
 
 def test_pursue_batch_checks_its_input(etf14):
@@ -537,7 +545,7 @@ def test_pursuit_and_oracle_are_scale_equivariant(case, p, cached):
     batch_c = recovery.pursue_batch(mat, c * ys, max_iter=max_iter)
     assert np.array_equal(batch_c.first_picks, batch.first_picks)
     k_max = min(3, mat.m)
-    for y, got, expected in zip(ys, batch_c.outcomes, batch.outcomes):
+    for y, got, expected in zip(ys, outcomes(batch_c), outcomes(batch)):
         assert_same_outcome(got, scaled(expected, c))
         assert_same_outcome(alone(mat, c * y, recovery.DEFAULT_RELATIVE_EPSILON, max_iter), scaled(expected, c))
         supports = [s.support for s in recovery.exhaustive_l0_search(mat, y, k_max).solutions]

@@ -302,6 +302,18 @@ def test_pursuit_stalls_outside_column_span():
     assert result.iterations == 1
 
 
+def test_pursuit_trace_holds_still_on_a_zero_correlation_pick():
+    # after e2 the residual e3 is orthogonal to every column, so index 0 wins
+    # the all-zero tie, fits to 0 and leaves the residual where it was
+    data = np.column_stack([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1 / math.sqrt(2), 1 / math.sqrt(2), 0.0]])
+    mat = matrices.MeasurementMatrix(3, 3, data, "custom")
+    result = recovery.matching_pursuit(mat, np.array([0.0, 1.0, 1.0]))
+    assert result.support == (1, 0)
+    assert result.values.tolist() == [1, 0]
+    assert result.residual_trace == (1.0, 1.0)
+    assert not result.converged
+
+
 def test_pursuit_validates_arguments(etf14):
     with pytest.raises(ValueError):
         recovery.matching_pursuit(etf14, np.ones(7), epsilon=0.0)
