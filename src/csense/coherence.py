@@ -9,6 +9,8 @@ combinatorial cost that makes coherence the practical certificate.
 max_sparsity owns that certificate: K is certified when the worst-case
 signal floor 1 - (K-1) mu clears the disturbance ceiling K mu, i.e. when
 (2K-1) mu < 1, decided exactly on the rational value of the float mu.
+coherence_index gives it coherence_upper_bound, not the computed mu, so
+rounding cannot certify a K the exact frame does not have.
 """
 from __future__ import annotations
 
@@ -33,9 +35,11 @@ SCAN_CHUNK_BYTES = 256 * 1024
 class CoherenceReport:
     """Coherence index mu plus everything the sparsity bound derives from it.
 
-    k_max and bound_value are None when mu == 0 (orthonormal columns): no
-    sparsity level is excluded in that case. is_etf says whether every
-    off-diagonal Gram magnitude lies within 1e-6 of the Welch bound.
+    k_max is max_sparsity of coherence_upper_bound, which lies at or above mu;
+    bound_value is (1 + 1/mu)/2 on mu itself. Both are None when mu == 0
+    (orthonormal columns): no sparsity level is excluded in that case. is_etf
+    says whether every off-diagonal Gram magnitude lies within 1e-6 of the
+    Welch bound.
     """
 
     mu: float
@@ -93,6 +97,29 @@ def max_sparsity(mu: float) -> int | None:
     return -(-q // p) // 2
 
 
+def coherence_upper_bound(m: int, off_max: float, norm_sq_min: float) -> float:
+    """An upper bound in [0, 1] on the exact coherence of the stored columns, each scaled to unit norm.
+
+    off_max is the largest computed off-diagonal Gram magnitude, norm_sq_min the
+    smallest computed diagonal entry (a squared column norm). For any summation
+    order, a computed entry lies within gamma ||a_k|| ||a_l|| of the exact one,
+    gamma = (m + 4) u / (1 - (m + 4) u) and u = 2^-53: gamma_{m+2} for a complex
+    inner product of m-vectors (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, ch. 3), one rounding for the symmetrization and
+    one for the magnitude. The bound off_max (1 + gamma) / norm_sq_min + gamma
+    is evaluated on the rational values of the doubles, num / den in integers,
+    and rounded up.
+    """
+    g, h = m + 4, 2**53 - (m + 4)  # gamma = g / h
+    (p, q), (r, s) = float(off_max).as_integer_ratio(), float(norm_sq_min).as_integer_ratio()
+    num, den = p * (h + g) * s + g * q * r, q * h * r
+    bound = num / den  # int / int rounds to nearest
+    top, bottom = bound.as_integer_ratio()
+    if top * den < num * bottom:
+        bound = math.nextafter(bound, math.inf)
+    return min(bound, 1.0)  # Cauchy-Schwarz
+
+
 def coherence_index(a: matrices.MeasurementMatrix) -> CoherenceReport:
     """Maximum off-diagonal Gram magnitude of a column-normalized matrix.
 
@@ -102,13 +129,14 @@ def coherence_index(a: matrices.MeasurementMatrix) -> CoherenceReport:
     """
     off_max, off_min = matrices.gram_offdiagonal_extremes(a)
     if off_max <= a.n * np.finfo(np.float64).eps:
-        mu = 0.0
+        mu = mu_hi = 0.0
     else:
         mu = min(off_max, 1.0)  # rounding can push |g_kl| a hair past 1
+        mu_hi = coherence_upper_bound(a.m, off_max, float(np.min(a.gram.diagonal().real)))
     return CoherenceReport(
         mu=mu,
         welch=welch_bound(a.m, a.n),
-        k_max=max_sparsity(mu),
+        k_max=max_sparsity(mu_hi),
         bound_value=sparsity_bound(mu),
         is_etf=matrices.welch_distance(a.m, a.n, off_max, off_min) <= ETF_WELCH_TOL,
         gram_offdiag_max=off_max,

@@ -17,7 +17,10 @@ import numpy as np
 
 from . import numerics
 from .errors import UnsupportedSizeError, ZeroColumnError
-from .serialization import BOOLS, complex_to_pairs, decoding, load_json, pairs_to_complex, save_json
+from .serialization import BOOLS, base64_to_complex, complex_to_base64, decoding, load_json, save_json
+
+# Imported by name, though matrices writes no pairs: perfbench/tracing.py patches both converters here.
+from .serialization import complex_to_pairs, pairs_to_complex  # noqa: F401
 
 __all__ = [
     "SPEC_BUILDERS",
@@ -384,19 +387,24 @@ def from_spec(family: str | None = None, **spec) -> MeasurementMatrix:
 
 
 def matrix_to_dict(a: MeasurementMatrix) -> dict:
-    """JSON form: {"m", "n", "family", "meta", "data": [[re, im], ...]} row-major."""
+    """JSON form: {"m", "n", "family", "meta", "data"}, data the base64 of the row-major complex128 bytes."""
     return {
         "m": a.m,
         "n": a.n,
         "family": a.family,
         "meta": a.meta,
-        "data": complex_to_pairs(a.data),
+        "data": complex_to_base64(a.data),
     }
 
 
 def matrix_from_dict(d: dict) -> MeasurementMatrix:
+    """Inverse of matrix_to_dict; data may also be the hand-written list of [re, im] pairs, row-major.
+
+    The decoded bytes are viewed, not copied: MeasurementMatrix's frozen copy is the only one.
+    """
     with decoding("matrix"):
-        (m, n), flat = check_shape(d["m"], d["n"]), pairs_to_complex(d["data"])
+        (m, n), data = check_shape(d["m"], d["n"]), d["data"]
+        flat = base64_to_complex(data) if isinstance(data, str) else pairs_to_complex(data)
         family, meta = str(d["family"]), dict(d.get("meta", {}))
     if flat.shape[0] != m * n:
         raise ValueError(f"data holds {flat.shape[0]} entries, expected m*n = {m * n}")

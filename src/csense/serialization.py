@@ -1,10 +1,15 @@
-"""The JSON formats: one helper pair for files, one record encoder, and complex <-> [re, im] pairs.
+"""The JSON formats: one helper pair for files, one record encoder, and complex arrays as text.
 
-Floats are emitted through Python's shortest round-trip repr, so parsing
-the written text recovers bit-identical doubles.
+A complex array is written one of two ways, and both read back bit-identical:
+- a matrix's data as one base64 string (RFC 4648) of its row-major
+  little-endian complex128 bytes, exact and compact;
+- everything else (signals, measurements, reports) as [re, im] pairs, whose
+  floats go through Python's shortest round-trip repr, so people can read
+  and type them.
 """
 from __future__ import annotations
 
+import binascii  # numpy imports it already, so it costs csense's import nothing
 import contextlib
 import dataclasses
 import itertools
@@ -79,12 +84,37 @@ def complex_to_pairs(values) -> list[list[float]]:
     return flat.view(np.float64).reshape(-1, 2).tolist()
 
 
+def complex_to_base64(values) -> str:
+    """Row-major little-endian complex128 bytes of values as one base64 string, without a newline."""
+    return binascii.b2a_base64(np.ascontiguousarray(values, dtype="<c16"), newline=False).decode("ascii")
+
+
+def base64_to_complex(text: str) -> np.ndarray:
+    """Inverse of complex_to_base64: a read-only 1-D complex128 view of the decoded bytes.
+
+    Only the canonical text is accepted: a2b_base64 skips characters outside
+    the alphabet and ignores stray padding bits, so the bytes must encode back
+    to exactly the text given.
+    """
+    try:
+        raw = binascii.a2b_base64(text)
+    except binascii.Error as exc:  # a ValueError subclass, which decoding() would let through unlabelled
+        raise ValueError(f"data is not base64: {exc}") from None
+    if binascii.b2a_base64(raw, newline=False) != text.encode("ascii"):
+        raise ValueError("data is not canonical base64")
+    if len(raw) % 16:
+        raise ValueError(f"data holds {len(raw)} bytes, not a whole number of 16-byte complex128 values")
+    return np.frombuffer(raw, dtype="<c16")
+
+
 def pairs_to_complex(pairs) -> np.ndarray:
     """Inverse of complex_to_pairs; returns a 1-D complex128 array.
 
     The pairs are reinterpreted in place as complex numbers, never added up
     as re + 1j*im, which would turn a -0.0 imaginary part into +0.0.
     """
+    if isinstance(pairs, str):
+        raise ValueError("expected a list of [re, im] pairs, got a string")
     arr = np.array(pairs, dtype=np.float64, order="C")
     if arr.size == 0:
         return np.zeros(0, dtype=np.complex128)

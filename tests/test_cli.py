@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import math
@@ -196,6 +197,18 @@ def test_coherence_malformed_matrix_file_exits_2(tmp_path, capsys, text):
     code, _, err = run(capsys, "coherence", "--matrix", str(path))
     assert code == 2
     assert err.startswith("error: malformed matrix")
+
+
+def test_coherence_certifies_no_k_the_stored_columns_lack(tmp_path, capsys):
+    # the 3x4 simplex scaled by 1 - 5e-11: its columns sum to 0, so e0 + e1 and -(e2 + e3) share measurements
+    simplex = matrices.build_partial_dft(4, (1, 2, 3))
+    path = tmp_path / "scaled.json"
+    matrices.save_matrix(matrices.MeasurementMatrix(3, 4, simplex.data * (1.0 - 5e-11), "custom"), path)
+    code, stdout, _ = run(capsys, "coherence", "--matrix", str(path))
+    report = strict_json(stdout)["coherence"]
+    assert code == 0
+    assert report["mu"] == 0.3333333333000002 < report["welch"] == 0.3333333333333333
+    assert report["k_max"] == 1
 
 
 # ------------------------------------------------------------------ recover
@@ -506,6 +519,13 @@ def test_a_key_nothing_reads_exits_2(tmp_path, capsys, change, key):
     assert stdout == "" and not out.exists()
 
 
+def b64(values) -> str:
+    """base64 of the little-endian complex128 bytes of values: the data string of a matrix file."""
+    return base64.b64encode(np.asarray(values, dtype="<c16").tobytes()).decode("ascii")
+
+
+ONE = b64([1.0])  # "AAAAAAAA8D8AAAAAAAAAAA==", the 1x1 matrix [1]
+
 # id: (command, the input file it gets, that file's text, the error)
 BAD_INPUT_FILES = {
     "a_min_above_a_max": (
@@ -533,6 +553,30 @@ BAD_INPUT_FILES = {
     "measurement_data_true": (
         "recover", "y", {"m": 7, "data": [[1, 0]] * 6 + [[0, True]]},
         "malformed measurement: [re, im] pairs must hold numbers, not booleans",
+    ),
+    "matrix_base64_alphabet": (
+        "coherence", "etf", {"m": 1, "n": 1, "family": "custom", "data": ONE[:8] + "!" + ONE[8:]},
+        "malformed matrix: data is not canonical base64",
+    ),
+    "matrix_base64_padding": (
+        "coherence", "etf", {"m": 1, "n": 1, "family": "custom", "data": ONE[:-1]},
+        "malformed matrix: data is not base64: Incorrect padding",
+    ),
+    "matrix_base64_partial_value": (
+        "coherence", "etf", {"m": 1, "n": 1, "family": "custom", "data": base64.b64encode(bytes(15)).decode()},
+        "malformed matrix: data holds 15 bytes, not a whole number of 16-byte complex128 values",
+    ),
+    "matrix_base64_one_value_short": (
+        "coherence", "etf", {"m": 1, "n": 2, "family": "custom", "data": ONE},
+        "data holds 1 entries, expected m*n = 2",
+    ),
+    "matrix_base64_nan": (
+        "coherence", "etf", {"m": 1, "n": 1, "family": "custom", "data": b64([complex(math.nan, 0.0)])},
+        "matrix entries must be finite",
+    ),
+    "measurement_base64": (
+        "recover", "y", {"m": 1, "data": ONE},
+        "malformed measurement: expected a list of [re, im] pairs, got a string",
     ),
 }
 

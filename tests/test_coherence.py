@@ -1,8 +1,12 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from csense import coherence, matrices, numerics
 from csense.serialization import to_dict
@@ -19,6 +23,34 @@ def rip_by_charpoly(mat, k):
         roots = np.roots(np.poly(g))
         delta = max(delta, float(np.max(roots.real)) - 1.0, 1.0 - float(np.min(roots.real)))
     return delta
+
+
+def exact_coherence_sq(data) -> Fraction:
+    """mu^2 of the stored columns once each is scaled to unit norm, in exact rationals."""
+    cols = [[(Fraction(z.real), Fraction(z.imag)) for z in col] for col in np.asarray(data).T]
+    norm_sq = [sum(a * a + b * b for a, b in col) for col in cols]
+    worst = Fraction(0)
+    for k, l in itertools.combinations(range(len(cols)), 2):
+        # conj(a + ib) (c + id) = (ac + bd) + i(ad - bc)
+        re = sum(a * c + b * d for (a, b), (c, d) in zip(cols[k], cols[l]))
+        im = sum(a * d - b * c for (a, b), (c, d) in zip(cols[k], cols[l]))
+        worst = max(worst, (re * re + im * im) / (norm_sq[k] * norm_sq[l]))
+    return worst
+
+
+def phased_simplex(u):
+    """The unit-norm 3x4 real simplex, column j turned by the phase exp(2 pi i u_j): mu = 1/3 exactly."""
+    cols = np.array([
+        [1.0, 0.0, 0.0],
+        [-1.0 / 3.0, math.sqrt(8.0) / 3.0, 0.0],
+        [-1.0 / 3.0, -math.sqrt(2.0) / 3.0, math.sqrt(6.0) / 3.0],
+        [-1.0 / 3.0, -math.sqrt(2.0) / 3.0, -math.sqrt(6.0) / 3.0],
+    ]).T
+    return matrices.MeasurementMatrix(3, 4, cols * np.exp(2j * np.pi * np.asarray(u)), "custom")
+
+
+# The 1050th draw (index 1049) of default_rng(2).random(4).
+DRAW_1049 = (0.17784782117551978, 0.011429120809671622, 0.6727382419696049, 0.08155329738954253)
 
 
 # ------------------------------------------------------------- welch bound
@@ -141,6 +173,73 @@ def test_coherence_report_round_trips_to_dict(etf14):
     d = to_dict(coherence.coherence_index(etf14))
     assert d["k_max"] == 2
     assert d["is_etf"] is True
+
+
+def test_rounding_in_the_gram_cannot_certify_a_false_k():
+    rng = np.random.default_rng(2)
+    for _ in range(1049):
+        rng.random(4)
+    assert tuple(rng.random(4).tolist()) == DRAW_1049
+    mat = phased_simplex(DRAW_1049)
+    rep = coherence.coherence_index(mat)
+    # the computed mu is the double below 1/3, which alone would certify K = 2
+    assert rep.mu == 0.3333333333333333 and coherence.max_sparsity(rep.mu) == 2
+    assert exact_coherence_sq(mat.data) > Fraction(1, 9)
+    assert rep.k_max == 1  # any 4 columns in C^3 are dependent, so K = 2 cannot hold
+
+
+def test_upper_bound_covers_the_rounding_allowance(etf14):
+    rep = coherence.coherence_index(etf14)
+    mu_hi = coherence.coherence_upper_bound(etf14.m, rep.gram_offdiag_max, 1.0)
+    assert mu_hi >= rep.gram_offdiag_max + (etf14.m + 4) * 2.0**-53
+    assert coherence.coherence_upper_bound(3, 0.99, 0.99) == 1.0
+
+
+def _unit_columns(raw):
+    """raw with every column scaled to unit norm, or None if a column is too small to scale."""
+    if np.min(np.linalg.norm(raw, axis=0)) < 1e-3:
+        return None
+    return matrices.normalize_columns(raw)
+
+
+# Wide frames (n > m): random complex ones, and 3x4 simplices at the boundary mu = 1/3, turned and scaled
+# within the column-norm tolerance.
+wide_frames = st.one_of(
+    st.integers(1, 4).flatmap(
+        lambda m: st.integers(m + 1, m + 3).flatmap(
+            lambda n: st.tuples(*[hnp.arrays(np.float64, (m, n), elements=st.floats(-1.0, 1.0))] * 2)
+        )
+    ).map(lambda parts: _unit_columns(parts[0] + 1j * parts[1])),
+    st.tuples(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4), st.floats(-9e-11, 9e-11)).map(
+        lambda args: phased_simplex(args[0]).data * (1.0 + args[1])
+    ),
+)
+
+
+def on_wide_frames(test):
+    """Run test on wide_frames and on both boundary cases that once certified K = 2 on a 3x4 frame."""
+    test = example(matrices.build_partial_dft(4, (1, 2, 3)).data * (1.0 - 5e-11))(test)
+    test = example(phased_simplex(DRAW_1049).data)(test)
+    return settings(max_examples=150, deadline=None)(given(wide_frames)(test))
+
+
+@on_wide_frames
+def test_a_wide_frame_never_certifies_more_than_half_its_rows(data):
+    # the spark of m x n with n > m is at most m + 1, and a certified K needs a spark above 2K
+    if data is None:
+        return
+    rep = coherence.coherence_index(matrices.MeasurementMatrix(*data.shape, data, "custom"))
+    assert rep.k_max is not None and 2 * rep.k_max <= data.shape[0]
+
+
+@on_wide_frames
+def test_certified_k_holds_for_the_exact_frame(data):
+    # exact oracle on the stored doubles: (2K - 1) mu_exact < 1 for the K that coherence certifies
+    if data is None:
+        return
+    rep = coherence.coherence_index(matrices.MeasurementMatrix(*data.shape, data, "custom"))
+    if rep.k_max:
+        assert (2 * rep.k_max - 1) ** 2 * exact_coherence_sq(data) < 1
 
 
 # ------------------------------------------------- gram submatrix condition

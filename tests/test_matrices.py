@@ -1,16 +1,20 @@
+import base64
 import io
 import json
 import math
+import sys
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from csense import coherence, matrices, numerics, recovery
 from csense.experiments import ExperimentConfig
-from csense.serialization import complex_to_pairs, pairs_to_complex, to_dict
+from csense.serialization import base64_to_complex, complex_to_base64, complex_to_pairs, pairs_to_complex, to_dict
 from csense.errors import UnsupportedSizeError, ZeroColumnError
 
 MU14 = 1.0 / math.sqrt(13.0)
@@ -413,16 +417,83 @@ def test_pairs_to_complex_rejects_bad_layout():
 def test_matrix_dict_shape_check(etf14):
     d = matrices.matrix_to_dict(etf14)
     d["data"] = d["data"][:-1]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^malformed matrix: "):
         matrices.matrix_from_dict(d)
 
 
 def test_matrix_json_layout(etf14):
     d = matrices.matrix_to_dict(etf14)
     assert set(d) == {"m", "n", "family", "meta", "data"}
-    assert len(d["data"]) == etf14.m * etf14.n
-    assert all(len(pair) == 2 for pair in d["data"])
+    assert type(d["data"]) is str
+    assert base64.b64decode(d["data"], validate=True) == etf14.data.astype("<c16").tobytes()
     json.dumps(d)  # serializable as-is
+
+
+def test_pair_form_of_a_matrix_loads_bit_identical(tmp_path, fig3_dft):
+    d = matrices.matrix_to_dict(fig3_dft)
+    from_base64 = matrices.matrix_from_dict(json.loads(json.dumps(d))).data
+    d["data"] = complex_to_pairs(fig3_dft.data)
+    (tmp_path / "pairs.json").write_text(json.dumps(d))
+    from_pairs = matrices.load_matrix(tmp_path / "pairs.json").data
+    assert np.array_equal(from_pairs.view(np.uint64), from_base64.view(np.uint64))
+    assert np.array_equal(from_pairs.view(np.uint64), fig3_dft.data.view(np.uint64))
+
+
+SPECIAL_DOUBLES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max)
+
+
+@given(
+    hnp.arrays(
+        np.complex128,
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+        elements=st.complex_numbers(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_DOUBLES),
+    ),
+    st.booleans(),
+)
+@example(np.array([[complex(-0.0, 5e-324), complex(sys.float_info.max, -0.0)]]), True)
+def test_base64_codec_round_trip_bit_exact(values, transpose):
+    values = values.T if transpose else values
+    text = complex_to_base64(values)
+    back = base64_to_complex(text)
+    assert not back.flags.writeable  # a view of the decoded bytes
+    expected = np.ascontiguousarray(values).reshape(-1)
+    assert np.array_equal(back.view(np.uint64), expected.view(np.uint64))
+    assert text == base64.b64encode(expected.astype("<c16").tobytes()).decode("ascii")
+
+
+# Imaginary parts that are exactly 0: every ETF and Gaussian entry, and every partial-DFT entry of column 0.
+FILES_OF_EACH_FAMILY = (
+    {"family": "etf", "m": 3, "n": 6},
+    {"family": "partial-dft", "n": 8, "m": 5, "seed": 3},
+    {"family": "gaussian", "m": 3, "n": 5, "seed": 7},
+    {"family": "subsampling", "n": 12, "p": 3},
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(FILES_OF_EACH_FAMILY),
+    st.lists(st.sampled_from((-0.0, 5e-324, -5e-324, 2.2250738585072014e-308)), min_size=1, max_size=8),
+    st.booleans(),
+)
+def test_matrix_file_round_trip_bit_exact(tmp_path_factory, spec, specials, fortran):
+    mat = matrices.from_spec(**spec)
+    data = mat.data.copy()
+    if fortran and not data.imag.any():
+        # real data keeps the memory order it is given in, so the matrix holds a transposed, column-major array
+        mat = replace(mat, data=np.asfortranarray(data.real))
+        assert not mat.data.flags.c_contiguous
+    else:
+        # signed zeros and subnormals go into zero imaginary parts, which leaves the column norms alone
+        flat = data.reshape(-1)
+        for i, value in zip(np.flatnonzero(flat.imag == 0.0), specials):
+            flat[i] = complex(flat[i].real, value)
+        mat = replace(mat, data=data)
+    path = tmp_path_factory.mktemp("round_trip") / "mat.json"
+    matrices.save_matrix(mat, path)
+    loaded = matrices.load_matrix(path)
+    assert (loaded.family, loaded.meta) == (mat.family, mat.meta)
+    assert np.array_equal(loaded.data.view(np.uint64), np.ascontiguousarray(mat.data).view(np.uint64))
 
 
 # ------------------------------------------------------------------ family
