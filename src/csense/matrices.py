@@ -49,11 +49,7 @@ __all__ = [
 ]
 
 COLUMN_NORM_TOL = 1e-10
-CONFERENCE_GRAM_TOL = 1e-9
-FALLBACK_GRAM_TOL = 1e-3
-
-_FALLBACK_MAX_ITERS = 10_000
-_FALLBACK_SEED = 61803
+ETF_GRAM_TOL = 1e-9
 
 
 def check_int(value, what: str, low: int, high: int | None = None) -> int:
@@ -193,6 +189,11 @@ def _is_odd_prime(q: int) -> bool:
     return all(q % d for d in range(3, math.isqrt(q) + 1, 2))
 
 
+def _quadratic_residues(p: int) -> np.ndarray:
+    """The nonzero squares mod p, sorted and distinct."""
+    return np.unique(np.arange(1, p, dtype=np.int64) ** 2 % p)
+
+
 def paley_conference(n: int) -> np.ndarray:
     """Symmetric conference matrix of order n from quadratic residues mod n-1.
 
@@ -206,7 +207,7 @@ def paley_conference(n: int) -> np.ndarray:
             f"no Paley conference matrix of order {n}: need n = 2 (mod 4) with n-1 an odd prime"
         )
     character = -np.ones(q)
-    character[np.unique(np.arange(1, q, dtype=np.int64) ** 2 % q)] = 1.0
+    character[_quadratic_residues(q)] = 1.0
     character[0] = 0.0
     i = np.arange(q)
     c = np.ones((n, n))
@@ -244,74 +245,60 @@ def welch_distance(m: int, n: int, off_max: float, off_min: float) -> float:
     return max(off_max - w, w - off_min)
 
 
-def _check_equiangular(a: MeasurementMatrix, tol: float) -> None:
+def _check_equiangular(a: MeasurementMatrix) -> None:
     worst = welch_distance(a.m, a.n, *gram_offdiagonal_extremes(a))
-    if worst > tol:
+    if worst > ETF_GRAM_TOL:
         raise UnsupportedSizeError(
-            f"off-diagonal Gram magnitudes deviate from the Welch bound by {worst:.3e} (tolerance {tol:g})"
+            f"off-diagonal Gram magnitudes deviate from the Welch bound by {worst:.3e} (tolerance {ETF_GRAM_TOL:g})"
         )
 
 
-def _etf_alternating_projections(m: int, n: int) -> np.ndarray:
-    """Frame-design heuristic: alternate between the unit-diagonal Gram set
-    with off-diagonal magnitudes clamped at the Welch bound and the nearest
-    rank-m positive-semidefinite factorization. Approximate by nature."""
-    target = welch_bound(m, n)
-    rng = np.random.default_rng(_FALLBACK_SEED)
-    a = normalize_columns(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
-    off = ~np.eye(n, dtype=bool)
-    for _ in range(_FALLBACK_MAX_ITERS):
-        g = a.conj().T @ a
-        if float(np.max(np.abs(np.abs(g[off]) - target))) <= FALLBACK_GRAM_TOL:
-            return a
-        mag = np.abs(g)
-        shrink = np.ones_like(mag)
-        mask = mag > target
-        shrink[mask] = target / mag[mask]
-        g = g * shrink
-        np.fill_diagonal(g, 1.0)
-        g = (g + g.conj().T) / 2.0
-        w, v = np.linalg.eigh(g)
-        w = np.clip(w, 0.0, None)
-        w[: n - m] = 0.0
-        a = (v[:, n - m :] * np.sqrt(w[n - m :])).conj().T
-        norms = np.linalg.norm(a, axis=0)
-        dead = norms < numerics.ZERO_TOL
-        if np.any(dead):
-            k = int(dead.sum())
-            a[:, dead] = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
-        a = normalize_columns(a)
-    raise UnsupportedSizeError(
-        f"alternating projections did not reach an equiangular Gram for {m}x{n} "
-        f"within {_FALLBACK_MAX_ITERS} iterations"
-    )
+def _harmonic_rows(m: int, n: int) -> tuple[int, ...] | None:
+    """m rows of the n-point DFT that form a cyclic difference set mod n, or None if no base set gives m.
+
+    A base set is {0} or, for a prime n = 3 (mod 4), the quadratic residues;
+    the rows are a base set or its complement, whichever has m elements.
+    """
+    bases = [(0,)]
+    if n % 4 == 3 and _is_odd_prime(n):
+        bases.append(tuple(_quadratic_residues(n).tolist()))
+    for base in bases:
+        for rows in (base, tuple(sorted(set(range(n)).difference(base)))):
+            if len(rows) == m:
+                return rows
+    return None
 
 
 def build_etf(m: int, n: int) -> MeasurementMatrix:
     """Equiangular tight frame: unit-norm columns whose pairwise inner
     products all share one magnitude, the Welch bound sqrt((n-m)/(m(n-1))).
 
-    The exact route applies when n = 2m and a symmetric Paley conference
-    matrix of order n exists (n = 2 (mod 4), n-1 an odd prime): rows are a
-    scaled orthonormal basis of the conference matrix's positive eigenspace.
-    Other sizes fall back to alternating projections, which is approximate
-    (Gram tolerance 1e-3 instead of 1e-9) and may fail outright.
-    meta["route"] records which path produced the matrix.
+    Three exact routes, each checked at ETF_GRAM_TOL; meta["route"] names the one taken:
+    - orthonormal, for m = n: the identity;
+    - harmonic, for m = 1, m = n-1, and m = (n-1)/2 or (n+1)/2 with n a prime = 3 (mod 4):
+      the partial DFT on a cyclic difference set, whose rows meta["rows"] lists;
+    - paley-conference, for n = 2m = 2 (mod 4) with n-1 a prime: rows are a scaled
+      orthonormal basis of the Paley conference matrix's positive eigenspace.
+    Any other size is an UnsupportedSizeError.
     """
     m, n = check_shape(m, n)
     if m == n:
         # orthonormal columns: every off-diagonal inner product is 0 = Welch
-        return MeasurementMatrix(m, n, np.eye(n), "etf", {"route": "orthonormal"})
-    if n == 2 * m and n % 4 == 2 and _is_odd_prime(n - 1):
+        mat = MeasurementMatrix(m, n, np.eye(n), "etf", {"route": "orthonormal"})
+    elif (rows := _harmonic_rows(m, n)) is not None:
+        mat = replace(build_partial_dft(n, rows), family="etf", meta={"route": "harmonic", "rows": list(rows)})
+    elif n == 2 * m and n % 4 == 2 and _is_odd_prime(n - 1):
         # C^2 = (n-1) I and trace 0 give C the eigenvalues +-sqrt(n-1), each n/2 = m times
         w, v = np.linalg.eigh(paley_conference(n))
         data = normalize_columns(v[:, w > 0.0].T)
-        route, tol = "paley-conference", CONFERENCE_GRAM_TOL
+        mat = MeasurementMatrix(m, n, data, "etf", {"route": "paley-conference"})
     else:
-        data = _etf_alternating_projections(m, n)
-        route, tol = "alternating-projections", FALLBACK_GRAM_TOL
-    mat = MeasurementMatrix(m, n, data, "etf", {"route": route, "gram_tolerance": tol})
-    _check_equiangular(mat, tol)
+        raise UnsupportedSizeError(
+            f"no equiangular tight frame route for {m}x{n}: orthonormal needs m = n; "
+            "harmonic needs m = 1, m = n-1, or n a prime = 3 (mod 4) with m = (n-1)/2 or (n+1)/2; "
+            "paley-conference needs n = 2m = 2 (mod 4) with n-1 a prime"
+        )
+    _check_equiangular(mat)
     return mat
 
 

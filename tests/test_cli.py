@@ -65,6 +65,17 @@ def test_gen_matrix_fallback_failure_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "gen-matrix", "--family", "etf", "--m", "6", "--n", "14", "--out", str(out))
     assert code == 3
     assert "error" in err
+    assert all(route in err for route in ("orthonormal", "harmonic", "paley-conference"))
+
+
+def test_gen_matrix_harmonic_etf(tmp_path, capsys):
+    out = tmp_path / "etf.json"
+    code, stdout, _ = run(capsys, "gen-matrix", "--family", "etf", "--m", "5", "--n", "11", "--out", str(out))
+    assert code == 0
+    assert "rows = 1,3,4,5,9" in stdout.splitlines()
+    code, stdout, _ = run(capsys, "coherence", "--matrix", str(out))
+    assert code == 0
+    assert strict_json(stdout)["coherence"]["is_etf"] is True
 
 
 def test_gen_matrix_bad_rows_exits_2(tmp_path, capsys):

@@ -234,18 +234,57 @@ def test_etf_degenerate_1x1():
 
 
 def test_etf_fallback_small_frame():
-    # three unit vectors in the plane at mutual 60 degrees; fallback territory
+    # three unit vectors in the plane at mutual 60 degrees: the simplex, rows 1 and 2 of the 3-point DFT
     mat = matrices.build_etf(2, 3)
-    assert mat.meta["route"] == "alternating-projections"
+    assert mat.meta["route"] == "harmonic"
     g = numerics.gram(mat.data)
     off = np.abs(g[~np.eye(3, dtype=bool)])
-    assert np.max(np.abs(off - 0.5)) <= 1e-3
+    assert np.max(np.abs(off - 0.5)) <= matrices.ETF_GRAM_TOL
 
 
 def test_etf_fallback_infeasible_size():
     # more than m^2 columns cannot be equiangular in dimension m
     with pytest.raises(UnsupportedSizeError):
         matrices.build_etf(2, 5)
+
+
+# the sizes each route covers, written out: primes p = 3 (mod 4) and Paley conference orders up to 40
+PRIMES_3_MOD_4 = (3, 7, 11, 19, 23, 31)
+PALEY_ORDERS = (6, 14, 18, 30, 38)
+
+
+def etf_sizes(limit):
+    """Every (m, n) with n <= limit that an orthonormal, harmonic or Paley-conference route builds."""
+    sizes = {(n, n) for n in range(1, limit + 1)}
+    sizes |= {(1, n) for n in range(1, limit + 1)} | {(n - 1, n) for n in range(2, limit + 1)}
+    sizes |= {((p - 1) // 2, p) for p in PRIMES_3_MOD_4} | {((p + 1) // 2, p) for p in PRIMES_3_MOD_4}
+    return sizes | {(n // 2, n) for n in PALEY_ORDERS}
+
+
+def test_etf_builds_exactly_the_covered_sizes():
+    covered = etf_sizes(40)
+    for n in range(1, 41):
+        for m in range(1, n + 1):
+            if (m, n) not in covered:
+                with pytest.raises(UnsupportedSizeError, match="orthonormal.*harmonic.*paley-conference"):
+                    matrices.build_etf(m, n)
+                continue
+            mat = matrices.build_etf(m, n)
+            assert matrices.welch_distance(m, n, *matrices.gram_offdiagonal_extremes(mat)) <= matrices.ETF_GRAM_TOL
+            assert coherence.coherence_index(mat).is_etf, (m, n)
+
+
+def test_harmonic_rows_are_difference_sets():
+    # D is a cyclic difference set exactly when |FFT(indicator of D)| is constant off frequency 0
+    for m, n in sorted(etf_sizes(40)):
+        mat = matrices.build_etf(m, n)
+        if mat.meta["route"] != "harmonic":
+            continue
+        assert mat.data.tobytes() == matrices.build_partial_dft(n, mat.meta["rows"]).data.tobytes()
+        indicator = np.zeros(n)
+        indicator[mat.meta["rows"]] = 1.0
+        spectrum = np.abs(np.fft.fft(indicator))[1:]
+        assert np.ptp(spectrum) <= 1e-12, (m, n, mat.meta["rows"])
 
 
 def test_etf_rejects_bad_shape():
