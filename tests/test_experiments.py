@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csense import experiments, matrices, numerics, recovery
@@ -187,6 +187,19 @@ def reference_signal(cfg, n, k, trial):
     return recovery.SparseSignal(n, support, mags * np.exp(1j * phases))
 
 
+def draw_case(n, m, k, amplitude_model, seed, trials, a_min=0.5, a_max=2.0):
+    cfg = experiments.ExperimentConfig(
+        matrix={"family": "partial-dft", "n": n, "m": m, "seed": 0},
+        k_range=(1, k),
+        trials=1,
+        amplitude_model=amplitude_model,
+        seed=seed,
+        a_min=a_min,
+        a_max=a_max,
+    )
+    return matrices.from_spec(**cfg.matrix), cfg, k, trials
+
+
 @st.composite
 def draw_cases(draw):
     """(matrix, config, k, trials): a seeded partial DFT with n <= 256, any k in [1, m],
@@ -195,21 +208,19 @@ def draw_cases(draw):
     m = draw(st.integers(1, min(n, 24)))
     k = draw(st.integers(1, m))
     a_min, a_max = sorted(draw(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=2)))
-    cfg = experiments.ExperimentConfig(
-        matrix={"family": "partial-dft", "n": n, "m": m, "seed": 0},
-        k_range=(1, k),
-        trials=1,
-        amplitude_model=draw(st.sampled_from(experiments.AMPLITUDE_MODELS)),
-        seed=draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80))),
-        a_min=a_min,
-        a_max=a_max,
-    )
+    amplitude_model = draw(st.sampled_from(experiments.AMPLITUDE_MODELS))
+    seed = draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80)))
     start = draw(st.one_of(st.integers(0, 10**6), st.integers(2**32 - 4, 2**32 + 4)))
-    return matrices.from_spec(**cfg.matrix), cfg, k, range(start, start + draw(st.integers(1, 12)))
+    trials = range(start, start + draw(st.integers(1, 12)))
+    return draw_case(n, m, k, amplitude_model, seed, trials, a_min, a_max)
 
 
 @settings(max_examples=150, deadline=None)
 @given(draw_cases())
+# a batch whose trials take one entropy word and then two, seeded in two groups
+@example(draw_case(30, 15, 3, experiments.AMPLITUDE_RANDOM, 11, range(2**32 - 3, 2**32 + 3)))
+# seed words, k and trial make 5 entropy words: SeedSequence mixes the one beyond its 4-word pool
+@example(draw_case(14, 7, 3, experiments.AMPLITUDE_RANDOM, 2**64 + 424242, range(0, 9)))
 def test_batch_draw_is_the_stream_of_each_trial_alone(case):
     # the generator, the support and the value bits of every trial, and the
     # bits of its y = A x, are those of the trial drawn and measured alone;
@@ -224,6 +235,52 @@ def test_batch_draw_is_the_stream_of_each_trial_alone(case):
         assert tuple(supports[row].tolist()) == x.support
         assert values[row].tobytes() == x.values.tobytes()
         assert ys[row].tobytes() == (mat.data @ x.dense()).tobytes()
+
+
+# bounds 2**31 + 1 and 3 * 2**30 reject about half and a quarter of first draws,
+# 1 draws nothing, 2**32 - 1 and 2**32 are the last of 32-bit Lemire
+STREAM_BOUNDS = (1, 2, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32)
+
+
+@st.composite
+def generator_programs(draw):
+    """(groups, bounds, count): one or two groups of rows of 32-bit entropy words, each
+    group's own length, up to past the 4-word pool; a (T, k) list of bounds for the
+    integers of each row; the count of its random doubles."""
+    groups = []
+    for length in draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)):
+        words = st.lists(st.integers(0, 2**32 - 1), min_size=length, max_size=length)
+        groups.append(np.array(draw(st.lists(words, min_size=1, max_size=4)), dtype=np.uint32))
+    k = draw(st.integers(1, 5))
+    row = st.lists(st.sampled_from(STREAM_BOUNDS), min_size=k, max_size=k)
+    total = sum(map(len, groups))
+    return groups, draw(st.lists(row, min_size=total, max_size=total)), draw(st.integers(0, 3))
+
+
+ONE_WORD_ROWS = [np.array([[0], [1], [3], [4], [5], [9]], dtype=np.uint32)]
+# on these rows, rows 0 and 2 reject their first draw, rows 1, 3 and 4 do not,
+# row 5 draws nothing; then the rows disagree on a half left over, which random skips
+MIXED_BOUNDS = [[2**31 + 1, 2**32], [2**31 + 1, 2], [3 * 2**30, 2**32 - 1], [3 * 2**30, 1], [2, 3 * 2**30], [1, 2]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_programs())
+# draws after bound-1 draws, which consume nothing
+@example((ONE_WORD_ROWS, [[1, 2**32, 1, 3 * 2**30, 1]] * 6, 2))
+@example((ONE_WORD_ROWS, MIXED_BOUNDS, 3))
+def test_generator_draws_are_numpys(program):
+    groups, bounds, count = program
+    ints, doubles = experiments._generator_draws(groups, bounds, count)
+    generators = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(row))) for words in groups for row in words]
+    assert ints.tolist() == [[int(rng.integers(b)) for b in row] for rng, row in zip(generators, bounds)]
+    assert doubles.tobytes() == np.array([rng.random(count) for rng in generators]).tobytes()
+
+
+@pytest.mark.parametrize("bounds", [[0], [2**32 + 1], [2, 2**33], [[2], [2**32 + 1]]])
+def test_generator_draws_refuse_bounds_beyond_32_bit_lemire(bounds):
+    # above 2**32 numpy's integers switches to 64-bit Lemire, which _generator_draws does not copy
+    with pytest.raises(ValueError):
+        experiments._generator_draws([np.zeros((2, 3), dtype=np.uint32)], bounds, 0)
 
 
 def outcomes(pursuit):
