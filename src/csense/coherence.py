@@ -24,8 +24,6 @@ from . import matrices, numerics
 from .matrices import welch_bound
 from .serialization import BOOLS
 
-# is_etf: largest matrices.welch_distance of an equiangular tight frame.
-ETF_WELCH_TOL = 1e-6
 DEFAULT_MAX_SUBSETS = 100_000
 # Bytes of sub-matrices one scan chunk gathers, which fixes a scan's working memory.
 SCAN_CHUNK_BYTES = 256 * 1024
@@ -38,8 +36,9 @@ class CoherenceReport:
     k_max is max_sparsity of coherence_upper_bound, which lies at or above mu;
     bound_value is (1 + 1/mu)/2 on mu itself. Both are None when mu == 0
     (orthonormal columns): no sparsity level is excluded in that case. is_etf
-    says whether every off-diagonal Gram magnitude lies within 1e-6 of the
-    Welch bound.
+    says whether every off-diagonal Gram magnitude lies within
+    matrices.ETF_GRAM_TOL of the Welch bound, the tolerance at which build_etf
+    accepts a frame.
     """
 
     mu: float
@@ -138,7 +137,7 @@ def coherence_index(a: matrices.MeasurementMatrix) -> CoherenceReport:
         welch=welch_bound(a.m, a.n),
         k_max=max_sparsity(mu_hi),
         bound_value=sparsity_bound(mu),
-        is_etf=matrices.welch_distance(a.m, a.n, off_max, off_min) <= ETF_WELCH_TOL,
+        is_etf=matrices.welch_distance(a.m, a.n, off_max, off_min) <= matrices.ETF_GRAM_TOL,
         gram_offdiag_max=off_max,
         gram_offdiag_min=off_min,
     )

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 COLUMN_NORM_TOL = 1e-10
+# Largest welch_distance of an equiangular tight frame: build_etf's check and coherence_index's is_etf.
 ETF_GRAM_TOL = 1e-9
 
 
@@ -392,10 +393,12 @@ def matrix_from_dict(d: dict) -> MeasurementMatrix:
     with decoding("matrix"):
         (m, n), data = check_shape(d["m"], d["n"]), d["data"]
         flat = base64_to_complex(data) if isinstance(data, str) else pairs_to_complex(data)
-        family, meta = str(d["family"]), dict(d.get("meta", {}))
+        family, meta = str(d["family"]), d.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError(f"meta must be a JSON object, got {type(meta).__name__}")
     if flat.shape[0] != m * n:
         raise ValueError(f"data holds {flat.shape[0]} entries, expected m*n = {m * n}")
-    return MeasurementMatrix(m, n, flat.reshape(m, n), family, meta)
+    return MeasurementMatrix(m, n, flat.reshape(m, n), family, dict(meta))
 
 
 def save_matrix(a: MeasurementMatrix, path) -> None:

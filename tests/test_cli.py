@@ -2,10 +2,14 @@ import base64
 import csv
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csense
 from csense import matrices, recovery
 from csense.cli import figure_scenario, main
 from csense.coherence import coherence_index
@@ -90,6 +94,23 @@ def test_gen_matrix_gaussian_matches_the_library(tmp_path, capsys):
     assert code == 0
     mat = matrices.load_matrix(out)
     assert np.array_equal(mat.data, matrices.build_gaussian(8, 20, 3).data) and mat.meta == {"seed": 3}
+
+
+@pytest.mark.parametrize(
+    "flags, spec",
+    [
+        (["--n", "8", "--rows", "0,2,4,6"], {"n": 8, "rows": (0, 2, 4, 6)}),
+        (["--n", "16", "--m", "12", "--seed", "1"], {"n": 16, "m": 12, "seed": 1}),
+    ],
+    ids=["rows", "m_and_seed"],
+)
+def test_gen_matrix_partial_dft_matches_the_library(tmp_path, capsys, flags, spec):
+    out = tmp_path / "dft.json"
+    code, stdout, _ = run(capsys, "gen-matrix", "--family", "partial-dft", *flags, "--out", str(out))
+    assert code == 0
+    mat, expected = matrices.load_matrix(out), matrices.from_spec("partial-dft", **spec)
+    assert np.array_equal(mat.data.view(np.uint64), expected.data.view(np.uint64)) and mat.meta == expected.meta
+    assert "rows = " + ",".join(map(str, expected.meta["rows"])) in stdout.splitlines()
 
 
 def test_gen_matrix_single_column_is_unbounded(tmp_path, capsys):
@@ -386,6 +407,8 @@ def test_figure_unknown_name_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["figure", "--name", "fig9", "--outdir", str(tmp_path)])
     assert exc.value.code == 2
+    with pytest.raises(ValueError, match="unknown scenario 'fig9'"):
+        figure_scenario("fig9")
 
 
 # --------------------------------------------------------------- experiment
@@ -475,6 +498,7 @@ FRACTIONAL_OR_NAN = {
     "trials": ("experiment", {"trials": 20.9}, "trials must be a whole number, got 20.9"),
     "epsilon": ("experiment", {"epsilon": math.nan}, "epsilon must be a positive, finite number, got nan"),
     "epsilon_string": ("experiment", {"epsilon": "1e-3"}, "epsilon must be a positive, finite number, got '1e-3'"),
+    "epsilon_list": ("experiment", {"epsilon": [1]}, "epsilon must be a positive, finite number, got [1]"),
     "matrix_m": ("coherence", {"m": 7.5}, "m must be a whole number, got 7.5"),
     "recover_epsilon": ("recover", {}, "epsilon must be a positive, finite number, got nan"),
     "k_range_true": ("experiment", {"k_range": [1, True]}, "k_range high must be a whole number, got True"),
@@ -557,6 +581,18 @@ BAD_INPUT_FILES = {
     "measurement_nan": ("recover", "y", {"m": 7, "data": [[math.nan, 0]] + [[0, 0]] * 6}, "vector entries must be finite"),
     "matrix_family": ("coherence", "etf", {"m": 1, "n": 1, "family": "bogus", "data": [[1, 0]]}, "unknown family 'bogus'"),
     "matrix_no_m": ("coherence", "etf", {"n": 1, "family": "custom", "data": [[1, 0]]}, "malformed matrix: missing key 'm'"),
+    "matrix_meta_pairs": (
+        "coherence", "etf", {"m": 1, "n": 1, "family": "custom", "meta": [["a", 1]], "data": ONE},
+        "malformed matrix: meta must be a JSON object, got list",
+    ),
+    "matrix_meta_empty_list": (
+        "coherence", "etf", {"m": 1, "n": 1, "family": "custom", "meta": [], "data": ONE},
+        "malformed matrix: meta must be a JSON object, got list",
+    ),
+    "matrix_meta_string": (
+        "coherence", "etf", {"m": 1, "n": 1, "family": "custom", "meta": "ab", "data": ONE},
+        "malformed matrix: meta must be a JSON object, got str",
+    ),
     "matrix_data_true": (
         "coherence", "etf", {"m": 1, "n": 1, "family": "custom", "data": [[True, False]]},
         "malformed matrix: [re, im] pairs must hold numbers, not booleans",
@@ -607,3 +643,37 @@ def test_bad_input_file_exits_2(tmp_path, capsys, etf14, command, name, content,
     assert code == 2
     assert err.startswith("error:") and message in err
     assert stdout == "" and not paths["r"].exists()
+
+
+# ---------------------------------------------------------------- packaging
+
+# Run as `python -c NUMPY_ONLY DIR`, DIR the directory that holds the csense package to audit:
+# prints the top-level modules that importing csense and each of its modules loads, beyond
+# the standard library, csense and numpy.
+NUMPY_ONLY = """
+import importlib, json, pkgutil, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import csense
+for module in pkgutil.iter_modules(csense.__path__):
+    importlib.import_module("csense." + module.name)
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(loaded - set(sys.stdlib_module_names) - {"csense", "numpy"})))
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """Importing csense and every module in it loads nothing outside the standard library and numpy.
+
+    Every import in csense sits at module level, none inside a function, so
+    importing every module makes every import the package can make at run
+    time. The audit runs in a fresh interpreter, since this one already holds
+    pytest and hypothesis, and it counts only what loads after the snapshot
+    taken before `import csense`, since a venv's .pth hooks may load other
+    packages at start-up. It audits the csense this process imports, from a
+    checkout or an installed wheel.
+    """
+    package_dir = str(Path(csense.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY, package_dir], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

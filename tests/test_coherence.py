@@ -148,6 +148,13 @@ def test_is_etf_measures_the_distance_from_welch(etf14, etf30, full_dft8):
         assert rep.gram_offdiag_max - rep.gram_offdiag_min <= 1e-12
         assert rep.welch == 0.0
         assert not rep.is_etf
+    # column 3 of the 7x14 ETF moved by 2e-7 and renormalized: 1.7e-7 from the Welch bound,
+    # further than build_etf's tolerance, so no ETF either
+    data = etf14.data.copy()
+    data[0, 3] += 2e-7
+    rep = coherence.coherence_index(matrices.MeasurementMatrix(7, 14, matrices.normalize_columns(data), "custom"))
+    assert 1e-7 < matrices.welch_distance(7, 14, rep.gram_offdiag_max, rep.gram_offdiag_min) < 1e-6
+    assert not rep.is_etf
 
 
 def test_etf_check_and_is_etf_share_one_welch_distance(monkeypatch):
@@ -166,7 +173,7 @@ def test_etf_check_and_is_etf_share_one_welch_distance(monkeypatch):
     # the same float as the largest |off - welch| over every off-diagonal magnitude
     off = np.abs(mat.gram[~np.eye(mat.n, dtype=bool)])
     assert seen[0] == float(np.max(np.abs(off - rep.welch)))
-    assert rep.is_etf == (seen[0] <= coherence.ETF_WELCH_TOL)
+    assert rep.is_etf == (seen[0] <= matrices.ETF_GRAM_TOL)
 
 
 def test_coherence_report_round_trips_to_dict(etf14):

@@ -124,6 +124,18 @@ def test_report_matches_golden(name):
 
 
 @pytest.mark.parametrize("name", sorted(golden_configs()))
+def test_cli_experiment_writes_the_golden_report(tmp_path, name):
+    """The files csense experiment writes: the golden report byte for byte, and the report's CSV lines."""
+    cfg = golden_configs()[name]
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg_path.write_text(json.dumps(to_dict(cfg)), encoding="utf-8")
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+    csv_text = "\n".join(experiments.run_experiment(cfg).csv_lines()) + "\n"
+    assert (tmp_path / "report.csv").read_bytes() == csv_text.encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(golden_configs()))
 def test_selection_order_matches_golden(name):
     frozen = json.loads((GOLDEN / "selection_order.json").read_text(encoding="utf-8"))
     assert selection_order(golden_configs()[name]) == frozen[name]

@@ -209,6 +209,8 @@ def test_paley_conference_unsupported_orders():
         matrices.paley_conference(16)  # 16 = 0 (mod 4)
     with pytest.raises(UnsupportedSizeError):
         matrices.paley_conference(22)  # 21 is composite
+    with pytest.raises(UnsupportedSizeError):
+        matrices.paley_conference(2)  # 1 is no prime
 
 
 def test_etf_7x14(etf14):
@@ -579,6 +581,8 @@ def test_measurement_matrix_families_are_the_spec_table():
         assert matrices.MeasurementMatrix(1, 1, np.ones((1, 1)), family).family == family
     with pytest.raises(ValueError, match="unknown family 'bogus'"):
         matrices.MeasurementMatrix(1, 1, np.ones((1, 1)), "bogus")
+    with pytest.raises(ValueError, match=r"data has shape \(3, 2\), expected \(2, 3\)"):
+        matrices.MeasurementMatrix(2, 3, np.ones((3, 2)), "custom")
 
 
 def test_measurement_matrix_rejects_bad_norms():

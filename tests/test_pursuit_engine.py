@@ -428,6 +428,8 @@ def test_pursue_batch_checks_its_input(etf14):
         recovery.pursue_batch(etf14, np.ones((3, 6)))
     with pytest.raises(ValueError):
         recovery.pursue_batch(etf14, np.ones(7))
+    with pytest.raises(ValueError, match="at least one row"):
+        recovery.pursue_batch(etf14, np.ones((0, 7)))
     with pytest.raises(ValueError):
         recovery.pursue_batch(etf14, np.ones((2, 7)), epsilon=0.0)
     with pytest.raises(ValueError):

@@ -103,6 +103,8 @@ def test_back_project_pair_margins(etf14):
 def test_back_project_dimension_mismatch(etf14):
     with pytest.raises(DimensionMismatchError):
         recovery.back_project(etf14, np.ones(6))
+    with pytest.raises(ValueError, match="non-empty"):
+        recovery.back_project(etf14, [])
 
 
 # ---------------------------------------------------------------- decompose
@@ -163,6 +165,8 @@ def test_ls_recover_prunes_exact_zeros(etf14):
     got = recovery.ls_recover_known_support(etf14, (2, 7, 11), y)
     assert got.support == (2, 7)
     assert np.max(np.abs(got.values - 1.0)) < 1e-9
+    with pytest.raises(ValueError, match="every fitted value is numerically zero"):
+        recovery.ls_recover_known_support(etf14, (0, 1), np.zeros(7))  # all pruned, nothing to return
 
 
 @pytest.mark.parametrize("scale", [2.0**20, 2.0**40, 2.0**60])
