@@ -43,8 +43,9 @@ class ExperimentConfig:
     exactly the keys that family reads. k_range is an
     inclusive (low, high) pair. epsilon is the pursuit stopping threshold,
     relative to ||y|| so trials with different amplitudes are comparable.
-    Random amplitudes are log-uniform magnitudes in [a_min, a_max] with
-    uniform phases.
+    Random amplitudes are log-uniform magnitudes in [a_min, a_max] (0.5 and
+    2.0 when not given) with uniform phases; a_min and a_max go with that
+    model only, and stay None under unit_equal.
     """
 
     matrix: dict
@@ -53,10 +54,12 @@ class ExperimentConfig:
     amplitude_model: str = AMPLITUDE_UNIT_EQUAL
     seed: int = 0
     epsilon: float = recovery.DEFAULT_RELATIVE_EPSILON
-    a_min: float = 0.5
-    a_max: float = 2.0
+    a_min: float | None = None
+    a_max: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.matrix, dict):
+            raise ValueError(f"matrix must be a JSON object, got {type(self.matrix).__name__}")
         self.matrix = dict(self.matrix)
         matrices.bind_spec(**self.matrix)  # TypeError on a missing key or one the family does not read
         lo, hi = self.k_range
@@ -67,10 +70,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown amplitude model {self.amplitude_model!r}")
         self.seed = matrices.check_int(self.seed, "seed", 0)
         self.epsilon = matrices.check_positive(self.epsilon, "epsilon")
-        self.a_min = matrices.check_positive(self.a_min, "a_min")
+        if self.amplitude_model != AMPLITUDE_RANDOM:
+            for key in ("a_min", "a_max"):
+                if getattr(self, key) is not None:
+                    raise ValueError(f"{key} goes only with amplitude_model {AMPLITUDE_RANDOM!r}")
+            return
+        self.a_min = matrices.check_positive(0.5 if self.a_min is None else self.a_min, "a_min")
         if self.a_min <= numerics.ZERO_TOL:  # a signal's nonzeros must be above it
             raise ValueError(f"a_min must be above {numerics.ZERO_TOL:g}, got {self.a_min}")
-        self.a_max = matrices.check_positive(self.a_max, "a_max")
+        self.a_max = matrices.check_positive(2.0 if self.a_max is None else self.a_max, "a_max")
         if self.a_min > self.a_max:
             raise ValueError(f"need a_min <= a_max, got {self.a_min} > {self.a_max}")
 

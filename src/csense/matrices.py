@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import numerics
 from .errors import UnsupportedSizeError, ZeroColumnError
-from .serialization import BOOLS, base64_to_complex, complex_to_base64, decoding, load_json, save_json
+from .serialization import BOOLS, base64_to_complex, complex_to_base64, decoding, freeze, load_json, save_json, thaw
 
 # Imported by name, though matrices writes no pairs: perfbench/tracing.py patches both converters here.
 from .serialization import complex_to_pairs, pairs_to_complex  # noqa: F401
@@ -104,34 +105,33 @@ def check_indices(indices, n: int, what: str) -> tuple[int, ...]:
     return idx
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class MeasurementMatrix:
-    """Column-normalized m-by-n sensing matrix tagged with its family.
+    """Column-normalized m-by-n sensing matrix tagged with its family; m and n are data's shape.
 
-    data is a read-only private copy, so the Gram matrix, built on first use
-    and then kept, can never go stale.
+    The record is frozen, data is a read-only private copy and meta a deep,
+    read-only copy, so the Gram matrix, built on first use and then kept,
+    can never go stale.
     """
 
-    m: int
-    n: int
     data: np.ndarray
     family: str
-    meta: dict = field(default_factory=dict)
+    meta: Mapping = field(default_factory=dict)
+    m: int = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self):
-        self.m, self.n = check_shape(self.m, self.n)
         if self.family not in SPEC_BUILDERS and self.family != "custom":
             raise ValueError(f"unknown family {self.family!r}")
         data = numerics.as_matrix(self.data)
-        if data.shape != (self.m, self.n):
-            raise ValueError(f"data has shape {data.shape}, expected ({self.m}, {self.n})")
+        m, n = check_shape(*data.shape)
         norms = np.linalg.norm(data, axis=0)
         if float(np.max(np.abs(norms - 1.0))) > COLUMN_NORM_TOL:
             raise ValueError("every column must have unit l2 norm")
-        if isinstance(self.data, np.ndarray) and np.may_share_memory(data, self.data):
-            data = data.copy()  # freeze a copy, never an array the caller still holds
-        data.flags.writeable = False
-        self.data = data
+        object.__setattr__(self, "data", numerics.read_only_copy(data, self.data))
+        object.__setattr__(self, "meta", freeze(self.meta))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -157,7 +157,7 @@ def build_partial_dft(n: int, rows) -> MeasurementMatrix:
     # the phase index r*k is reduced mod n in integers, so equal phases give equal bits
     roots = np.exp(2j * np.pi * np.arange(n) / n)
     data = roots[np.outer(rows, np.arange(n)) % n] / math.sqrt(m)
-    return MeasurementMatrix(m, n, data, "partial-dft", {"rows": list(rows)})
+    return MeasurementMatrix(data, "partial-dft", {"rows": rows})
 
 
 def draw_without_replacement(rng: np.random.Generator, n: int, m: int) -> tuple[int, ...]:
@@ -285,14 +285,14 @@ def build_etf(m: int, n: int) -> MeasurementMatrix:
     m, n = check_shape(m, n)
     if m == n:
         # orthonormal columns: every off-diagonal inner product is 0 = Welch
-        mat = MeasurementMatrix(m, n, np.eye(n), "etf", {"route": "orthonormal"})
+        mat = MeasurementMatrix(np.eye(n), "etf", {"route": "orthonormal"})
     elif (rows := _harmonic_rows(m, n)) is not None:
-        mat = replace(build_partial_dft(n, rows), family="etf", meta={"route": "harmonic", "rows": list(rows)})
+        mat = replace(build_partial_dft(n, rows), family="etf", meta={"route": "harmonic", "rows": rows})
     elif n == 2 * m and n % 4 == 2 and _is_odd_prime(n - 1):
         # C^2 = (n-1) I and trace 0 give C the eigenvalues +-sqrt(n-1), each n/2 = m times
         w, v = np.linalg.eigh(paley_conference(n))
         data = normalize_columns(v[:, w > 0.0].T)
-        mat = MeasurementMatrix(m, n, data, "etf", {"route": "paley-conference"})
+        mat = MeasurementMatrix(data, "etf", {"route": "paley-conference"})
     else:
         raise UnsupportedSizeError(
             f"no equiangular tight frame route for {m}x{n}: orthonormal needs m = n; "
@@ -311,7 +311,7 @@ def build_gaussian(m: int, n: int, seed: int = 0) -> MeasurementMatrix:
     u1 = 1.0 - rng.random((m, n))  # (0, 1] keeps the log finite
     u2 = rng.random((m, n))
     g = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    return MeasurementMatrix(m, n, normalize_columns(g), "gaussian", {"seed": seed})
+    return MeasurementMatrix(normalize_columns(g), "gaussian", {"seed": seed})
 
 
 def normalize_columns(a) -> np.ndarray:
@@ -380,7 +380,7 @@ def matrix_to_dict(a: MeasurementMatrix) -> dict:
         "m": a.m,
         "n": a.n,
         "family": a.family,
-        "meta": a.meta,
+        "meta": thaw(a.meta),
         "data": complex_to_base64(a.data),
     }
 
@@ -398,7 +398,7 @@ def matrix_from_dict(d: dict) -> MeasurementMatrix:
             raise ValueError(f"meta must be a JSON object, got {type(meta).__name__}")
     if flat.shape[0] != m * n:
         raise ValueError(f"data holds {flat.shape[0]} entries, expected m*n = {m * n}")
-    return MeasurementMatrix(m, n, flat.reshape(m, n), family, dict(meta))
+    return MeasurementMatrix(flat.reshape(m, n), family, meta)
 
 
 def save_matrix(a: MeasurementMatrix, path) -> None:

@@ -1,10 +1,11 @@
 """Dense complex linear algebra with one shared notion of numerical rank.
 
-Everything here is a pure function of its inputs. The rank tolerance, the
-Gram matrix and the input coercions are the ones every module uses. ZERO_TOL
-is the zero test on column norms and signal entries and, times ||y||, on
-fitted values; coherence_index and the pursuit's pivot test scale theirs
-with the problem (n * eps and m * eps).
+Everything here but read_only_copy, which freezes the array it returns, is a
+pure function of its inputs. The rank tolerance, the Gram matrix and the
+input coercions are the ones every module uses. ZERO_TOL is the zero test on
+column norms and signal entries and, times ||y||, on fitted values;
+coherence_index and the pursuit's pivot test scale theirs with the problem
+(n * eps and m * eps).
 The batched scans, the least-squares fits and the pursuit factor their own
 stacks, so solve_least_squares, numerical_rank and hermitian_eigen_extremes
 have no caller in csense: they are the one-matrix reference implementations
@@ -23,6 +24,7 @@ __all__ = [
     "hermitian_eigen_extremes",
     "numerical_rank",
     "rank_tolerance",
+    "read_only_copy",
     "solve_least_squares",
 ]
 
@@ -51,6 +53,14 @@ def as_vector(y) -> np.ndarray:
     if not np.isfinite(vec).all():
         raise ValueError("vector entries must be finite")
     return vec
+
+
+def read_only_copy(arr: np.ndarray, given) -> np.ndarray:
+    """arr, coerced from the caller's given, set read-only in place; first copied if it may share given's memory."""
+    if isinstance(given, np.ndarray) and np.may_share_memory(arr, given):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
 def rank_tolerance(shape, sigma_max):

@@ -23,17 +23,20 @@ DEFAULT_RELATIVE_EPSILON = 1e-10
 TIE_TOL = 1e-12
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class SparseSignal:
-    """Length-n vector with k >= 1 nonzero entries at an explicit support."""
+    """Length-n vector with k >= 1 nonzero entries at an explicit support.
+
+    The record is frozen and values is a read-only private copy, as a MeasurementMatrix's data is.
+    """
 
     n: int
     support: tuple[int, ...]
     values: np.ndarray
 
     def __post_init__(self):
-        self.n = matrices.check_int(self.n, "signal length", 1)
-        support = matrices.check_indices(self.support, self.n, "support")
+        n = matrices.check_int(self.n, "signal length", 1)
+        support = matrices.check_indices(self.support, n, "support")
         if not support:
             raise ValueError("support must contain at least one index")
         vals = numerics.as_vector(self.values)
@@ -41,8 +44,9 @@ class SparseSignal:
             raise ValueError("need exactly one value per support index")
         if float(np.min(np.abs(vals))) <= numerics.ZERO_TOL:
             raise ValueError(f"nonzero entries must have magnitude above {numerics.ZERO_TOL:g}")
-        self.support = support
-        self.values = vals
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "values", numerics.read_only_copy(vals, self.values))
 
     @property
     def k(self) -> int:
@@ -384,7 +388,7 @@ def _pursue(a: matrices.MeasurementMatrix, live: _Live, max_iter: int) -> BatchP
     gram = a.cached_gram
     # Unit columns give sigma_max(A_S) >= 1 and sigma_min(A_S) <= r_jj, so a
     # pivot r_jj at or below this already fails the shared rank test.
-    step_tol = numerics.rank_tolerance((a.m, max_iter), 1.0)
+    step_tol = numerics.rank_tolerance((a.m,), 1.0)
     correlations = _correlate(a, live.residual)
     for j in itertools.count():
         pick = select_column(correlations, live.y_norm)

@@ -1,4 +1,4 @@
-"""The JSON formats: one helper pair for files, one record encoder, and complex arrays as text.
+"""The JSON formats: one helper pair for files, one record encoder, frozen JSON values, and complex arrays as text.
 
 A complex array is written one of two ways, and both read back bit-identical:
 - a matrix's data as one base64 string (RFC 4648) of its row-major
@@ -15,6 +15,8 @@ import dataclasses
 import itertools
 import json
 import math
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 
@@ -37,6 +39,24 @@ def load_json(path):
     """Parse a JSON file written by save_json."""
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def freeze(value):
+    """A deep, read-only copy of a JSON value: objects as MappingProxyType, arrays (lists or tuples) as tuples."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({key: freeze(item) for key, item in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(map(freeze, value))
+    return value
+
+
+def thaw(value):
+    """Inverse of freeze: the dicts and lists json.dumps writes."""
+    if isinstance(value, Mapping):
+        return {key: thaw(item) for key, item in value.items()}
+    if isinstance(value, tuple):
+        return list(map(thaw, value))
+    return value
 
 
 def to_dict(record) -> dict:

@@ -235,7 +235,7 @@ def test_coherence_certifies_no_k_the_stored_columns_lack(tmp_path, capsys):
     # the 3x4 simplex scaled by 1 - 5e-11: its columns sum to 0, so e0 + e1 and -(e2 + e3) share measurements
     simplex = matrices.build_partial_dft(4, (1, 2, 3))
     path = tmp_path / "scaled.json"
-    matrices.save_matrix(matrices.MeasurementMatrix(3, 4, simplex.data * (1.0 - 5e-11), "custom"), path)
+    matrices.save_matrix(matrices.MeasurementMatrix(simplex.data * (1.0 - 5e-11), "custom"), path)
     code, stdout, _ = run(capsys, "coherence", "--matrix", str(path))
     report = strict_json(stdout)["coherence"]
     assert code == 0
@@ -565,8 +565,29 @@ ONE = b64([1.0])  # "AAAAAAAA8D8AAAAAAAAAAA==", the 1x1 matrix [1]
 BAD_INPUT_FILES = {
     "a_min_above_a_max": (
         "experiment", "cfg",
-        {"matrix": {"family": "etf", "m": 7, "n": 14}, "k_range": [1, 2], "trials": 3, "a_min": 2.0, "a_max": 1.0},
+        {
+            "matrix": {"family": "etf", "m": 7, "n": 14}, "k_range": [1, 2], "trials": 3,
+            "amplitude_model": "random_magnitude_phase", "a_min": 2.0, "a_max": 1.0,
+        },
         "need a_min <= a_max, got 2.0 > 1.0",
+    ),
+    "a_min_with_unit_equal": (
+        "experiment", "cfg",
+        {"matrix": {"family": "etf", "m": 7, "n": 14}, "k_range": [1, 2], "trials": 3, "a_min": 0.001, "a_max": 1000.0},
+        "malformed experiment config: a_min goes only with amplitude_model 'random_magnitude_phase'",
+    ),
+    "a_max_with_unit_equal": (
+        "experiment", "cfg",
+        {
+            "matrix": {"family": "etf", "m": 7, "n": 14}, "k_range": [1, 2], "trials": 3,
+            "amplitude_model": "unit_equal", "a_max": 1000.0,
+        },
+        "malformed experiment config: a_max goes only with amplitude_model 'random_magnitude_phase'",
+    ),
+    "config_matrix_pairs": (
+        "experiment", "cfg",
+        {"matrix": [["family", "etf"], ["m", 7], ["n", 14]], "k_range": [1, 1], "trials": 3},
+        "malformed experiment config: matrix must be a JSON object, got list",
     ),
     "a_min_at_zero_tol": (
         "experiment", "cfg",

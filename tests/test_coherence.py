@@ -46,7 +46,7 @@ def phased_simplex(u):
         [-1.0 / 3.0, -math.sqrt(2.0) / 3.0, math.sqrt(6.0) / 3.0],
         [-1.0 / 3.0, -math.sqrt(2.0) / 3.0, -math.sqrt(6.0) / 3.0],
     ]).T
-    return matrices.MeasurementMatrix(3, 4, cols * np.exp(2j * np.pi * np.asarray(u)), "custom")
+    return matrices.MeasurementMatrix(cols * np.exp(2j * np.pi * np.asarray(u)), "custom")
 
 
 # The 1050th draw (index 1049) of default_rng(2).random(4).
@@ -140,9 +140,9 @@ def test_is_etf_measures_the_distance_from_welch(etf14, etf30, full_dft8):
     for mat in (etf14, etf30, full_dft8):
         assert coherence.coherence_index(mat).is_etf
     # equal off-diagonal magnitudes are not enough: these square frames have Welch bound 0
-    pair = matrices.MeasurementMatrix(2, 2, [[1.0, 0.6], [0.0, 0.8]], "custom")
+    pair = matrices.MeasurementMatrix([[1.0, 0.6], [0.0, 0.8]], "custom")
     g = np.full((3, 3), 0.5) + 0.5 * np.eye(3)
-    equal_angles = matrices.MeasurementMatrix(3, 3, np.linalg.cholesky(g).T, "custom")
+    equal_angles = matrices.MeasurementMatrix(np.linalg.cholesky(g).T, "custom")
     for mat in (pair, equal_angles):
         rep = coherence.coherence_index(mat)
         assert rep.gram_offdiag_max - rep.gram_offdiag_min <= 1e-12
@@ -152,7 +152,7 @@ def test_is_etf_measures_the_distance_from_welch(etf14, etf30, full_dft8):
     # further than build_etf's tolerance, so no ETF either
     data = etf14.data.copy()
     data[0, 3] += 2e-7
-    rep = coherence.coherence_index(matrices.MeasurementMatrix(7, 14, matrices.normalize_columns(data), "custom"))
+    rep = coherence.coherence_index(matrices.MeasurementMatrix(matrices.normalize_columns(data), "custom"))
     assert 1e-7 < matrices.welch_distance(7, 14, rep.gram_offdiag_max, rep.gram_offdiag_min) < 1e-6
     assert not rep.is_etf
 
@@ -235,7 +235,7 @@ def test_a_wide_frame_never_certifies_more_than_half_its_rows(data):
     # the spark of m x n with n > m is at most m + 1, and a certified K needs a spark above 2K
     if data is None:
         return
-    rep = coherence.coherence_index(matrices.MeasurementMatrix(*data.shape, data, "custom"))
+    rep = coherence.coherence_index(matrices.MeasurementMatrix(data, "custom"))
     assert rep.k_max is not None and 2 * rep.k_max <= data.shape[0]
 
 
@@ -244,7 +244,7 @@ def test_certified_k_holds_for_the_exact_frame(data):
     # exact oracle on the stored doubles: (2K - 1) mu_exact < 1 for the K that coherence certifies
     if data is None:
         return
-    rep = coherence.coherence_index(matrices.MeasurementMatrix(*data.shape, data, "custom"))
+    rep = coherence.coherence_index(matrices.MeasurementMatrix(data, "custom"))
     if rep.k_max:
         assert (2 * rep.k_max - 1) ** 2 * exact_coherence_sq(data) < 1
 

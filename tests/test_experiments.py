@@ -86,7 +86,10 @@ def test_config_from_dict_defaults():
     assert cfg.amplitude_model == experiments.AMPLITUDE_UNIT_EQUAL
     assert cfg.seed == 0
     assert cfg.epsilon == 1e-10
+    assert cfg.a_min is None and cfg.a_max is None
     assert to_dict(cfg)["k_range"] == [1, 2]
+    random = etf14_config()
+    assert (random.a_min, random.a_max) == (0.5, 2.0)
 
 
 def test_csv_lines_header():
@@ -188,14 +191,14 @@ def reference_signal(cfg, n, k, trial):
 
 
 def draw_case(n, m, k, amplitude_model, seed, trials, a_min=0.5, a_max=2.0):
+    amplitudes = {"a_min": a_min, "a_max": a_max} if amplitude_model == experiments.AMPLITUDE_RANDOM else {}
     cfg = experiments.ExperimentConfig(
         matrix={"family": "partial-dft", "n": n, "m": m, "seed": 0},
         k_range=(1, k),
         trials=1,
         amplitude_model=amplitude_model,
         seed=seed,
-        a_min=a_min,
-        a_max=a_max,
+        **amplitudes,
     )
     return matrices.from_spec(**cfg.matrix), cfg, k, trials
 

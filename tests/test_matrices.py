@@ -3,7 +3,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import numpy as np
@@ -81,7 +81,9 @@ FRACTIONAL_OR_NON_FINITE_CALLS = {
     "exhaustive_l0_search": lambda a: recovery.exhaustive_l0_search(a, a.data[:, 2], 2, math.nan),
     "matching_pursuit_inf": lambda a: recovery.matching_pursuit(a, a.data[:, 2], epsilon=math.inf),
     "exhaustive_l0_search_inf": lambda a: recovery.exhaustive_l0_search(a, a.data[:, 2], 2, math.inf),
-    "a_max_inf": lambda a: ExperimentConfig({"family": "etf", "m": 7, "n": 14}, (1, 2), 3, a_max=math.inf),
+    "a_max_inf": lambda a: ExperimentConfig(
+        {"family": "etf", "m": 7, "n": 14}, (1, 2), 3, "random_magnitude_phase", a_max=math.inf
+    ),
     "epsilon_string": lambda a: ExperimentConfig({"family": "etf", "m": 7, "n": 14}, (1, 2), 3, epsilon="1e-3"),
     "trials_true": lambda a: ExperimentConfig({"family": "etf", "m": 7, "n": 14}, (1, True), True),
     "epsilon_true": lambda a: ExperimentConfig({"family": "etf", "m": 7, "n": 14}, (1, 2), 3, epsilon=True),
@@ -100,13 +102,13 @@ def test_fractional_or_non_finite_argument_is_a_value_error(etf14, call):
 
 def test_whole_floats_are_accepted(etf14):
     assert np.array_equal(matrices.from_spec("etf", m=7.0, n=14.0).data, etf14.data)
-    assert matrices.build_partial_dft(8.0, (0.0, 2.0)).meta["rows"] == [0, 2]
+    assert matrices.build_partial_dft(8.0, (0.0, 2.0)).meta["rows"] == (0, 2)
     support = recovery.SparseSignal(14.0, (2.0, 7.0), np.ones(2)).support
     assert support == (2, 7) and all(type(i) is int for i in support)
     assert coherence.uniqueness_rank_scan(etf14, 1.0).k == 1
     assert recovery.worst_case_margin(0.3, np.int64(2)).k == 2
     sub = matrices.from_spec("subsampling", n=16, p=4.0)
-    assert sub.meta == {"p": 4, "rows": [0, 4, 8, 12]} and type(sub.meta["p"]) is int
+    assert sub.meta == {"p": 4, "rows": (0, 4, 8, 12)} and type(sub.meta["p"]) is int
 
 
 @given(st.one_of(st.integers(), st.floats()))
@@ -155,7 +157,7 @@ def test_fourier_mu_matches_the_fft_oracle(spec):
     # 1/m, so a few eps of absolute error is rounding (float phases reach 380 eps)
     mat = matrices.from_spec(**spec)
     indicator = np.zeros(mat.n, dtype=np.longdouble)
-    indicator[mat.meta["rows"]] = 1.0
+    indicator[list(mat.meta["rows"])] = 1.0
     oracle = float(np.max(np.abs(np.fft.fft(indicator)[1:]), initial=0.0) / mat.m)
     mu = coherence.coherence_index(mat).mu
     assert abs(mu - (oracle if oracle > mat.n * EPS else 0.0)) <= 8 * EPS
@@ -284,7 +286,7 @@ def test_harmonic_rows_are_difference_sets():
             continue
         assert mat.data.tobytes() == matrices.build_partial_dft(n, mat.meta["rows"]).data.tobytes()
         indicator = np.zeros(n)
-        indicator[mat.meta["rows"]] = 1.0
+        indicator[list(mat.meta["rows"])] = 1.0
         spectrum = np.abs(np.fft.fft(indicator))[1:]
         assert np.ptp(spectrum) <= 1e-12, (m, n, mat.meta["rows"])
 
@@ -303,7 +305,7 @@ def small_frames(draw):
         return matrices.build_partial_dft(n, sorted(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m, unique=True))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     data = matrices.normalize_columns(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
-    return matrices.MeasurementMatrix(m, n, data, "custom")
+    return matrices.MeasurementMatrix(data, "custom")
 
 
 @given(small_frames())
@@ -391,7 +393,7 @@ def test_matrix_json_round_trip_bit_exact(tmp_path, fig3_dft):
 
 def test_matrix_json_round_trip_keeps_signed_zeros(tmp_path):
     data = np.array([[1.0 - 0.0j, complex(0.0, -0.0)], [complex(-0.0, -0.0), 1.0 + 0.0j]])
-    mat = matrices.MeasurementMatrix(2, 2, data, "custom")
+    mat = matrices.MeasurementMatrix(data, "custom")
     path = tmp_path / "mat.json"
     matrices.save_matrix(mat, path)
     loaded = matrices.load_matrix(path).data
@@ -545,9 +547,9 @@ def test_from_spec_dispatch():
     assert etf.family == "etf"
     sub = matrices.from_spec("subsampling", n=16, p=4)
     assert sub.family == "subsampling"
-    assert sub.meta["rows"] == [0, 4, 8, 12]
+    assert sub.meta["rows"] == (0, 4, 8, 12)
     dft = matrices.from_spec("partial_dft", n=8, rows=(0, 2, 4, 6))
-    assert dft.meta["rows"] == [0, 2, 4, 6]
+    assert dft.meta["rows"] == (0, 2, 4, 6)
     with pytest.raises(ValueError):
         matrices.from_spec("mystery", m=2, n=4)
     with pytest.raises(ValueError):
@@ -578,18 +580,18 @@ def test_from_spec_rejects_an_unread_or_missing_key(spec, key):
 def test_measurement_matrix_families_are_the_spec_table():
     assert set(matrices.SPEC_BUILDERS) == {"etf", "gaussian", "partial-dft", "subsampling"}
     for family in ("custom", *matrices.SPEC_BUILDERS):
-        assert matrices.MeasurementMatrix(1, 1, np.ones((1, 1)), family).family == family
+        assert matrices.MeasurementMatrix(np.ones((1, 1)), family).family == family
     with pytest.raises(ValueError, match="unknown family 'bogus'"):
-        matrices.MeasurementMatrix(1, 1, np.ones((1, 1)), "bogus")
-    with pytest.raises(ValueError, match=r"data has shape \(3, 2\), expected \(2, 3\)"):
-        matrices.MeasurementMatrix(2, 3, np.ones((3, 2)), "custom")
+        matrices.MeasurementMatrix(np.ones((1, 1)), "bogus")
+    with pytest.raises(ValueError, match=r"m must be in \[1, 2\], got 3"):  # the shape is data's
+        matrices.MeasurementMatrix(np.ones((3, 2)) / math.sqrt(3.0), "custom")
 
 
 def test_measurement_matrix_rejects_bad_norms():
     with pytest.raises(ValueError):
-        matrices.MeasurementMatrix(2, 2, np.eye(2) * 2.0, "custom")
+        matrices.MeasurementMatrix(np.eye(2) * 2.0, "custom")
     with pytest.raises(ValueError):
-        matrices.MeasurementMatrix(3, 2, np.eye(3)[:, :2], "custom")
+        matrices.MeasurementMatrix(np.eye(3)[:, :2], "custom")
 
 
 # ------------------------------------------------------------- cached Gram
@@ -597,12 +599,43 @@ def test_measurement_matrix_rejects_bad_norms():
 
 def test_data_is_a_frozen_private_copy():
     data = np.eye(3, dtype=complex)
-    mat = matrices.MeasurementMatrix(3, 3, data, "custom")
+    mat = matrices.MeasurementMatrix(data, "custom")
     assert not mat.data.flags.writeable
     with pytest.raises(ValueError):
         mat.data[0, 0] = 2.0
     data[0, 0] = 5.0  # the caller's array stays writable and detached
     assert mat.data[0, 0] == 1.0
+
+
+def test_every_field_is_frozen():
+    mat = matrices.build_etf(7, 14)
+    assert mat.cached_gram is not None
+    with pytest.raises(FrozenInstanceError):
+        mat.data = np.eye(7, 14)  # seven zero columns
+    with pytest.raises(FrozenInstanceError):
+        mat.m = 3
+    for name, value in (("n", 3), ("family", "custom"), ("meta", {})):
+        with pytest.raises(FrozenInstanceError):
+            setattr(mat, name, value)
+    assert (mat.m, mat.n) == mat.data.shape == (7, 14)
+    assert abs(coherence.coherence_index(mat).mu - MU14) <= 8 * EPS
+
+
+def test_meta_is_a_deep_read_only_copy():
+    meta = {"note": 1, "nested": {"rows": [0, 1]}}
+    mat = matrices.MeasurementMatrix(np.eye(2), "custom", meta)
+    meta["note"] = 2
+    meta["nested"]["rows"].append(5)
+    assert mat.meta == {"note": 1, "nested": {"rows": (0, 1)}}
+    with pytest.raises(TypeError):
+        mat.meta["note"] = 3
+    with pytest.raises(TypeError):
+        mat.meta["nested"]["rows"] = [7]
+    assert matrices.matrix_to_dict(mat)["meta"] == {"note": 1, "nested": {"rows": [0, 1]}}
+    etf = matrices.build_etf(5, 11)
+    with pytest.raises(AttributeError):
+        etf.meta["rows"].append(99)
+    assert matrices.matrix_to_dict(etf)["meta"] == {"route": "harmonic", "rows": [1, 3, 4, 5, 9]}
 
 
 def test_gram_is_cached_read_only_and_exact(etf14):
@@ -614,7 +647,7 @@ def test_gram_is_cached_read_only_and_exact(etf14):
 
 
 def test_one_gram_per_matrix_across_commands(etf14):
-    mat = matrices.MeasurementMatrix(7, 14, etf14.data, "custom")
+    mat = matrices.MeasurementMatrix(etf14.data, "custom")
     y = recovery.measure(mat, recovery.SparseSignal(14, (2, 7), np.ones(2)))
     with mock.patch.object(numerics, "gram", wraps=numerics.gram) as gram:
         coherence.coherence_index(mat)

@@ -186,7 +186,7 @@ def test_condition_identity(full_dft8):
 
 def test_condition_diagonal():
     # unit columns at inner product 3/5: the Gram eigenvalues are 8/5 and 2/5
-    pair = MeasurementMatrix(2, 2, [[1.0, 0.6], [0.0, 0.8]], "custom")
+    pair = MeasurementMatrix([[1.0, 0.6], [0.0, 0.8]], "custom")
     rep = coherence.uniqueness_rank_scan(pair, 1)
     assert rep.min_cond == pytest.approx(2.0, abs=1e-12)
     assert rep.max_cond == pytest.approx(2.0, abs=1e-12)
@@ -195,7 +195,7 @@ def test_condition_diagonal():
 def test_condition_etf_pair_closed_form(etf14):
     # a 2x2 frame with the Gram of ETF columns 2 and 7 has their condition number
     g = numerics.gram(etf14.data[:, [2, 7]])
-    pair = MeasurementMatrix(2, 2, np.linalg.cholesky(g).conj().T, "custom")
+    pair = MeasurementMatrix(np.linalg.cholesky(g).conj().T, "custom")
     rep = coherence.uniqueness_rank_scan(pair, 1)
     expected = math.sqrt((1.0 + MU14) / (1.0 - MU14))
     assert rep.scanned == 1
@@ -208,7 +208,7 @@ def test_condition_rank_deficient(even_rows_dft8):
     assert rep.witness == (0, 4)
     assert rep.min_cond == pytest.approx(1.0)
     assert rep.max_cond == pytest.approx(1.0)
-    twins = MeasurementMatrix(2, 2, [[1.0, 1.0], [0.0, 0.0]], "custom")
+    twins = MeasurementMatrix([[1.0, 1.0], [0.0, 0.0]], "custom")
     rep = coherence.uniqueness_rank_scan(twins, 1)
     assert rep.min_cond == rep.max_cond == math.inf
 
@@ -216,7 +216,7 @@ def test_condition_rank_deficient(even_rows_dft8):
 def test_condition_squared_equals_gram_eigen_ratio(rng):
     for _ in range(10):
         a = normalize_columns(rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))
-        rep = coherence.uniqueness_rank_scan(MeasurementMatrix(4, 6, a, "custom"), 2)
+        rep = coherence.uniqueness_rank_scan(MeasurementMatrix(a, "custom"), 2)
         ratios = []
         for subset in itertools.combinations(range(6), 4):
             lo, hi = numerics.hermitian_eigen_extremes(numerics.gram(a[:, subset]))

@@ -89,12 +89,12 @@ def outcome(fn, *args, **kwargs):
 
 
 def unit_columns(data):
-    return matrices.MeasurementMatrix(data.shape[0], data.shape[1], data / np.linalg.norm(data, axis=0), "custom")
+    return matrices.MeasurementMatrix(data / np.linalg.norm(data, axis=0), "custom")
 
 
 def with_gram(mat, cached):
     """A fresh copy of mat, with its Gram built when cached is true."""
-    fresh = matrices.MeasurementMatrix(mat.m, mat.n, mat.data, "custom")
+    fresh = matrices.MeasurementMatrix(mat.data, "custom")
     if cached:
         fresh.gram
     return fresh

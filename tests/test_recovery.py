@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,20 @@ def test_sparse_signal_dense():
     assert dense[1] == 2.0 and dense[3] == 1j
     assert dense[0] == dense[2] == dense[4] == 0.0
     assert x.k == 2
+
+
+def test_sparse_signal_is_frozen_and_holds_its_own_values():
+    v = np.array([2.0, 1j])
+    x = recovery.SparseSignal(5, (1, 3), v)
+    assert not np.shares_memory(x.values, v) and not x.values.flags.writeable
+    v[0] = 0.0
+    assert x.values[0] == 2.0
+    with pytest.raises(ValueError):
+        x.values[0] = 0.0
+    for name, value in (("support", (9,)), ("n", 9), ("values", v)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, name, value)
+    assert x.support == (1, 3) and x.n == 5
 
 
 # ------------------------------------------------------------------- measure
@@ -300,7 +315,7 @@ def test_pursuit_absolute_vs_relative_epsilon(etf14):
 def test_pursuit_stalls_outside_column_span():
     # both columns identical: the residual component off their span never shrinks
     data = np.column_stack([[1.0, 0.0], [1.0, 0.0]])
-    mat = matrices.MeasurementMatrix(2, 2, data, "custom")
+    mat = matrices.MeasurementMatrix(data, "custom")
     result = recovery.matching_pursuit(mat, np.array([0.0, 1.0]), max_iter=2)
     assert not result.converged
     assert result.iterations == 1
@@ -310,7 +325,7 @@ def test_pursuit_trace_holds_still_on_a_zero_correlation_pick():
     # after e2 the residual e3 is orthogonal to every column, so index 0 wins
     # the all-zero tie, fits to 0 and leaves the residual where it was
     data = np.column_stack([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1 / math.sqrt(2), 1 / math.sqrt(2), 0.0]])
-    mat = matrices.MeasurementMatrix(3, 3, data, "custom")
+    mat = matrices.MeasurementMatrix(data, "custom")
     result = recovery.matching_pursuit(mat, np.array([0.0, 1.0, 1.0]))
     assert result.support == (1, 0)
     assert result.values.tolist() == [1, 0]

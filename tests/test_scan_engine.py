@@ -81,7 +81,7 @@ def random_matrix(seed, m, n, duplicate=None):
     data = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
     if duplicate is not None:
         data[:, duplicate[1]] = data[:, duplicate[0]]
-    return matrices.MeasurementMatrix(m, n, data / np.linalg.norm(data, axis=0), "custom")
+    return matrices.MeasurementMatrix(data / np.linalg.norm(data, axis=0), "custom")
 
 
 @st.composite
@@ -176,7 +176,7 @@ def test_rip_low_side_deviation():
     angles = 2.0 * math.pi * np.arange(3) / 3.0
     data = np.zeros((3, 4))
     data[0, :3], data[1, :3], data[2, 3] = np.cos(angles), np.sin(angles), 1.0
-    mat = matrices.MeasurementMatrix(3, 4, data, "custom")
+    mat = matrices.MeasurementMatrix(data, "custom")
     rep = coherence.rip_constant(mat, 3)
     assert abs(rep.delta - 1.0) <= 1e-12
     assert abs(rep.delta - rip_by_loop(mat, 3, coherence.DEFAULT_MAX_SUBSETS)[0]) <= 1e-12
