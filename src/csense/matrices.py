@@ -4,7 +4,8 @@ Four families: partial DFT (kept rows of the inverse DFT matrix),
 equiangular tight frames, seeded random Gaussian, and regular subsampling.
 Every constructor returns a column-normalized matrix, and every random
 draw is keyed by an explicit integer seed so identical arguments always
-reproduce identical matrices bit for bit.
+reproduce identical matrices bit for bit. Seeded rows come from csense's
+copy of numpy's stream (_stream); the Gaussian family reads numpy's own.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from . import numerics
+from . import _stream, numerics
 from .errors import UnsupportedSizeError, ZeroColumnError
 from .serialization import BOOLS, base64_to_complex, complex_to_base64, decoding, freeze, load_json, save_json, thaw
 
@@ -161,7 +162,7 @@ def build_partial_dft(n: int, rows) -> MeasurementMatrix:
 
 
 def draw_without_replacement(rng: np.random.Generator, n: int, m: int) -> tuple[int, ...]:
-    """m distinct indices from range(n) via a partial Fisher-Yates shuffle."""
+    """m distinct indices from range(n) via a partial Fisher-Yates shuffle: the numpy reference for _stream's draws."""
     pool = list(range(n))
     for i in range(m):
         j = i + int(rng.integers(n - i))
@@ -170,10 +171,13 @@ def draw_without_replacement(rng: np.random.Generator, n: int, m: int) -> tuple[
 
 
 def sample_rows(n: int, m: int, seed: int) -> tuple[int, ...]:
-    """Uniform random m-subset of range(n), sorted; same (n, m, seed) -> same set."""
+    """Uniform random m-subset of range(n), sorted; same (n, m, seed) -> same set.
+
+    It is draw_without_replacement(default_rng(seed), n, m), drawn from
+    csense's copy of that stream; n above 2^32 is a ValueError.
+    """
     m, n = check_shape(m, n)
-    rng = np.random.default_rng(check_int(seed, "seed", 0))
-    return draw_without_replacement(rng, n, m)
+    return tuple(_stream.seeded_subsets(n, m, check_int(seed, "seed", 0), 1)[0].tolist())
 
 
 def build_subsampling_rows(n: int, p: int) -> tuple[int, ...]:

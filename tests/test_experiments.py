@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 from unittest import mock
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csense import experiments, matrices, numerics, recovery
+from csense import _stream, experiments, matrices, numerics, recovery
 from csense.errors import RankDeficientError
 from csense.serialization import to_dict
 from test_golden import golden_configs
@@ -92,6 +93,19 @@ def test_config_from_dict_defaults():
     assert (random.a_min, random.a_max) == (0.5, 2.0)
 
 
+def test_every_config_field_is_frozen():
+    # after its checks a config cannot become one with no trials or an empty k range;
+    # dataclasses.replace builds a new config, checked again
+    cfg = etf14_config()
+    for field in dataclasses.fields(cfg):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field.name, None)
+    assert (cfg.k_range, cfg.trials) == ((1, 2), 200)
+    for change in ({"trials": 0}, {"k_range": (5, 1)}):
+        with pytest.raises(ValueError):
+            dataclasses.replace(cfg, **change)
+
+
 def test_csv_lines_header():
     report = experiments.run_experiment(etf14_config(trials=2))
     lines = report.csv_lines()
@@ -133,6 +147,33 @@ def test_sweep_validates_arguments():
         experiments.sweep_partial_dft_subsets(8, 9, 10, seed=0)
     with pytest.raises(ValueError):
         experiments.sweep_partial_dft_subsets(8, 4, 0, seed=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.integers(1, 60),
+    st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80)),
+)
+@example((16, 12), 500, 20260810)  # the sweep that chose fig3's rows
+@example((8, 8), 25, 4)
+def test_sweep_draws_what_one_generator_draws_subset_after_subset(shape, subsets, seed):
+    n, m = shape
+    rng = np.random.default_rng(seed)
+    expected = {matrices.draw_without_replacement(rng, n, m) for _ in range(subsets)}
+    assert {score.rows for score in experiments.sweep_partial_dft_subsets(n, m, subsets, seed)} == expected
+
+
+def test_seeded_draws_build_no_numpy_generator():
+    # every seeded index draw reads csense's copy of the stream, never numpy's Generator
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy Generator was built")
+
+    with mock.patch.object(np.random, "default_rng", refuse), mock.patch.object(np.random, "Generator", refuse):
+        assert len(matrices.sample_rows(1024, 256, seed=0)) == 256
+        assert experiments.sweep_partial_dft_subsets(16, 12, 50, seed=20260810)
+        cfg = etf14_config(matrix={"family": "partial-dft", "n": 64, "m": 16, "seed": 3}, k_range=(1, 3), trials=30)
+        assert len(experiments.run_experiment(cfg).rows) == 3
 
 
 def duplicate_columns_config():
@@ -273,7 +314,7 @@ MIXED_BOUNDS = [[2**31 + 1, 2**32], [2**31 + 1, 2], [3 * 2**30, 2**32 - 1], [3 *
 @example((ONE_WORD_ROWS, MIXED_BOUNDS, 3))
 def test_generator_draws_are_numpys(program):
     groups, bounds, count = program
-    ints, doubles = experiments._generator_draws(groups, bounds, count)
+    ints, doubles = _stream.generator_draws(groups, bounds, count)
     generators = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(row))) for words in groups for row in words]
     assert ints.tolist() == [[int(rng.integers(b)) for b in row] for rng, row in zip(generators, bounds)]
     assert doubles.tobytes() == np.array([rng.random(count) for rng in generators]).tobytes()
@@ -281,9 +322,9 @@ def test_generator_draws_are_numpys(program):
 
 @pytest.mark.parametrize("bounds", [[0], [2**32 + 1], [2, 2**33], [[2], [2**32 + 1]]])
 def test_generator_draws_refuse_bounds_beyond_32_bit_lemire(bounds):
-    # above 2**32 numpy's integers switches to 64-bit Lemire, which _generator_draws does not copy
+    # above 2**32 numpy's integers switches to 64-bit Lemire, which generator_draws does not copy
     with pytest.raises(ValueError):
-        experiments._generator_draws([np.zeros((2, 3), dtype=np.uint32)], bounds, 0)
+        _stream.generator_draws([np.zeros((2, 3), dtype=np.uint32)], bounds, 0)
 
 
 def outcomes(pursuit):

@@ -62,6 +62,32 @@ def test_sample_rows_rejects_oversized_draw():
         matrices.sample_rows(16, 17, seed=0)
 
 
+@st.composite
+def row_draws(draw):
+    """(n, m, seed): any m-of-n draw with n <= 1100, seeds on both sides of 2**32."""
+    n = draw(st.integers(1, 1100))
+    seed = draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80)))
+    return n, draw(st.integers(1, n)), seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_draws())
+@example((1024, 256, 0))  # pursuit_large's rows
+@example((300, 300, 2**32))  # m = n, the first two-word seed
+@example((7, 1, 2**32 - 1))  # m = 1, the last one-word seed
+@example((64, 5, 2**33 + 7))
+def test_sample_rows_is_numpys_draw(case):
+    # sample_rows reads csense's copy of the stream; numpy's Generator is the reference
+    n, m, seed = case
+    assert matrices.sample_rows(n, m, seed) == matrices.draw_without_replacement(np.random.default_rng(seed), n, m)
+
+
+def test_sample_rows_refuses_more_than_32_bit_bounds():
+    # numpy switches to 64-bit Lemire above 2**32, which csense's copy of the stream does not hold
+    with pytest.raises(ValueError, match=r"2\*\*32"):
+        matrices.sample_rows(2**32 + 1, 1, seed=0)
+
+
 def test_subsampling_rows():
     assert matrices.build_subsampling_rows(8, 1) == tuple(range(8))
     assert matrices.build_subsampling_rows(8, 2) == (0, 2, 4, 6)
