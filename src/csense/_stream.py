@@ -177,7 +177,9 @@ def sorted_subsets(n: int, picks: np.ndarray) -> np.ndarray:
 
 
 def seeded_subsets(n: int, m: int, seed: int, count: int) -> np.ndarray:
-    """(count, m): row r is the r-th draw_without_replacement(rng, n, m) of one rng = default_rng(seed)."""
+    """(count, m): row r is the r-th draw_without_replacement(rng, n, m) of one rng = default_rng(seed); n <= 2**32."""
+    if n > 2**32:
+        raise ValueError(f"a seeded draw of indices needs n <= 2**32, got n = {n}")
     words = np.array([entropy_words(seed)], dtype=np.uint32)
     picks, _ = generator_draws([words], np.tile(np.arange(n, n - m, -1), count), 0)
     return sorted_subsets(n, picks.reshape(count, m))

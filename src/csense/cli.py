@@ -67,6 +67,8 @@ def _cmd_gen_matrix(args) -> int:
 def _cmd_coherence(args) -> int:
     budget = matrices.check_int(args.max_subsets, "the subset budget", 0)
     mat = matrices.load_matrix(args.matrix)
+    if args.rip_k is not None:
+        mat.gram  # the isometry scan needs the whole Gram: build it first and the coherence reuses it
     payload = {"coherence": serialization.to_dict(coherence.coherence_index(mat))}
     scans = []  # (what, scanned, total) of each scan run
     if args.uniqueness_k is not None:

@@ -124,14 +124,15 @@ def coherence_index(a: matrices.MeasurementMatrix) -> CoherenceReport:
 
     Off-diagonal mass below the numerical noise floor n*eps counts as zero,
     so orthonormal columns report mu = 0 (unbounded sparsity) instead of
-    rounding dust.
+    rounding dust. One pass over the Gram in strips: the cached Gram's if
+    the matrix holds one, else fresh ones, and no Gram is cached.
     """
-    off_max, off_min = matrices.gram_offdiagonal_extremes(a)
+    off_max, off_min, norm_sq_min = numerics.gram_extremes(a.data, a.cached_gram)
     if off_max <= a.n * np.finfo(np.float64).eps:
         mu = mu_hi = 0.0
     else:
         mu = min(off_max, 1.0)  # rounding can push |g_kl| a hair past 1
-        mu_hi = coherence_upper_bound(a.m, off_max, float(np.min(a.gram.diagonal().real)))
+        mu_hi = coherence_upper_bound(a.m, off_max, norm_sq_min)
     return CoherenceReport(
         mu=mu,
         welch=welch_bound(a.m, a.n),

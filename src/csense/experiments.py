@@ -206,6 +206,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     lo, hi = cfg.k_range
     if hi > mat.m:
         raise ValueError(f"k_range high {hi} exceeds measurement count {mat.m}")
+    mat.gram  # built once here: the pursuit reads Gram rows, and the coherence reuses it
     base = coherence.coherence_index(mat)
     rows = []
     for k in range(lo, hi + 1):

@@ -111,8 +111,8 @@ class MeasurementMatrix:
     """Column-normalized m-by-n sensing matrix tagged with its family; m and n are data's shape.
 
     The record is frozen, data is a read-only private copy and meta a deep,
-    read-only copy, so the Gram matrix, built on first use and then kept,
-    can never go stale.
+    read-only copy, so the Gram matrix, built when a caller first reads
+    gram and then kept, can never go stale.
     """
 
     data: np.ndarray
@@ -230,14 +230,8 @@ def welch_bound(m: int, n: int) -> float:
 
 
 def gram_offdiagonal_extremes(a: MeasurementMatrix) -> tuple[float, float]:
-    """(largest, smallest) off-diagonal Gram magnitude |<a_k, a_l>|, k != l; (0, 0) for one column."""
-    if a.n == 1:
-        return 0.0, 0.0
-    mags = np.abs(a.gram)
-    np.fill_diagonal(mags, 0.0)  # below every magnitude: the max is off-diagonal
-    off_max = float(np.max(mags))
-    np.fill_diagonal(mags, np.inf)
-    return off_max, float(np.min(mags))
+    """(largest, smallest) off-diagonal Gram magnitude |<a_k, a_l>|, k != l; (0, 0) for one column. Caches no Gram."""
+    return numerics.gram_extremes(a.data, a.cached_gram)[:2]
 
 
 def welch_distance(m: int, n: int, off_max: float, off_min: float) -> float:

@@ -6,12 +6,19 @@ input coercions are the ones every module uses. ZERO_TOL is the zero test on
 column norms and signal entries and, times ||y||, on fitted values;
 coherence_index and the pursuit's pivot test scale theirs with the problem
 (n * eps and m * eps).
+The Gram is walked in upper-triangular row strips of GRAM_BLOCK rows
+(gram_strips). gram fills the n x n Gram from them for the callers that read
+it whole, through MeasurementMatrix.gram: rip_constant, the initial-estimate
+decomposition and the pursuit. gram_extremes reduces the strips to what the
+coherence needs in O(GRAM_BLOCK n) memory, so mu alone makes no n x n array.
 The batched scans, the least-squares fits and the pursuit factor their own
 stacks, so solve_least_squares, numerical_rank and hermitian_eigen_extremes
 have no caller in csense: they are the one-matrix reference implementations
 the tests check those engines against.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,6 +28,8 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "gram",
+    "gram_extremes",
+    "gram_strips",
     "hermitian_eigen_extremes",
     "numerical_rank",
     "rank_tolerance",
@@ -29,6 +38,8 @@ __all__ = [
 ]
 
 HERMITIAN_TOL = 1e-10
+# Rows of one Gram strip: gram_strips holds about three strips of GRAM_BLOCK x n complex numbers at once.
+GRAM_BLOCK = 256
 # Magnitudes at or below this count as numerically zero: fitted values, signal entries, column norms.
 ZERO_TOL = 1e-14
 
@@ -68,13 +79,67 @@ def rank_tolerance(shape, sigma_max):
     return max(shape) * sigma_max * np.finfo(np.float64).eps
 
 
-def gram(a) -> np.ndarray:
-    """Gram matrix A^H A, symmetrized so the result is exactly Hermitian."""
+def _strip_rows(n: int):
+    """(i, j) row ranges of the Gram strips. A last strip of one row joins the one
+    before it: BLAS computes a product with a side of 1 on another path (gemv)."""
+    starts = list(range(0, n - 1, GRAM_BLOCK)) or [0]
+    return zip(starts, starts[1:] + [n])
+
+
+def _strip(arr: np.ndarray, conj: np.ndarray, i: int, j: int, out) -> np.ndarray:
+    """Rows i..j of the Gram from column i on (see gram_strips); its temporaries are freed on return."""
+    strip = np.matmul(conj[:, i:j].T, arr[:, i:], out=None if out is None else out[i:j, i:])
+    diag, rest = strip[:, : j - i], strip[:, j - i :]
+    diag += diag.conj().T
+    lower = conj[:, j:].T @ arr[:, i:j]
+    rest += np.conjugate(lower, out=lower).T
+    strip *= 0.5
+    return strip
+
+
+def gram_strips(a, out=None):
+    """The upper-triangular row strips of A^H A in order, rows i..j from column i on; with out, written to out[i:j, i:].
+
+    Every entry is (p_kl + conj(p_lk)) / 2 of the products p = A^H A: A_I^H A_I
+    symmetrized with its own conjugate transpose, then (A_I^H A_{>I} + (A_{>I}^H A_I)^H) / 2.
+    For n <= GRAM_BLOCK + 1 that is one strip, the one-product Gram.
+    """
     arr = as_matrix(a)
-    g = arr.conj().T @ arr
-    g += g.conj().T  # in place: one n x n temporary instead of three
-    g *= 0.5
+    conj = arr.conj()
+    return (_strip(arr, conj, i, j, out) for i, j in _strip_rows(arr.shape[1]))
+
+
+def gram(a) -> np.ndarray:
+    """Gram matrix A^H A from gram_strips, the lower triangle the exact conjugate of the upper: exactly Hermitian."""
+    arr = as_matrix(a)
+    n = arr.shape[1]
+    g = np.empty((n, n), dtype=np.complex128)
+    for strip in gram_strips(arr, out=g):
+        rows, i = strip.shape[0], n - strip.shape[1]  # the strip holds rows i..i+rows from column i on
+        np.conjugate(strip[:, rows:], out=g[i + rows :, i : i + rows].T)
     return g
+
+
+def _strip_extremes(strip: np.ndarray) -> tuple[float, float, float]:
+    """(largest, smallest) magnitude right of a strip's diagonal, and its smallest diagonal real part."""
+    off = np.abs(strip)[np.arange(strip.shape[1]) > np.arange(strip.shape[0])[:, None]]
+    return float(off.max(initial=0.0)), float(off.min(initial=math.inf)), float(strip.diagonal().real.min())
+
+
+def gram_extremes(a, cached=None) -> tuple[float, float, float]:
+    """(largest, smallest) off-diagonal Gram magnitude and smallest diagonal real part; (0, 0, d) for one column.
+
+    Reduced over the upper triangle, which holds every off-diagonal magnitude of
+    the exactly Hermitian Gram, one strip at a time: the strips of cached, a Gram
+    from gram, when given, else fresh gram_strips. No n x n array is made.
+    """
+    if cached is None:
+        strips = gram_strips(a)
+    else:
+        strips = (cached[i:j, i:] for i, j in _strip_rows(cached.shape[0]))
+    # map drops each strip once reduced, so at most one is alive at a time
+    maxes, mins, diagonals = zip(*map(_strip_extremes, strips))
+    return max(maxes), (0.0 if min(mins) == math.inf else min(mins)), min(diagonals)
 
 
 def numerical_rank(a) -> int:

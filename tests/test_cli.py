@@ -5,12 +5,13 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import csense
-from csense import matrices, recovery
+from csense import matrices, numerics, recovery
 from csense.cli import figure_scenario, main
 from csense.coherence import coherence_index
 from csense.experiments import sweep_partial_dft_subsets
@@ -86,6 +87,11 @@ def test_gen_matrix_bad_rows_exits_2(tmp_path, capsys):
     out = tmp_path / "bad.json"
     code, _, _ = run(capsys, "gen-matrix", "--family", "partial-dft", "--n", "8", "--rows", "0,zz", "--out", str(out))
     assert code == 2
+    # no seeded rows beyond 2**32 columns: the error names n, not the stream's bounds
+    code, stdout, err = run(capsys, "gen-matrix", "--family", "partial-dft", "--n", str(2**32 + 1), "--m", "1", "--out", str(out))
+    assert code == 2
+    assert err == "error: malformed matrix spec: a seeded draw of indices needs n <= 2**32, got n = 4294967297\n"
+    assert stdout == "" and not out.exists()
 
 
 def test_gen_matrix_gaussian_matches_the_library(tmp_path, capsys):
@@ -154,6 +160,20 @@ def test_coherence_rip_pairs(tmp_path, capsys):
     assert code == 0
     payload = strict_json(stdout)
     assert payload["rip"]["delta"] == pytest.approx(payload["coherence"]["mu"], abs=1e-10)
+
+
+@pytest.mark.parametrize("flags", [[], ["--rip-k", "2"], ["--uniqueness-k", "1"]], ids=["alone", "rip_k", "uniqueness_k"])
+def test_coherence_command_walks_the_gram_once(tmp_path, capsys, flags):
+    # with --rip-k the Gram is built first and the coherence reads it: one product, not a walk and then a Gram
+    out = tmp_path / "dft.json"
+    run(capsys, "gen-matrix", "--family", "partial-dft", "--m", "12", "--n", "300", "--out", str(out))
+    with mock.patch.object(numerics, "gram_strips", wraps=numerics.gram_strips) as strips, \
+            mock.patch.object(numerics, "gram", wraps=numerics.gram) as gram:
+        code, stdout, _ = run(capsys, "coherence", "--matrix", str(out), *flags)
+    assert code == 0
+    assert strips.call_count == 1
+    assert gram.call_count == ("--rip-k" in flags)
+    assert strict_json(stdout)["coherence"]["mu"] == coherence_index(matrices.load_matrix(out)).mu
 
 
 def test_coherence_scans_report_completeness(tmp_path, capsys):
@@ -570,6 +590,11 @@ BAD_INPUT_FILES = {
             "amplitude_model": "random_magnitude_phase", "a_min": 2.0, "a_max": 1.0,
         },
         "need a_min <= a_max, got 2.0 > 1.0",
+    ),
+    "seeded_rows_beyond_2_32": (
+        "experiment", "cfg",
+        {"matrix": {"family": "partial-dft", "n": 2**32 + 1, "m": 1}, "k_range": [1, 1], "trials": 1},
+        "malformed matrix spec: a seeded draw of indices needs n <= 2**32, got n = 4294967297",
     ),
     "a_min_with_unit_equal": (
         "experiment", "cfg",

@@ -635,7 +635,7 @@ def test_data_is_a_frozen_private_copy():
 
 def test_every_field_is_frozen():
     mat = matrices.build_etf(7, 14)
-    assert mat.cached_gram is not None
+    assert mat.gram is mat.cached_gram is not None
     with pytest.raises(FrozenInstanceError):
         mat.data = np.eye(7, 14)  # seven zero columns
     with pytest.raises(FrozenInstanceError):
@@ -683,8 +683,10 @@ def test_one_gram_per_matrix_across_commands(etf14):
     assert gram.call_count == 1
 
 
-def test_etf_build_leaves_its_checked_gram_cached():
+def test_etf_build_and_coherence_cache_no_gram():
+    # the ETF check and the coherence each reduce fresh Gram strips; neither keeps an n x n Gram
     with mock.patch.object(numerics, "gram", wraps=numerics.gram) as gram:
         mat = matrices.build_etf(7, 14)
         coherence.coherence_index(mat)
-    assert gram.call_count == 1
+    assert gram.call_count == 0
+    assert mat.cached_gram is None

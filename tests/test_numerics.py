@@ -1,11 +1,14 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from csense import coherence, numerics
+from csense import coherence, matrices, numerics
 from csense.errors import NotHermitianError, RankDeficientError
 from csense.matrices import MeasurementMatrix, normalize_columns
 
@@ -98,6 +101,78 @@ def test_gram_peak_memory_is_two_gram_sized_buffers(rng):
     tracemalloc.stop()
     # the Gram and the conjugate being added, plus copies of A; (g + g^H) / 2 needed three Grams
     assert peak <= 2 * gram_bytes + 4 * a.nbytes
+
+
+# ---------------------------------------------------------- Gram strips
+
+B = numerics.GRAM_BLOCK
+
+
+def one_product_gram(a):
+    """The Gram as one product symmetrized in place: gram_strips' single strip for n <= GRAM_BLOCK + 1."""
+    g = a.conj().T @ a
+    g += g.conj().T
+    g *= 0.5
+    return g
+
+
+@st.composite
+def straddling_frames(draw):
+    """Gaussian or partial-DFT frames whose n lies on both sides of the strip height."""
+    n = draw(st.sampled_from((1, 2, B - 1, B, B + 1, 2 * B + 3)))
+    m = draw(st.integers(1, min(n, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return MeasurementMatrix(normalize_columns(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))), "custom")
+    return matrices.build_partial_dft(n, np.sort(rng.choice(n, m, replace=False)).tolist())
+
+
+def report_bits(rep):
+    return [repr(value) for value in astuple(rep)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(straddling_frames())
+def test_gram_strips_give_an_exactly_hermitian_gram(mat):
+    g = numerics.gram(mat.data)
+    assert np.array_equal(g, g.conj().T)
+    reference = one_product_gram(mat.data)
+    if mat.n <= B + 1:
+        assert np.array_equal(g.view(np.uint64), reference.view(np.uint64))
+    else:  # the same entries from smaller products; BLAS may sum them in another order on more than one thread
+        assert np.max(np.abs(g - reference)) <= 4 * mat.m * np.finfo(np.float64).eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(straddling_frames())
+def test_strip_extremes_are_those_of_the_whole_gram(mat):
+    g = numerics.gram(mat.data)
+    mags = np.abs(g)[~np.eye(mat.n, dtype=bool)]
+    expected = (np.max(mags, initial=0.0), np.min(mags, initial=np.inf) if mat.n > 1 else 0.0, np.min(g.diagonal().real))
+    for cached in (None, g):
+        assert [x.hex() for x in numerics.gram_extremes(mat.data, cached)] == [float(x).hex() for x in expected]
+
+
+@settings(max_examples=40, deadline=None)
+@given(straddling_frames())
+def test_coherence_on_strips_equals_coherence_on_the_cached_gram(mat):
+    fresh = coherence.coherence_index(mat)
+    assert mat.cached_gram is None
+    mat.gram
+    assert report_bits(coherence.coherence_index(mat)) == report_bits(fresh)
+
+
+def test_coherence_of_a_fresh_matrix_holds_no_gram(rng):
+    m, n = 16, 2048
+    mat = MeasurementMatrix(normalize_columns(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))), "custom")
+    gram_bytes, strip_bytes = n * n * 16, B * n * 16
+    tracemalloc.start()
+    coherence.coherence_index(mat)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # a strip with its lower products or its magnitudes, plus copies of A: about a quarter of the 64 MiB Gram at B = 256
+    assert peak <= 3 * strip_bytes + 4 * mat.data.nbytes < gram_bytes / 2
+    assert mat.cached_gram is None
 
 
 # ---------------------------------------------------- solve_least_squares
