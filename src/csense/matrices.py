@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _stream, numerics
 from .errors import UnsupportedSizeError, ZeroColumnError
-from .serialization import BOOLS, base64_to_complex, complex_to_base64, decoding, freeze, load_json, save_json, thaw
+from .serialization import BOOLS, base64_to_complex, complex_to_base64, decoding, freeze, load_json, save_json_with_base64, thaw
 
 # Imported by name, though matrices writes no pairs: perfbench/tracing.py patches both converters here.
 from .serialization import complex_to_pairs, pairs_to_complex  # noqa: F401
@@ -372,15 +372,14 @@ def from_spec(family: str | None = None, **spec) -> MeasurementMatrix:
         return bind_spec(family, **spec)()
 
 
+def _matrix_head(a: MeasurementMatrix) -> dict:
+    """Every field of a matrix file but its data, which comes last."""
+    return {"m": a.m, "n": a.n, "family": a.family, "meta": thaw(a.meta)}
+
+
 def matrix_to_dict(a: MeasurementMatrix) -> dict:
     """JSON form: {"m", "n", "family", "meta", "data"}, data the base64 of the row-major complex128 bytes."""
-    return {
-        "m": a.m,
-        "n": a.n,
-        "family": a.family,
-        "meta": thaw(a.meta),
-        "data": complex_to_base64(a.data),
-    }
+    return {**_matrix_head(a), "data": complex_to_base64(a.data)}
 
 
 def matrix_from_dict(d: dict) -> MeasurementMatrix:
@@ -400,7 +399,8 @@ def matrix_from_dict(d: dict) -> MeasurementMatrix:
 
 
 def save_matrix(a: MeasurementMatrix, path) -> None:
-    save_json(matrix_to_dict(a), path)
+    """Write the text json.dumps(matrix_to_dict(a)) plus a newline, without the base64 text as a str."""
+    save_json_with_base64(_matrix_head(a), "data", a.data, path)
 
 
 def load_matrix(path) -> MeasurementMatrix:

@@ -1,4 +1,4 @@
-"""The JSON formats: one helper pair for files, one record encoder, frozen JSON values, and complex arrays as text.
+"""The JSON formats: the file writers and reader, one record encoder, frozen JSON values, and complex arrays as text.
 
 A complex array is written one of two ways, and both read back bit-identical:
 - a matrix's data as one base64 string (RFC 4648) of its row-major
@@ -23,16 +23,38 @@ import numpy as np
 # JSON true and false parse to these; they compare equal to 1 and 0 but are not numbers.
 BOOLS = frozenset((bool, np.bool_))
 
+# Bytes base64 encodes at a time in matrix files; a multiple of 3, so no block but the last has padding.
+BASE64_BLOCK = 3 * 2**16
+
 
 def save_json(obj, path) -> None:
     """Write obj as one line of JSON plus a newline.
 
     json.dumps runs the C encoder; json.dump would encode through the
-    pure-Python chunked path, for the same text.
+    pure-Python chunked path, for the same text. The text is whole before the
+    file opens, so a value JSON cannot encode leaves the file as it was.
     """
+    text = json.dumps(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj))
+        fh.write(text)
         fh.write("\n")
+
+
+def save_json_with_base64(obj: dict, key: str, values, path) -> None:
+    """save_json({**obj, key: complex_to_base64(values)}, path), byte for byte; obj must not hold key.
+
+    The base64 text never becomes a str or part of json.dumps's text: json.dumps
+    writes obj with key's value left empty, and the base64 blocks go into the
+    file between its quotes. json.dumps escapes every non-ASCII character, so
+    its text is ASCII, and base64 needs no JSON escape. Everything is encoded
+    before the file opens.
+    """
+    head = json.dumps({**obj, key: ""}).encode("ascii")
+    blocks = list(_base64_blocks(np.ascontiguousarray(values, dtype="<c16")))
+    with open(path, "wb") as fh:
+        fh.write(head[:-2])  # up to the empty value's opening quote
+        fh.writelines(blocks)
+        fh.write(b'"}\n')
 
 
 def load_json(path):
@@ -109,18 +131,34 @@ def complex_to_base64(values) -> str:
     return binascii.b2a_base64(np.ascontiguousarray(values, dtype="<c16"), newline=False).decode("ascii")
 
 
+def _base64_blocks(raw):
+    """The base64 of raw's bytes, BASE64_BLOCK bytes at a time; joined, they are the base64 of all of raw.
+
+    CPython 3.11's b2a_base64 allocates two bytes per input byte before it
+    trims its result, so one call over all of raw would peak at 1.5 times the
+    text it returns.
+    """
+    view = memoryview(raw).cast("B")
+    return (binascii.b2a_base64(view[i : i + BASE64_BLOCK], newline=False) for i in range(0, len(view), BASE64_BLOCK))
+
+
 def base64_to_complex(text: str) -> np.ndarray:
     """Inverse of complex_to_base64: a read-only 1-D complex128 view of the decoded bytes.
 
     Only the canonical text is accepted: a2b_base64 skips characters outside
     the alphabet and ignores stray padding bits, so the bytes must encode back
-    to exactly the text given.
+    to exactly the text given. They are encoded back a block at a time, each
+    block compared in place with its stretch of the text, so no whole
+    re-encoded copy is held; with the length check, that compares all of it.
     """
     try:
         raw = binascii.a2b_base64(text)
     except binascii.Error as exc:  # a ValueError subclass, which decoding() would let through unlabelled
         raise ValueError(f"data is not base64: {exc}") from None
-    if binascii.b2a_base64(raw, newline=False) != text.encode("ascii"):
+    starts = itertools.count(0, BASE64_BLOCK // 3 * 4)
+    if len(text) != 4 * -(-len(raw) // 3) or not all(
+        text.startswith(block.decode("ascii"), start) for start, block in zip(starts, _base64_blocks(raw))
+    ):
         raise ValueError("data is not canonical base64")
     if len(raw) % 16:
         raise ValueError(f"data holds {len(raw)} bytes, not a whole number of 16-byte complex128 values")

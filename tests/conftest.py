@@ -1,8 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from csense import matrices
 from csense.cli import figure_scenario
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes tracemalloc counted while it ran; tracing stops even if fn raises."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

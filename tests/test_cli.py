@@ -15,6 +15,7 @@ from csense import matrices, numerics, recovery
 from csense.cli import figure_scenario, main
 from csense.coherence import coherence_index
 from csense.experiments import sweep_partial_dft_subsets
+from csense.serialization import BASE64_BLOCK
 
 MU14 = 1.0 / math.sqrt(13.0)
 MU30 = 1.0 / math.sqrt(29.0)
@@ -580,6 +581,9 @@ def b64(values) -> str:
 
 
 ONE = b64([1.0])  # "AAAAAAAA8D8AAAAAAAAAAA==", the 1x1 matrix [1]
+# The 1 x 12289 matrix of ones: its data spans two base64 blocks and ends in "AAAAAA==".
+ROW = b64(np.ones(12289))
+SECOND_BLOCK = 4 * BASE64_BLOCK // 3 + 8  # a character inside the second block
 
 # id: (command, the input file it gets, that file's text, the error)
 BAD_INPUT_FILES = {
@@ -649,6 +653,19 @@ BAD_INPUT_FILES = {
     ),
     "matrix_base64_alphabet": (
         "coherence", "etf", {"m": 1, "n": 1, "family": "custom", "data": ONE[:8] + "!" + ONE[8:]},
+        "malformed matrix: data is not canonical base64",
+    ),
+    "matrix_base64_alphabet_second_block": (
+        "coherence", "etf", {"m": 1, "n": 12289, "family": "custom", "data": ROW[:SECOND_BLOCK] + "!" + ROW[SECOND_BLOCK:]},
+        "malformed matrix: data is not canonical base64",
+    ),
+    "matrix_base64_replaced_second_block": (
+        "coherence", "etf",
+        {"m": 1, "n": 12289, "family": "custom", "data": ROW[:SECOND_BLOCK] + "!" + ROW[SECOND_BLOCK + 1 :]},
+        "malformed matrix: data is not base64: ",
+    ),
+    "matrix_base64_padding_bits": (
+        "coherence", "etf", {"m": 1, "n": 12289, "family": "custom", "data": ROW[:-3] + "B=="},
         "malformed matrix: data is not canonical base64",
     ),
     "matrix_base64_padding": (

@@ -14,8 +14,18 @@ from hypothesis.extra import numpy as hnp
 
 from csense import coherence, matrices, numerics, recovery
 from csense.experiments import ExperimentConfig
-from csense.serialization import base64_to_complex, complex_to_base64, complex_to_pairs, pairs_to_complex, to_dict
+from csense.serialization import (
+    BASE64_BLOCK,
+    base64_to_complex,
+    complex_to_base64,
+    complex_to_pairs,
+    pairs_to_complex,
+    save_json,
+    to_dict,
+)
 from csense.errors import UnsupportedSizeError, ZeroColumnError
+
+from conftest import traced_peak
 
 MU14 = 1.0 / math.sqrt(13.0)
 MU30 = 1.0 / math.sqrt(29.0)
@@ -427,11 +437,16 @@ def test_matrix_json_round_trip_keeps_signed_zeros(tmp_path):
 
 
 def test_json_files_keep_the_text_json_dump_wrote(tmp_path, fig3_dft):
-    # one writer serves every file format; its text must not drift from json.dump's
+    # the writers must not drift from json.dump's text, the matrix writer's
+    # base64 blocks included: 16 x 1536 fills exactly two, 16 x 1600 and
+    # 16 x 1601 spill into a third and end in "==" and "=" (m*n mod 3 = 0, 1, 2)
     x = recovery.SparseSignal(16, (2, 9), np.array([1.0 - 0.5j, complex(-0.0, 2.0)]))
     y = recovery.measure(fig3_dft, x)
-    cases = [
-        (matrices.save_matrix, fig3_dft, matrices.matrix_to_dict(fig3_dft)),
+    assert 16 * 1536 * 16 == 2 * BASE64_BLOCK
+    wide = [matrices.build_gaussian(16, n, seed=n) for n in (1536, 1600, 1601)]
+    meta = {"name": "Zoë ∑ \"q\"\n", "nested": {"list": [1, 2.5, None, True, "ü"], "empty": {}, "deep": [[{"é": []}]]}}
+    custom = matrices.MeasurementMatrix(np.eye(2), "custom", meta)
+    cases = [(matrices.save_matrix, a, matrices.matrix_to_dict(a)) for a in (fig3_dft, custom, *wide)] + [
         (recovery.save_signal, x, to_dict(x)),
         (recovery.save_measurement, y, recovery.measurement_to_dict(y)),
     ]
@@ -440,6 +455,35 @@ def test_json_files_keep_the_text_json_dump_wrote(tmp_path, fig3_dft):
         json.dump(as_dict, expected)
         save(obj, tmp_path / "out.json")
         assert (tmp_path / "out.json").read_text(encoding="utf-8") == expected.getvalue() + "\n"
+
+
+@pytest.mark.parametrize(
+    "save, obj",
+    [
+        (matrices.save_matrix, matrices.MeasurementMatrix(np.eye(2), "custom", {"x": {1, 2}})),
+        (save_json, {"x": {1, 2}}),
+    ],
+)
+def test_a_value_json_cannot_encode_leaves_the_file_as_it_was(tmp_path, fig3_dft, save, obj):
+    path = tmp_path / "out.json"
+    matrices.save_matrix(fig3_dft, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        save(obj, path)
+    assert path.read_bytes() == before
+
+
+def test_matrix_files_are_written_and_read_without_whole_text_copies(tmp_path):
+    # the save holds the base64 text once, plus a block; the load holds the
+    # parsed text, the decoded bytes and the matrix's own copy of them
+    mat = matrices.build_gaussian(256, 1024, seed=5)
+    path = tmp_path / "mat.json"
+    text_bytes = len(complex_to_base64(mat.data))
+    _, save_peak = traced_peak(matrices.save_matrix, mat, path)
+    loaded, load_peak = traced_peak(matrices.load_matrix, path)
+    assert np.array_equal(loaded.data, mat.data)
+    assert save_peak <= 1.25 * text_bytes
+    assert load_peak <= 2.75 * text_bytes
 
 
 @pytest.mark.parametrize(

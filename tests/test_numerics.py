@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -11,6 +10,8 @@ from hypothesis import strategies as st
 from csense import coherence, matrices, numerics
 from csense.errors import NotHermitianError, RankDeficientError
 from csense.matrices import MeasurementMatrix, normalize_columns
+
+from conftest import traced_peak
 
 MU14 = 1.0 / math.sqrt(13.0)
 
@@ -95,10 +96,7 @@ def test_gram_in_place_symmetrization_is_bit_identical(rng):
 def test_gram_peak_memory_is_two_gram_sized_buffers(rng):
     a = rng.standard_normal((16, 256)) + 1j * rng.standard_normal((16, 256))
     gram_bytes = 256 * 256 * 16
-    tracemalloc.start()
-    numerics.gram(a)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    _, peak = traced_peak(numerics.gram, a)
     # the Gram and the conjugate being added, plus copies of A; (g + g^H) / 2 needed three Grams
     assert peak <= 2 * gram_bytes + 4 * a.nbytes
 
@@ -166,10 +164,7 @@ def test_coherence_of_a_fresh_matrix_holds_no_gram(rng):
     m, n = 16, 2048
     mat = MeasurementMatrix(normalize_columns(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))), "custom")
     gram_bytes, strip_bytes = n * n * 16, B * n * 16
-    tracemalloc.start()
-    coherence.coherence_index(mat)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    _, peak = traced_peak(coherence.coherence_index, mat)
     # a strip with its lower products or its magnitudes, plus copies of A: about a quarter of the 64 MiB Gram at B = 256
     assert peak <= 3 * strip_bytes + 4 * mat.data.nbytes < gram_bytes / 2
     assert mat.cached_gram is None

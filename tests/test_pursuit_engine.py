@@ -11,7 +11,6 @@ batched engine must give every trial of a batch exactly what it gets alone.
 import dataclasses
 import json
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,6 +20,7 @@ from hypothesis import strategies as st
 
 from csense import cli, experiments, matrices, numerics, recovery
 from csense.errors import DimensionMismatchError, RankDeficientError
+from conftest import traced_peak
 from test_experiments import early_stop_config, outcomes
 from test_golden import lone_signal
 
@@ -447,12 +447,7 @@ def test_batch_memory_is_bounded_by_the_batch_size():
         seed=20260810,
     )
     experiments.run_experiment(cfg)
-    tracemalloc.start()
-    try:
-        report = experiments.run_experiment(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(experiments.run_experiment, cfg)
     assert [row.exact_recovery_rate for row in report.rows] == [1.0, 1.0, 1.0]
     assert peak <= 12 * experiments.BATCH_BYTES
 

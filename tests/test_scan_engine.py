@@ -8,7 +8,6 @@ small matrices.
 """
 import itertools
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 from csense import coherence, matrices, numerics, recovery
 from csense.serialization import to_dict
 
+from conftest import traced_peak
 from test_coherence import rip_by_charpoly
 
 
@@ -220,12 +220,7 @@ def test_truncated_scan_with_witness_is_still_decided(even_rows_dft8):
 def test_scan_memory_is_bounded_by_the_chunk(etf30):
     # all 27,405 stacks of the 15x30 k=2 scan would take 26 MB at once
     coherence.uniqueness_rank_scan(etf30, 2)
-    tracemalloc.start()
-    try:
-        rep = coherence.uniqueness_rank_scan(etf30, 2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(coherence.uniqueness_rank_scan, etf30, 2)
     assert rep.complete and rep.all_full_rank
     assert peak <= 2 * coherence.SCAN_CHUNK_BYTES
 
