@@ -24,32 +24,6 @@ from .serialization import BOOLS, base64_to_complex, complex_to_base64, decoding
 # Imported by name, though matrices writes no pairs: perfbench/tracing.py patches both converters here.
 from .serialization import complex_to_pairs, pairs_to_complex  # noqa: F401
 
-__all__ = [
-    "SPEC_BUILDERS",
-    "MeasurementMatrix",
-    "bind_spec",
-    "build_etf",
-    "build_gaussian",
-    "build_partial_dft",
-    "build_subsampling_rows",
-    "check_indices",
-    "check_int",
-    "check_positive",
-    "check_shape",
-    "draw_without_replacement",
-    "from_spec",
-    "gram_offdiagonal_extremes",
-    "load_matrix",
-    "matrix_from_dict",
-    "matrix_to_dict",
-    "normalize_columns",
-    "paley_conference",
-    "sample_rows",
-    "save_matrix",
-    "welch_bound",
-    "welch_distance",
-]
-
 COLUMN_NORM_TOL = 1e-10
 # Largest welch_distance of an equiangular tight frame: build_etf's check and coherence_index's is_etf.
 ETF_GRAM_TOL = 1e-9
@@ -229,11 +203,6 @@ def welch_bound(m: int, n: int) -> float:
     return math.sqrt((n - m) / (m * (n - 1)))
 
 
-def gram_offdiagonal_extremes(a: MeasurementMatrix) -> tuple[float, float]:
-    """(largest, smallest) off-diagonal Gram magnitude |<a_k, a_l>|, k != l; (0, 0) for one column. Caches no Gram."""
-    return numerics.gram_extremes(a.data, a.cached_gram)[:2]
-
-
 def welch_distance(m: int, n: int, off_max: float, off_min: float) -> float:
     """Largest |off - w| over off-diagonal Gram magnitudes in [off_min, off_max], w the Welch bound.
 
@@ -245,7 +214,7 @@ def welch_distance(m: int, n: int, off_max: float, off_min: float) -> float:
 
 
 def _check_equiangular(a: MeasurementMatrix) -> None:
-    worst = welch_distance(a.m, a.n, *gram_offdiagonal_extremes(a))
+    worst = welch_distance(a.m, a.n, *numerics.gram_extremes(a.data)[:2])
     if worst > ETF_GRAM_TOL:
         raise UnsupportedSizeError(
             f"off-diagonal Gram magnitudes deviate from the Welch bound by {worst:.3e} (tolerance {ETF_GRAM_TOL:g})"

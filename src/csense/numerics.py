@@ -24,19 +24,6 @@ import numpy as np
 
 from .errors import NotHermitianError, RankDeficientError
 
-__all__ = [
-    "as_matrix",
-    "as_vector",
-    "gram",
-    "gram_extremes",
-    "gram_strips",
-    "hermitian_eigen_extremes",
-    "numerical_rank",
-    "rank_tolerance",
-    "read_only_copy",
-    "solve_least_squares",
-]
-
 HERMITIAN_TOL = 1e-10
 # Rows of one Gram strip: gram_strips holds about three strips of GRAM_BLOCK x n complex numbers at once.
 GRAM_BLOCK = 256

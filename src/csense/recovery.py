@@ -323,7 +323,7 @@ def pursue_batch(
     earlier ones (Gram-Schmidt, applied twice), which extends a QR
     factorization A_S = Q R; the values come from one solve with the
     triangular R at the end. When the matrix already holds its Gram (as
-    after coherence_index), the correlations A^H r are updated from Gram
+    run_experiment's does), the correlations A^H r are updated from Gram
     rows and an iteration costs O(T (m k + n k)) after the first. Otherwise
     they are recomputed from A at O(T m n) per iteration: building the Gram
     for a few runs would cost O(m n^2) time and n^2 memory.
