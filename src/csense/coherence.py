@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrices, numerics
-from .matrices import welch_bound
 from .serialization import BOOLS
 
 DEFAULT_MAX_SUBSETS = 100_000
@@ -135,7 +134,7 @@ def coherence_index(a: matrices.MeasurementMatrix) -> CoherenceReport:
         mu_hi = coherence_upper_bound(a.m, off_max, norm_sq_min)
     return CoherenceReport(
         mu=mu,
-        welch=welch_bound(a.m, a.n),
+        welch=matrices.welch_bound(a.m, a.n),
         k_max=max_sparsity(mu_hi),
         bound_value=sparsity_bound(mu),
         is_etf=matrices.welch_distance(a.m, a.n, off_max, off_min) <= matrices.ETF_GRAM_TOL,

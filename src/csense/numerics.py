@@ -7,10 +7,11 @@ column norms and signal entries and, times ||y||, on fitted values;
 coherence_index and the pursuit's pivot test scale theirs with the problem
 (n * eps and m * eps).
 The Gram is walked in upper-triangular row strips of GRAM_BLOCK rows
-(gram_strips). gram fills the n x n Gram from them for the callers that read
-it whole, through MeasurementMatrix.gram: rip_constant, the initial-estimate
-decomposition and the pursuit. gram_extremes reduces the strips to what the
-coherence needs in O(GRAM_BLOCK n) memory, so mu alone makes no n x n array.
+(gram_strips). gram fills the n x n Gram from them for MeasurementMatrix.gram,
+which rip_constant, the initial-estimate decomposition, run_experiment and
+coherence --rip-k build; the pursuit reads only a Gram already built
+(cached_gram). gram_extremes reduces the strips to what the coherence needs
+in O(GRAM_BLOCK n) memory, so mu alone makes no n x n array.
 The batched scans, the least-squares fits and the pursuit factor their own
 stacks, so solve_least_squares, numerical_rank and hermitian_eigen_extremes
 have no caller in csense: they are the one-matrix reference implementations

@@ -168,8 +168,9 @@ def base64_to_complex(text: str) -> np.ndarray:
 def pairs_to_complex(pairs) -> np.ndarray:
     """Inverse of complex_to_pairs; returns a 1-D complex128 array.
 
-    The pairs are reinterpreted in place as complex numbers, never added up
-    as re + 1j*im, which would turn a -0.0 imaginary part into +0.0.
+    The pairs are reinterpreted in place, never added up as re + 1j*im, which
+    would turn a -0.0 imaginary part into +0.0. Entries must be numbers, since
+    numpy alone would read the JSON string "1" as 1.0 and null as NaN.
     """
     if isinstance(pairs, str):
         raise ValueError("expected a list of [re, im] pairs, got a string")
@@ -178,6 +179,9 @@ def pairs_to_complex(pairs) -> np.ndarray:
         return np.zeros(0, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("expected a list of [re, im] pairs")
-    if not BOOLS.isdisjoint(map(type, itertools.chain.from_iterable(pairs))):
+    kinds = set(map(type, itertools.chain.from_iterable(pairs)))
+    if not BOOLS.isdisjoint(kinds):
         raise ValueError("[re, im] pairs must hold numbers, not booleans")
+    if not all(issubclass(kind, (int, float, np.integer, np.floating)) for kind in kinds):  # numpy reals: a float array
+        raise ValueError("[re, im] pairs must hold numbers, not strings or null")
     return arr.view(np.complex128).reshape(-1)

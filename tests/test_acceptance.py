@@ -28,7 +28,7 @@ def test_criterion_01_etf_7x14_coherence():
     rep = coherence.coherence_index(mat)
     elapsed = time.perf_counter() - start
     assert abs(rep.mu - 0.277350) <= 1e-6
-    assert abs(rep.mu - coherence.welch_bound(7, 14)) <= 1e-12
+    assert abs(rep.mu - matrices.welch_bound(7, 14)) <= 1e-12
     g = numerics.gram(mat.data)
     off = np.abs(g[~np.eye(14, dtype=bool)])
     assert np.max(off) - np.min(off) <= 1e-9

@@ -647,6 +647,14 @@ BAD_INPUT_FILES = {
         "coherence", "etf", {"m": 1, "n": 1, "family": "custom", "data": [[True, False]]},
         "malformed matrix: [re, im] pairs must hold numbers, not booleans",
     ),
+    "measurement_data_strings": (
+        "recover", "y", {"m": 7, "data": [["1", "0"]] * 7},
+        "malformed measurement: [re, im] pairs must hold numbers, not strings or null",
+    ),
+    "matrix_data_null": (
+        "coherence", "etf", {"m": 1, "n": 2, "family": "custom", "data": [[1, 0], [None, 0]]},
+        "malformed matrix: [re, im] pairs must hold numbers, not strings or null",
+    ),
     "measurement_data_true": (
         "recover", "y", {"m": 7, "data": [[1, 0]] * 6 + [[0, True]]},
         "malformed measurement: [re, im] pairs must hold numbers, not booleans",
@@ -740,3 +748,37 @@ def test_numpy_is_the_only_runtime_dependency():
     proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY, package_dir], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+# Run as `python -c BARE_IMPORT DIR`, DIR as for NUMPY_ONLY: prints the csense modules a bare
+# `import csense` loads, the public names the package then binds (each with the name of the
+# module it holds, or null), and whether it binds __version__.
+BARE_IMPORT = """
+import json, sys, types
+sys.path.insert(0, sys.argv[1])
+import csense
+print(json.dumps({
+    "loaded": sorted(name for name in sys.modules if name.partition(".")[0] == "csense"),
+    "public": {
+        name: value.__name__ if isinstance(value, types.ModuleType) else None
+        for name, value in vars(csense).items() if not name.startswith("_")
+    },
+    "version": isinstance(getattr(csense, "__version__", None), str),
+}))
+"""
+
+
+def test_the_package_binds_only_its_modules_and_version():
+    """Every public name lives in its module: the package re-exports none.
+
+    A bare `import csense` still loads every library module, so
+    `csense.matrices.build_etf(...)` works after it, but not the CLI.
+    """
+    package_dir = str(Path(csense.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", BARE_IMPORT, package_dir], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    library = ("_stream", "coherence", "errors", "experiments", "matrices", "numerics", "recovery", "serialization")
+    assert out["loaded"] == ["csense"] + [f"csense.{name}" for name in library]
+    assert out["public"] == {name: f"csense.{name}" for name in library if not name.startswith("_")}
+    assert out["version"]

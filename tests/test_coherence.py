@@ -57,13 +57,13 @@ DRAW_1049 = (0.17784782117551978, 0.011429120809671622, 0.6727382419696049, 0.08
 
 
 def test_welch_values():
-    assert coherence.welch_bound(7, 14) == pytest.approx(MU14, abs=1e-15)
-    assert coherence.welch_bound(15, 30) == pytest.approx(MU30, abs=1e-15)
-    assert coherence.welch_bound(5, 5) == 0.0
+    assert matrices.welch_bound(7, 14) == pytest.approx(MU14, abs=1e-15)
+    assert matrices.welch_bound(15, 30) == pytest.approx(MU30, abs=1e-15)
+    assert matrices.welch_bound(5, 5) == 0.0
     with pytest.raises(ValueError):
-        coherence.welch_bound(0, 4)
+        matrices.welch_bound(0, 4)
     with pytest.raises(ValueError):
-        coherence.welch_bound(5, 4)
+        matrices.welch_bound(5, 4)
 
 
 def test_welch_is_a_floor_for_random_matrices():

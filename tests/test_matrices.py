@@ -355,11 +355,9 @@ def test_gram_extremes_match_a_loop_over_the_off_diagonal(mat):
 
 
 def test_etf_welch_equality(etf14, etf30):
-    from csense.coherence import coherence_index, welch_bound
-
     for mat in (etf14, etf30):
-        rep = coherence_index(mat)
-        assert abs(rep.mu - welch_bound(mat.m, mat.n)) <= 1e-9
+        rep = coherence.coherence_index(mat)
+        assert abs(rep.mu - matrices.welch_bound(mat.m, mat.n)) <= 1e-9
 
 
 # --------------------------------------------------------- subsampling case
@@ -495,6 +493,7 @@ def test_matrix_files_are_written_and_read_without_whole_text_copies(tmp_path):
         (recovery.measurement_from_dict, "text"),
         (recovery.signal_from_dict, {"n": 1e999, "support": [0], "values": [[1.0, 0.0]]}),
         (recovery.signal_from_dict, {"n": 4, "support": [0], "values": [[True, 0.0]]}),
+        (recovery.signal_from_dict, {"n": 4, "support": [0], "values": [[None, 0.0]]}),
     ],
 )
 def test_json_of_the_wrong_shape_is_a_value_error(decode, d):
@@ -525,6 +524,11 @@ def test_pairs_to_complex_rejects_bad_layout():
         pairs_to_complex([[1.0, 0.0], [0.5, False]])
     with pytest.raises(ValueError, match=r"^expected a list of \[re, im\] pairs$"):
         pairs_to_complex([[True, False, True]])
+    # numpy would read a numeric string as its number and null as NaN; JSON says neither is a number
+    with pytest.raises(ValueError, match=r"^\[re, im\] pairs must hold numbers, not strings or null$"):
+        pairs_to_complex([["1", "0"]])
+    with pytest.raises(ValueError, match=r"^\[re, im\] pairs must hold numbers, not strings or null$"):
+        pairs_to_complex([[1.0, 0.0], [None, 0.0]])
 
 
 def test_matrix_dict_shape_check(etf14):
