@@ -103,8 +103,8 @@ def coherence_upper_bound(m: int, off_max: float, norm_sq_min: float) -> float:
     order, a computed entry lies within gamma ||a_k|| ||a_l|| of the exact one,
     gamma = (m + 4) u / (1 - (m + 4) u) and u = 2^-53: gamma_{m+2} for a complex
     inner product of m-vectors (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 2002, ch. 3), one rounding for the symmetrization and
-    one for the magnitude. The bound off_max (1 + gamma) / norm_sq_min + gamma
+    Algorithms, 2nd ed., 2002, ch. 3), one rounding for the magnitude and one
+    to spare. The bound off_max (1 + gamma) / norm_sq_min + gamma
     is evaluated on the rational values of the doubles, num / den in integers,
     and rounded up.
     """

@@ -6,12 +6,12 @@ input coercions are the ones every module uses. ZERO_TOL is the zero test on
 column norms and signal entries and, times ||y||, on fitted values;
 coherence_index and the pursuit's pivot test scale theirs with the problem
 (n * eps and m * eps).
-The Gram is walked in upper-triangular row strips of GRAM_BLOCK rows
-(gram_strips). gram fills the n x n Gram from them for MeasurementMatrix.gram,
-which rip_constant, the initial-estimate decomposition, run_experiment and
-coherence --rip-k build; the pursuit reads only a Gram already built
-(cached_gram). gram_extremes reduces the strips to what the coherence needs
-in O(GRAM_BLOCK n) memory, so mu alone makes no n x n array.
+The Gram is walked in upper-triangular row strips of GRAM_BLOCK rows, one BLAS
+product each (gram_strips). gram fills the n x n Gram from them for
+MeasurementMatrix.gram, which rip_constant, the initial-estimate decomposition,
+run_experiment and coherence --rip-k build; the pursuit reads only a Gram
+already built (cached_gram). gram_extremes reduces the strips to what the
+coherence needs in O(GRAM_BLOCK n) memory, so mu alone makes no n x n array.
 The batched scans, the least-squares fits and the pursuit factor their own
 stacks, so solve_least_squares, numerical_rank and hermitian_eigen_extremes
 have no caller in csense: they are the one-matrix reference implementations
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NotHermitianError, RankDeficientError
 
 HERMITIAN_TOL = 1e-10
-# Rows of one Gram strip: gram_strips holds about three strips of GRAM_BLOCK x n complex numbers at once.
+# Rows of one Gram strip: gram_extremes holds a strip of GRAM_BLOCK x n complex numbers and its magnitudes at once.
 GRAM_BLOCK = 256
 # Magnitudes at or below this count as numerically zero: fitted values, signal entries, column norms.
 ZERO_TOL = 1e-14
@@ -74,37 +74,31 @@ def _strip_rows(n: int):
     return zip(starts, starts[1:] + [n])
 
 
-def _strip(arr: np.ndarray, conj: np.ndarray, i: int, j: int, out) -> np.ndarray:
-    """Rows i..j of the Gram from column i on (see gram_strips); its temporaries are freed on return."""
-    strip = np.matmul(conj[:, i:j].T, arr[:, i:], out=None if out is None else out[i:j, i:])
-    diag, rest = strip[:, : j - i], strip[:, j - i :]
-    diag += diag.conj().T
-    lower = conj[:, j:].T @ arr[:, i:j]
-    rest += np.conjugate(lower, out=lower).T
-    strip *= 0.5
-    return strip
-
-
 def gram_strips(a, out=None):
     """The upper-triangular row strips of A^H A in order, rows i..j from column i on; with out, written to out[i:j, i:].
 
-    Every entry is (p_kl + conj(p_lk)) / 2 of the products p = A^H A: A_I^H A_I
-    symmetrized with its own conjugate transpose, then (A_I^H A_{>I} + (A_{>I}^H A_I)^H) / 2.
-    For n <= GRAM_BLOCK + 1 that is one strip, the one-product Gram.
+    Strip i is the one product A_I^H A_{>=I}. Read only its strict upper triangle and its
+    diagonal's real part: left of the diagonal, entries are rounded apart from their conjugates
+    above it. For n <= GRAM_BLOCK + 1 that is one strip, A^H A.
     """
     arr = as_matrix(a)
     conj = arr.conj()
-    return (_strip(arr, conj, i, j, out) for i, j in _strip_rows(arr.shape[1]))
+    return (
+        np.matmul(conj[:, i:j].T, arr[:, i:], out=None if out is None else out[i:j, i:])
+        for i, j in _strip_rows(arr.shape[1])
+    )
 
 
 def gram(a) -> np.ndarray:
-    """Gram matrix A^H A from gram_strips, the lower triangle the exact conjugate of the upper: exactly Hermitian."""
+    """Gram matrix A^H A, exactly Hermitian: gram_strips' upper triangle, mirrored in place a row at a time, on a real diagonal."""
     arr = as_matrix(a)
     n = arr.shape[1]
     g = np.empty((n, n), dtype=np.complex128)
-    for strip in gram_strips(arr, out=g):
-        rows, i = strip.shape[0], n - strip.shape[1]  # the strip holds rows i..i+rows from column i on
-        np.conjugate(strip[:, rows:], out=g[i + rows :, i : i + rows].T)
+    for _ in gram_strips(arr, out=g):
+        pass
+    for k in range(n - 1):
+        np.conjugate(g[k, k + 1 :], out=g[k + 1 :, k])
+    np.fill_diagonal(g.imag, 0.0)
     return g
 
 

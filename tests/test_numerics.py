@@ -89,16 +89,15 @@ def test_gram_rejects_nonfinite():
 
 def test_gram_in_place_symmetrization_is_bit_identical(rng):
     a = rng.standard_normal((32, 128)) + 1j * rng.standard_normal((32, 128))
-    g = a.conj().T @ a
-    assert np.array_equal((g + g.conj().T) / 2.0, numerics.gram(a))
+    assert np.array_equal(one_product_gram(a).view(np.uint64), numerics.gram(a).view(np.uint64))
 
 
-def test_gram_peak_memory_is_two_gram_sized_buffers(rng):
+def test_gram_peak_memory_is_one_and_a_half_gram_sized_buffers(rng):
     a = rng.standard_normal((16, 256)) + 1j * rng.standard_normal((16, 256))
     gram_bytes = 256 * 256 * 16
     _, peak = traced_peak(numerics.gram, a)
-    # the Gram and the conjugate being added, plus copies of A; (g + g^H) / 2 needed three Grams
-    assert peak <= 2 * gram_bytes + 4 * a.nbytes
+    # the Gram, mirrored in place a row at a time, plus copies of A
+    assert peak <= 1.5 * gram_bytes + 4 * a.nbytes
 
 
 # ---------------------------------------------------------- Gram strips
@@ -107,7 +106,17 @@ B = numerics.GRAM_BLOCK
 
 
 def one_product_gram(a):
-    """The Gram as one product symmetrized in place: gram_strips' single strip for n <= GRAM_BLOCK + 1."""
+    """The upper triangle of the one product A^H A, the lower its conjugate, the diagonal its real part.
+
+    gram_strips' single strip, as gram mirrors it, for n <= GRAM_BLOCK + 1.
+    """
+    p = a.conj().T @ a
+    k, l = np.indices(p.shape)
+    return np.where(k < l, p, np.where(k > l, p.conj().T, p.real))
+
+
+def averaged_gram(a):
+    """The one product A^H A averaged with its own conjugate transpose: every entry (p_kl + conj(p_lk)) / 2."""
     g = a.conj().T @ a
     g += g.conj().T
     g *= 0.5
@@ -153,6 +162,20 @@ def test_strip_extremes_are_those_of_the_whole_gram(mat):
 
 @settings(max_examples=40, deadline=None)
 @given(straddling_frames())
+def test_coherence_lies_within_two_gamma_of_the_averaged_gram(mat):
+    mags = np.abs(averaged_gram(mat.data))[~np.eye(mat.n, dtype=bool)]
+    avg_max, avg_min = np.max(mags, initial=0.0), np.min(mags, initial=np.inf) if mat.n > 1 else 0.0
+    avg_mu = 0.0 if avg_max <= mat.n * np.finfo(np.float64).eps else min(avg_max, 1.0)
+    off_max, off_min, _ = numerics.gram_extremes(mat.data)
+    u = 2.0**-53
+    gamma = (mat.m + 4) * u / (1 - (mat.m + 4) * u)  # coherence_upper_bound's allowance per entry
+    assert abs(off_max - avg_max) <= 2 * gamma
+    assert abs(off_min - avg_min) <= 2 * gamma
+    assert abs(coherence.coherence_index(mat).mu - avg_mu) <= 2 * gamma
+
+
+@settings(max_examples=40, deadline=None)
+@given(straddling_frames())
 def test_coherence_on_strips_equals_coherence_on_the_cached_gram(mat):
     fresh = coherence.coherence_index(mat)
     assert mat.cached_gram is None
@@ -165,7 +188,7 @@ def test_coherence_of_a_fresh_matrix_holds_no_gram(rng):
     mat = MeasurementMatrix(normalize_columns(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))), "custom")
     gram_bytes, strip_bytes = n * n * 16, B * n * 16
     _, peak = traced_peak(coherence.coherence_index, mat)
-    # a strip with its lower products or its magnitudes, plus copies of A: about a quarter of the 64 MiB Gram at B = 256
+    # a strip and its magnitudes, plus copies of A: about a quarter of the 64 MiB Gram at B = 256
     assert peak <= 3 * strip_bytes + 4 * mat.data.nbytes < gram_bytes / 2
     assert mat.cached_gram is None
 
