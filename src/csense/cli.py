@@ -67,18 +67,17 @@ def _cmd_gen_matrix(args) -> int:
 def _cmd_coherence(args) -> int:
     budget = matrices.check_int(args.max_subsets, "the subset budget", 0)
     mat = matrices.load_matrix(args.matrix)
-    if args.rip_k is not None:
-        mat.gram  # the isometry scan needs the whole Gram: build it first and the coherence reuses it
+    # the scans run first: the isometry scan builds the whole Gram, and the coherence then reads it
+    uniqueness = None if args.uniqueness_k is None else coherence.uniqueness_rank_scan(mat, args.uniqueness_k, budget)
+    rip = None if args.rip_k is None else coherence.rip_constant(mat, args.rip_k, budget)
     payload = {"coherence": serialization.to_dict(coherence.coherence_index(mat))}
     scans = []  # (what, scanned, total) of each scan run
-    if args.uniqueness_k is not None:
-        report = coherence.uniqueness_rank_scan(mat, args.uniqueness_k, max_subsets=budget)
-        payload["uniqueness"] = serialization.to_dict(report)
-        scans.append(("uniqueness scan", report.scanned, report.total_subsets))
-    if args.rip_k is not None:
-        report = coherence.rip_constant(mat, args.rip_k, max_subsets=budget)
-        payload["rip"] = serialization.to_dict(report)
-        scans.append(("isometry scan", report.subsets_scanned, report.total_subsets))
+    if uniqueness is not None:
+        payload["uniqueness"] = serialization.to_dict(uniqueness)
+        scans.append(("uniqueness scan", uniqueness.scanned, uniqueness.total_subsets))
+    if rip is not None:
+        payload["rip"] = serialization.to_dict(rip)
+        scans.append(("isometry scan", rip.subsets_scanned, rip.total_subsets))
     print(json.dumps(payload, indent=2))
     cut_short = [scan for scan in scans if scan[1] < scan[2]]
     for what, scanned, total in cut_short:

@@ -16,7 +16,7 @@ copy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -104,9 +104,9 @@ class ExperimentRow:
 class ExperimentReport:
     CSV_HEADER = "k,trials,first_pick_rate,exact_rate,mean_iters"
 
-    matrix_mu: float = 0.0
-    k_max_theory: int | None = None
-    rows: list[ExperimentRow] = field(default_factory=list)
+    matrix_mu: float
+    k_max_theory: int | None
+    rows: list[ExperimentRow]
 
     def csv_lines(self) -> list[str]:
         lines = [self.CSV_HEADER]

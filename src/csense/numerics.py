@@ -7,11 +7,11 @@ column norms and signal entries and, times ||y||, on fitted values;
 coherence_index and the pursuit's pivot test scale theirs with the problem
 (n * eps and m * eps).
 The Gram is walked in upper-triangular row strips of GRAM_BLOCK rows, one BLAS
-product each (gram_strips). gram fills the n x n Gram from them for
-MeasurementMatrix.gram, which rip_constant, the initial-estimate decomposition,
-run_experiment and coherence --rip-k build; the pursuit reads only a Gram
-already built (cached_gram). gram_extremes reduces the strips to what the
-coherence needs in O(GRAM_BLOCK n) memory, so mu alone makes no n x n array.
+product each, conjugating only that strip's columns (gram_strips). gram fills
+the n x n Gram for MeasurementMatrix.gram, which only its whole readers build:
+rip_constant (coherence --rip-k scans first) and run_experiment. The pursuit
+reads only a Gram already built (cached_gram). gram_extremes reduces the strips
+to the coherence's needs in O(GRAM_BLOCK n) memory: mu makes no n x n array.
 The batched scans, the least-squares fits and the pursuit factor their own
 stacks, so solve_least_squares, numerical_rank and hermitian_eigen_extremes
 have no caller in csense: they are the one-matrix reference implementations
@@ -82,9 +82,8 @@ def gram_strips(a, out=None):
     above it. For n <= GRAM_BLOCK + 1 that is one strip, A^H A.
     """
     arr = as_matrix(a)
-    conj = arr.conj()
     return (
-        np.matmul(conj[:, i:j].T, arr[:, i:], out=None if out is None else out[i:j, i:])
+        np.matmul(arr[:, i:j].conj().T, arr[:, i:], out=None if out is None else out[i:j, i:])
         for i, j in _strip_rows(arr.shape[1])
     )
 

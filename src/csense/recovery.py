@@ -160,12 +160,12 @@ def _correlate(a: matrices.MeasurementMatrix, rows: np.ndarray) -> np.ndarray:
 def decompose_initial_estimate(a: matrices.MeasurementMatrix, x: SparseSignal) -> InitialEstimate:
     """Back-projected estimate split into per-source additive components.
 
-    Component i equals the Gram column at support index i scaled by the
-    i-th value, so the stacked components reproduce A^H A x exactly. This
+    Component i is the Gram column A^H a_i at support index i, computed alone
+    (no Gram is built), scaled by the i-th value; they sum to A^H A x. This
     is the data behind stacked component bar plots of the estimate.
     """
     _check_signal_length(a, x)
-    components = a.gram[:, list(x.support)] * x.values[None, :]
+    components = _correlate(a, a.data[:, list(x.support)].T).T * x.values[None, :]
     return InitialEstimate(components.sum(axis=1), components)
 
 

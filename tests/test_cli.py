@@ -177,6 +177,40 @@ def test_coherence_command_walks_the_gram_once(tmp_path, capsys, flags):
     assert strict_json(stdout)["coherence"]["mu"] == coherence_index(matrices.load_matrix(out)).mu
 
 
+GEN_MATRIX_FLAGS = [  # the ETFs take the paley-conference and the harmonic routes
+    ["--family", "etf", "--m", "7", "--n", "14"],
+    ["--family", "etf", "--m", "5", "--n", "11"],
+    ["--family", "partial-dft", "--m", "12", "--n", "300"],
+    ["--family", "gaussian", "--m", "6", "--n", "20"],
+    ["--family", "subsampling", "--n", "16", "--p", "4"],
+]
+
+
+def gram_builds(capsys, *argv):
+    """A command's exit code and how many n x n Grams numerics.gram built while it ran."""
+    with mock.patch.object(numerics, "gram", wraps=numerics.gram) as gram:
+        code, _, _ = run(capsys, *argv)
+    return code, gram.call_count
+
+
+def test_only_the_readers_of_the_whole_gram_build_it(tmp_path, capsys):
+    # rip_constant and run_experiment read the whole Gram; every other command answers from strips or from A
+    for flags in GEN_MATRIX_FLAGS:
+        assert gram_builds(capsys, "gen-matrix", *flags, "--out", str(tmp_path / "m.json")) == (0, 0)
+    mat_path, y_path, cfg_path = tmp_path / "etf.json", tmp_path / "y.json", tmp_path / "cfg.json"
+    run(capsys, "gen-matrix", "--family", "etf", "--m", "7", "--n", "14", "--out", str(mat_path))
+    x = recovery.SparseSignal(14, (2, 7), np.ones(2, dtype=complex))
+    recovery.save_measurement(recovery.measure(matrices.load_matrix(mat_path), x), y_path)
+    cfg_path.write_text(json.dumps({"matrix": {"family": "etf", "m": 7, "n": 14}, "k_range": [1, 2], "trials": 4}))
+    matrix = ["--matrix", str(mat_path)]
+    assert gram_builds(capsys, "coherence", *matrix) == (0, 0)
+    assert gram_builds(capsys, "coherence", *matrix, "--uniqueness-k", "1", "--rip-k", "2") == (0, 1)
+    assert gram_builds(capsys, "recover", *matrix, "--measurements", str(y_path), "--oracle") == (0, 0)
+    for name in ("fig2", "fig3", "fig4"):
+        assert gram_builds(capsys, "figure", "--name", name, "--outdir", str(tmp_path / name)) == (0, 0)
+    assert gram_builds(capsys, "experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")) == (0, 1)
+
+
 def test_coherence_scans_report_completeness(tmp_path, capsys):
     out = tmp_path / "etf.json"
     run(capsys, "gen-matrix", "--family", "etf", "--m", "7", "--n", "14", "--out", str(out))

@@ -193,6 +193,15 @@ def test_coherence_of_a_fresh_matrix_holds_no_gram(rng):
     assert mat.cached_gram is None
 
 
+@pytest.mark.parametrize("n", [512, 1024])
+def test_coherence_on_a_tall_frame_holds_no_conjugate_of_the_whole_matrix(rng, n):
+    # at m = B, A is one strip: a whole conjugate copy of it held for the walk would read about 3 strips
+    m = B
+    mat = MeasurementMatrix(normalize_columns(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))), "custom")
+    _, peak = traced_peak(coherence.coherence_index, mat)
+    assert peak <= 2.25 * (16 * B * n)
+
+
 # ---------------------------------------------------- solve_least_squares
 
 

@@ -1,13 +1,14 @@
 import math
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csense import matrices, recovery
+from csense import matrices, numerics, recovery
 from csense.coherence import max_sparsity
 from csense.errors import DimensionMismatchError, RankDeficientError
 
@@ -156,6 +157,16 @@ def test_decompose_sums_to_back_projection(etf30):
     x0 = recovery.back_project(etf30, recovery.measure(etf30, x))
     assert np.max(np.abs(est.components.sum(axis=1) - x0)) < 1e-12
     assert np.array_equal(est.components.sum(axis=1), est.x0)
+
+
+def test_decompose_computes_k_gram_columns_and_caches_no_gram(etf30):
+    mat = matrices.MeasurementMatrix(etf30.data, "custom")
+    x = recovery.SparseSignal(30, (2, 5, 19), np.array([1.0, -2.0j, 0.5 + 0.5j]))
+    with mock.patch.object(numerics, "gram", wraps=numerics.gram) as gram:
+        est = recovery.decompose_initial_estimate(mat, x)
+    assert gram.call_count == 0
+    assert mat.cached_gram is None
+    assert np.max(np.abs(est.components - numerics.gram(mat.data)[:, [2, 5, 19]] * x.values)) < 1e-14
 
 
 # --------------------------------------------------- known-support recovery
