@@ -31,7 +31,10 @@ AMPLITUDE_MODELS = (AMPLITUDE_UNIT_EQUAL, AMPLITUDE_RANDOM)
 VALUE_MATCH_RTOL = 1e-6
 # Bytes of state one pursuit step may add to a batch of trials, 2m + n complex
 # values per trial (recovery.pursue_batch); it caps the trials of one batch.
-BATCH_BYTES = 128 * 1024
+# Each batch pays a fixed cost (a seeded draw, about 40 numpy calls per pursuit
+# step, one refit stack), so a larger budget runs faster and peaks higher;
+# README's Monte Carlo paragraph gives the measured trade.
+BATCH_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -163,8 +166,9 @@ def trial_outcomes(cfg: ExperimentConfig, mat: matrices.MeasurementMatrix, k: in
 
     supports and values are draw_trials' and pursuit is recovery.pursue_batch's
     BatchPursuit for their measurements. A batch holds at most
-    BATCH_BYTES / (16 (2m + n)) trials. The draw, the measurements and the
-    engine give every trial the numbers it gets alone, so the batch size
+    BATCH_BYTES / (16 (2m + n)) trials: 273 on the 15x30 ETF, 585 on the
+    7x14 and 10 on a 256x1024 partial DFT. The draw, the measurements and
+    the engine give every trial the numbers it gets alone, so the batch size
     never shows in a report.
     """
     per_batch = max(1, BATCH_BYTES // ((2 * mat.m + mat.n) * mat.data.itemsize))

@@ -84,9 +84,10 @@ def check_indices(indices, n: int, what: str) -> tuple[int, ...]:
 class MeasurementMatrix:
     """Column-normalized m-by-n sensing matrix tagged with its family; m and n are data's shape.
 
-    The record is frozen, data is a read-only private copy and meta a deep,
-    read-only copy, so the Gram matrix, built when a caller first reads
-    gram and then kept, can never go stale.
+    The record is frozen, data is read-only and shares no memory a caller
+    can write (a private copy, or a view of immutable bytes as load_matrix
+    decodes them) and meta is a deep, read-only copy, so the Gram matrix,
+    built when a caller first reads gram and then kept, can never go stale.
     """
 
     data: np.ndarray
@@ -354,7 +355,7 @@ def matrix_to_dict(a: MeasurementMatrix) -> dict:
 def matrix_from_dict(d: dict) -> MeasurementMatrix:
     """Inverse of matrix_to_dict; data may also be the hand-written list of [re, im] pairs, row-major.
 
-    The decoded bytes are viewed, not copied: MeasurementMatrix's frozen copy is the only one.
+    The decoded bytes are viewed, not copied, and MeasurementMatrix keeps that view: bytes are immutable.
     """
     with decoding("matrix"):
         (m, n), data = check_shape(d["m"], d["n"]), d["data"]

@@ -55,9 +55,17 @@ def as_vector(y) -> np.ndarray:
 
 
 def read_only_copy(arr: np.ndarray, given) -> np.ndarray:
-    """arr, coerced from the caller's given, set read-only in place; first copied if it may share given's memory."""
+    """arr, coerced from the caller's given, set read-only in place; first copied if it may share given's memory.
+
+    A view whose base chain ends at immutable bytes (np.frombuffer of a bytes
+    object, as a loaded matrix's data is) is kept: no one can write its memory.
+    """
     if isinstance(given, np.ndarray) and np.may_share_memory(arr, given):
-        arr = arr.copy()
+        base = arr
+        while isinstance(base, np.ndarray):
+            base = base.base
+        if not isinstance(base, bytes):
+            arr = arr.copy()
     arr.flags.writeable = False
     return arr
 

@@ -27,7 +27,7 @@ TIE_TOL = 1e-12
 class SparseSignal:
     """Length-n vector with k >= 1 nonzero entries at an explicit support.
 
-    The record is frozen and values is a read-only private copy, as a MeasurementMatrix's data is.
+    The record is frozen and values is read-only and shares no memory a caller can write, as a MeasurementMatrix's data does.
     """
 
     n: int

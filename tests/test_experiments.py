@@ -412,3 +412,37 @@ def test_report_does_not_depend_on_the_batch_size(batch_bytes):
     expected = tally_by_trial(cfg)
     with mock.patch.object(experiments, "BATCH_BYTES", batch_bytes):
         assert experiments.run_experiment(cfg).rows == expected
+
+
+@pytest.mark.parametrize(
+    "cfg, sizes",
+    [
+        # the 500-trial 15x30 guarantee suite: 273 trials fit a batch (136 in 128 KiB)
+        (
+            experiments.ExperimentConfig(
+                matrix={"family": "etf", "m": 15, "n": 30},
+                k_range=(1, 3),
+                trials=500,
+                amplitude_model=experiments.AMPLITUDE_RANDOM,
+                seed=20260810,
+            ),
+            [273, 227] * 3,
+        ),
+        # the benchmark's long pursuits: 10 trials fit a batch, so 4 take one per k
+        (
+            experiments.ExperimentConfig(
+                matrix={"family": "partial-dft", "m": 256, "n": 1024, "seed": 0},
+                k_range=(16, 40),
+                trials=4,
+                amplitude_model=experiments.AMPLITUDE_RANDOM,
+            ),
+            [4] * 25,
+        ),
+    ],
+    ids=["etf30_guarantee", "dft1024"],
+)
+def test_batches_per_k_follow_the_batch_budget(cfg, sizes):
+    with mock.patch.object(recovery, "pursue_batch", wraps=recovery.pursue_batch) as spy:
+        report = experiments.run_experiment(cfg)
+    assert [len(call.args[1]) for call in spy.call_args_list] == sizes
+    assert report.rows == experiments.run_experiment(cfg).rows

@@ -681,6 +681,16 @@ def test_data_is_a_frozen_private_copy():
     assert mat.data[0, 0] == 1.0
 
 
+def test_a_loaded_matrix_keeps_the_decoded_bytes_without_a_copy(etf14):
+    mat = matrices.matrix_from_dict(matrices.matrix_to_dict(etf14))
+    base = mat.data
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base, bytes)  # the a2b_base64 result, viewed in place
+    assert not mat.data.flags.writeable
+    assert np.array_equal(mat.data, etf14.data)
+
+
 def test_every_field_is_frozen():
     mat = matrices.build_etf(7, 14)
     assert mat.gram is mat.cached_gram is not None

@@ -354,3 +354,25 @@ def test_eigen_extremes_rejects_non_hermitian():
         numerics.hermitian_eigen_extremes([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(NotHermitianError):
         numerics.hermitian_eigen_extremes(np.ones((2, 3)))
+
+
+# --------------------------------------------------------- read_only_copy
+
+
+def test_read_only_copy_keeps_a_view_of_immutable_bytes():
+    view = np.frombuffer(bytes(range(64)), dtype="<c16").reshape(2, 2)
+    kept = numerics.read_only_copy(numerics.as_matrix(view), view)
+    assert kept is view and not kept.flags.writeable
+
+
+@pytest.mark.parametrize("make_owner", [lambda: np.eye(2, dtype=complex), lambda: bytearray(64)], ids=["ndarray", "bytearray"])
+def test_read_only_copy_copies_a_read_only_view_of_writable_memory(make_owner):
+    owner = make_owner()
+    view = np.frombuffer(owner, dtype="<c16").reshape(2, 2)
+    view.flags.writeable = False  # the owner can still write it
+    before = view.copy()
+    frozen = numerics.read_only_copy(numerics.as_matrix(view), view)
+    assert not np.shares_memory(frozen, view) and not frozen.flags.writeable
+    owner[0] = 7
+    assert not np.array_equal(view, before)
+    assert np.array_equal(frozen, before)

@@ -437,8 +437,8 @@ def test_pursue_batch_checks_its_input(etf14):
 
 
 def test_batch_memory_is_bounded_by_the_batch_size():
-    # the 500-trial 15x30 guarantee config: its batches of 136 trials peak at
-    # 1.2 MB, about 9 x BATCH_BYTES; all 500 trials in one batch take 3.8 MB
+    # the 500-trial 15x30 guarantee config: its batches of 273 trials peak at
+    # 1.9 MB, about 7.3 x BATCH_BYTES; all 500 trials in one batch take 3.4 MB
     cfg = experiments.ExperimentConfig(
         matrix={"family": "etf", "m": 15, "n": 30},
         k_range=(1, 3),
