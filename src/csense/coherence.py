@@ -11,10 +11,16 @@ signal floor 1 - (K-1) mu clears the disturbance ceiling K mu, i.e. when
 (2K-1) mu < 1, decided exactly on the rational value of the float mu.
 coherence_index gives it coherence_upper_bound, not the computed mu, so
 rounding cannot certify a K the exact frame does not have.
+
+The paper's own move, bounding a subset's Gram from its entries, also
+screens the scans: block_spectra bounds the singular values of each
+subset's columns from the eigenvalues of its Gram block, with an allowance
+for every rounding (gamma for the block's entries, _factor_allowance for
+the eigensolver and the SVD). uniqueness_rank_scan factors only the subsets
+those bounds cannot place, so its report is the SVD's, bit for bit.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -95,20 +101,86 @@ def max_sparsity(mu: float) -> int | None:
     return -(-q // p) // 2
 
 
+def gamma(m: int) -> tuple[int, int]:
+    """gamma = (m + 4) u / (1 - (m + 4) u), u = 2^-53, as the integers (g, h) with gamma = g / h.
+
+    For any summation order, a computed Gram entry of columns of length m lies
+    within gamma ||a_k|| ||a_l|| of the exact one: gamma_{m+2} for a complex
+    inner product of m-vectors (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, ch. 3), one rounding for the magnitude and one
+    to spare.
+    """
+    return m + 4, 2**53 - (m + 4)
+
+
+def frobenius_sq(cols: int) -> float:
+    """An upper bound on ||A_S||_F^2 for cols columns of a MeasurementMatrix, whose norms are within COLUMN_NORM_TOL of 1."""
+    return cols * (1.0 + matrices.COLUMN_NORM_TOL) ** 2
+
+
+def _factor_allowance(rows: int, cols: int) -> float:
+    """(rows + cols)^2 u: the backward error allowed a LAPACK SVD or Hermitian eigensolver of a rows x cols input.
+
+    Both reduce their input by Householder reflections and then iterate on a
+    bidiagonal or tridiagonal matrix. The computed values are the exact ones
+    of the input plus a perturbation of 2-norm at most c rows cols u times
+    the input's (Higham 2002, Thm 19.4 and the notes to ch. 19, which leave
+    the small constant c open); (rows + cols)^2 >= 4 rows cols takes c = 4.
+    By Weyl's theorem no singular value or eigenvalue moves further.
+    """
+    return (rows + cols) ** 2 * numerics.UNIT_ROUNDOFF
+
+
+def singular_value_allowance(m: int, cols: int) -> float:
+    """d: the SVD of m x cols columns of a MeasurementMatrix returns each singular value within d of the exact one.
+
+    d = _factor_allowance(m, cols) ||A_S||_2, with ||A_S||_2^2 <= frobenius_sq(cols).
+    """
+    return _factor_allowance(m, cols) * math.sqrt(frobenius_sq(cols))
+
+
+def block_spectra(g: np.ndarray, m: int) -> tuple[np.ndarray, float]:
+    """The eigenvalues w of each (s, s) block of g, ascending, and an allowance e for all of them.
+
+    Each block is a Gram from numerics.gram_blocks of s columns of length m
+    with norms at most 1 + COLUMN_NORM_TOL, so the exact Gram G has trace and
+    Frobenius norm at most t = frobenius_sq(s). Every eigenvalue of G lies
+    within e of its computed one:
+    - the computed entries lie within gamma ||a_k|| ||a_l|| of G's, and
+      eigvalsh reads the lower triangle, so it factors G + E with E
+      Hermitian and ||E||_2 <= ||E||_F <= gamma t;
+    - eigvalsh returns the exact eigenvalues of that input plus a
+      perturbation of 2-norm at most _factor_allowance(s, s) (1 + gamma) t;
+    - by Weyl's theorem no eigenvalue moves by more than the sum, and e is
+      twice it, which covers the few roundings (each at most u, relative) of
+      the interval arithmetic the scans do with w and e.
+    """
+    g_num, g_den = gamma(m)
+    gam, s = g_num / g_den, g.shape[-1]
+    e = 2.0 * frobenius_sq(s) * (gam + _factor_allowance(s, s) * (1.0 + gam))
+    return np.linalg.eigvalsh(g), e
+
+
+def screens(block: int, cols: int, m: int) -> bool:
+    """Whether a scan of cols-column subsets of an m-row matrix clears subsets on (block, block) Gram blocks.
+
+    Only where the blocks take at most half the bytes of the sub-matrices
+    they stand for, so a chunk holds its gathered columns and their blocks
+    in 1.5 chunks: a square sub-matrix's Gram is as large as the matrix.
+    """
+    return 2 * block * block <= cols * m
+
+
 def coherence_upper_bound(m: int, off_max: float, norm_sq_min: float) -> float:
     """An upper bound in [0, 1] on the exact coherence of the stored columns, each scaled to unit norm.
 
     off_max is the largest computed off-diagonal Gram magnitude, norm_sq_min the
-    smallest computed diagonal entry (a squared column norm). For any summation
-    order, a computed entry lies within gamma ||a_k|| ||a_l|| of the exact one,
-    gamma = (m + 4) u / (1 - (m + 4) u) and u = 2^-53: gamma_{m+2} for a complex
-    inner product of m-vectors (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 2002, ch. 3), one rounding for the magnitude and one
-    to spare. The bound off_max (1 + gamma) / norm_sq_min + gamma
-    is evaluated on the rational values of the doubles, num / den in integers,
-    and rounded up.
+    smallest computed diagonal entry (a squared column norm). A computed entry
+    lies within gamma ||a_k|| ||a_l|| of the exact one (gamma). The bound
+    off_max (1 + gamma) / norm_sq_min + gamma is evaluated on the rational
+    values of the doubles, num / den in integers, and rounded up.
     """
-    g, h = m + 4, 2**53 - (m + 4)  # gamma = g / h
+    g, h = gamma(m)
     (p, q), (r, s) = float(off_max).as_integer_ratio(), float(norm_sq_min).as_integer_ratio()
     num, den = p * (h + g) * s + g * q * r, q * h * r
     bound = num / den  # int / int rounds to nearest
@@ -160,14 +232,63 @@ class SubsetScan:
         """Yield (c, size) index arrays, c capped so c*size columns of column_bytes fit SCAN_CHUNK_BYTES."""
         for size in self.sizes:
             per_chunk = max(1, SCAN_CHUNK_BYTES // (size * column_bytes))
-            combos = itertools.combinations(range(self.n), size)
+            subsets = _Lex(self.n, size)
             while self.scanned < self.max_subsets:
-                rows = itertools.islice(combos, min(per_chunk, self.max_subsets - self.scanned))
-                idx = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp).reshape(-1, size)
+                idx = subsets.take(min(per_chunk, self.max_subsets - self.scanned))
                 if not len(idx):
                     break
                 self.scanned += len(idx)
                 yield idx
+
+
+class _Lex:
+    """The size-subsets of range(n) in lexicographic order, taken in blocks: itertools.combinations'
+    order, without its pool of n Python ints.
+
+    A subset is a prefix, a (size - 1)-subset of range(n - 1) that the level
+    below makes, and a last element that runs from the prefix's last + 1 to
+    n - 1. A level holds the prefix whose run it is in and, in ahead, the
+    subsets it made that the level above gave back unused.
+    """
+
+    def __init__(self, n: int, size: int):
+        self.n = n
+        self.prefixes = _Lex(n - 1, size - 1) if size > 1 else None
+        self.ahead = np.empty((0, size), dtype=np.intp)
+        self.prefix = np.empty(0, dtype=np.intp) if size == 1 and n > 0 else None
+        self.last = 0  # the next last element of prefix's run
+
+    def take(self, count: int) -> np.ndarray:
+        """The next count subsets as the rows of an index array; fewer only at the end."""
+        out = np.empty((count, self.ahead.shape[1]), dtype=np.intp)
+        head, self.ahead = self.ahead[:count], self.ahead[count:]
+        got = len(head)
+        out[:got] = head
+        if got < count and self.prefix is not None:
+            run = min(count - got, self.n - self.last)
+            out[got : got + run, :-1], out[got : got + run, -1] = self.prefix, np.arange(self.last, self.last + run)
+            self.last += run
+            got += run
+            if self.last == self.n:
+                self.prefix = None
+        if got < count and self.prefixes is not None:
+            want = count - got
+            pre = self.prefixes.take(want)
+            runs = self.n - 1 - pre[:, -1]  # at least 1 each
+            ends = np.cumsum(runs)
+            j = int(np.searchsorted(ends, want))  # prefixes 0..j give the want subsets
+            if j < len(pre):
+                used = want - (int(ends[j - 1]) if j else 0)
+                if used < runs[j]:
+                    self.prefix, self.last = pre[j], int(pre[j, -1]) + 1 + used
+                self.prefixes.ahead = np.concatenate((pre[j + 1 :], self.prefixes.ahead))
+                pre, runs, ends = pre[: j + 1], runs[: j + 1], ends[: j + 1]
+                runs[j], ends[j] = used, want
+            block = out[got : got + (int(ends[-1]) if len(ends) else 0)]
+            block[:, :-1] = np.repeat(pre, runs, axis=0)
+            block[:, -1] = block[:, -2] + np.arange(1, len(block) + 1) - np.repeat(ends - runs, runs)
+            got += len(block)
+        return out[:got]
 
 
 def uniqueness_rank_scan(
@@ -181,24 +302,80 @@ def uniqueness_rank_scan(
     explaining the same measurements. Subsets are visited in lexicographic
     order and the witness is the first failure. Only the first max_subsets
     subsets are scanned, and complete says whether that was all of them.
+
+    Every reported number comes from one batched SVD of the subsets that
+    need it. Where screens allows, the Gram block of each subset decides
+    first which do (_needs_svd): a subset it proves full rank, whose
+    condition number it proves to lie inside the extremes seen so far, is
+    not factored. It cannot be the witness or set min_cond or max_cond, so
+    the report is the same as when every subset is factored.
     """
     k = matrices.check_int(k, "sparsity k", 1, a.m // 2)  # 2k columns must fit in m rows
     scan = SubsetScan(a.n, (2 * k,), max_subsets)
+    screened = screens(2 * k, 2 * k, a.m)
     witness = None
     min_cond = math.inf
     max_cond = 0.0
+    bounds = (0.0, math.inf)  # (floor, ceiling), see _needs_svd
     for idx in scan.chunks(a.m * a.data.itemsize):
-        s = np.linalg.svd(a.data[:, idx].transpose(1, 0, 2), compute_uv=False)
-        deficient = s[:, -1] <= numerics.rank_tolerance((a.m, 2 * k), s[:, 0])
-        if witness is None and deficient.any():
-            witness = tuple(idx[np.argmax(deficient)].tolist())
-        cond = s[~deficient, 0] / s[~deficient, -1]
-        min_cond = float(np.min(cond, initial=min_cond))
-        max_cond = float(np.max(cond, initial=max_cond))
+        first, low, high, bounds = _factor_chunk(a, idx, screened, bounds)
+        witness = witness or first
+        min_cond, max_cond = min(min_cond, low), max(max_cond, high)
     if max_cond == 0.0:  # no full-rank subset seen
         min_cond = max_cond = math.inf
     all_full_rank = False if witness is not None else (True if scan.complete else None)
     return UniquenessReport(k, scan.total, scan.scanned, all_full_rank, witness, min_cond, max_cond, scan.complete)
+
+
+def _factor_chunk(a: matrices.MeasurementMatrix, idx: np.ndarray, screened: bool, bounds):
+    """One chunk of the uniqueness scan: (first rank-deficient subset or None, least and greatest
+    condition number of the full-rank ones, bounds updated), from one SVD of the subsets that need it.
+
+    Its arrays go when it returns, so none is alive while the next chunk is gathered.
+    """
+    rows = a.data.T[idx]  # rows[i] holds the columns of sub-matrix i as its rows
+    if screened:
+        need, bounds = _needs_svd(rows, a.m, bounds)
+        if not need.all():
+            idx, rows = idx[need], rows[need]
+    s = np.linalg.svd(rows.transpose(0, 2, 1), compute_uv=False)
+    del rows  # the chunk's largest array is not read past the SVD
+    deficient = s[:, -1] <= numerics.rank_tolerance((a.m, idx.shape[1]), s[:, 0])
+    first = tuple(idx[np.argmax(deficient)].tolist()) if deficient.any() else None
+    cond = s[~deficient, 0] / s[~deficient, -1]
+    low, high = float(np.min(cond, initial=math.inf)), float(np.max(cond, initial=0.0))
+    return first, low, high, (max(bounds[0], high), min(bounds[1], low))
+
+
+def _needs_svd(rows: np.ndarray, m: int, bounds):
+    """Mask of the subsets whose SVD the scan must read, and bounds updated.
+
+    From the eigenvalues w of each Gram block and their allowance e
+    (block_spectra), sigma_max^2 lies in w_max +- e and sigma_min^2 in
+    w_min +- e. The SVD returns each singular value within d of the exact
+    one, d twice singular_value_allowance. So the SVD's values lie in known
+    intervals, and:
+    - a subset is surely full rank when the low end for sigma_min is more
+      than twice the rank tolerance at the high end for sigma_max;
+    - its condition number then lies in [lo, hi], the quotients of the ends.
+    bounds = (floor, ceiling): floor is the largest lo and computed
+    condition number seen so far, ceiling the smallest hi and computed one.
+    The scan's max_cond thus ends at or above floor and its min_cond at or
+    below ceiling, as the bounds only widen. A surely full-rank subset with
+    hi < floor and lo > ceiling sets neither and is not factored; a subset
+    that sets one has hi >= floor or lo <= ceiling at every step.
+    """
+    s = rows.shape[1]
+    w, e = block_spectra(numerics.gram_blocks(rows), m)
+    d = 2.0 * singular_value_allowance(m, s)
+    big_lo, big_hi = np.sqrt(np.maximum(w[:, -1] - e, 0.0)) - d, np.sqrt(w[:, -1] + e) + d
+    small_lo, small_hi = np.sqrt(np.maximum(w[:, 0] - e, 0.0)) - d, np.sqrt(np.maximum(w[:, 0] + e, 0.0)) + d
+    sure = small_lo > 2.0 * numerics.rank_tolerance((m, s), big_hi)
+    lo, hi = big_lo[sure] / small_hi[sure], big_hi[sure] / small_lo[sure]
+    floor, ceiling = max(bounds[0], float(lo.max(initial=0.0))), min(bounds[1], float(hi.min(initial=math.inf)))
+    need = ~sure
+    need[sure] = (hi >= floor) | (lo <= ceiling)
+    return need, (floor, ceiling)
 
 
 def rip_constant(

@@ -101,7 +101,8 @@ class MeasurementMatrix:
             raise ValueError(f"unknown family {self.family!r}")
         data = numerics.as_matrix(self.data)
         m, n = check_shape(*data.shape)
-        norms = np.linalg.norm(data, axis=0)
+        # sum of squares of the real and imaginary parts, read in place: no data-sized temporary
+        norms = np.sqrt(np.einsum("ij,ij->j", data.real, data.real) + np.einsum("ij,ij->j", data.imag, data.imag))
         if float(np.max(np.abs(norms - 1.0))) > COLUMN_NORM_TOL:
             raise ValueError("every column must have unit l2 norm")
         object.__setattr__(self, "data", numerics.read_only_copy(data, self.data))

@@ -12,10 +12,12 @@ the n x n Gram for MeasurementMatrix.gram, which only its whole readers build:
 rip_constant (coherence --rip-k scans first) and run_experiment. The pursuit
 reads only a Gram already built (cached_gram). gram_extremes reduces the strips
 to the coherence's needs in O(GRAM_BLOCK n) memory: mu makes no n x n array.
-The batched scans, the least-squares fits and the pursuit factor their own
-stacks, so solve_least_squares, numerical_rank and hermitian_eigen_extremes
-have no caller in csense: they are the one-matrix reference implementations
-the tests check those engines against.
+gram_blocks gives the scans the Gram of each subset's columns, one block per
+subset, from the columns they gather. The batched scans, the least-squares
+fits and the pursuit factor their own stacks, so solve_least_squares,
+numerical_rank and hermitian_eigen_extremes have no caller in csense: they
+are the one-matrix reference implementations the tests check those engines
+against.
 """
 from __future__ import annotations
 
@@ -30,6 +32,8 @@ HERMITIAN_TOL = 1e-10
 GRAM_BLOCK = 256
 # Magnitudes at or below this count as numerically zero: fitted values, signal entries, column norms.
 ZERO_TOL = 1e-14
+# u: one rounding moves a double by at most u, relative (half of eps).
+UNIT_ROUNDOFF = 2.0**-53
 
 
 def as_matrix(a) -> np.ndarray:
@@ -109,10 +113,31 @@ def gram(a) -> np.ndarray:
     return g
 
 
+def gram_blocks(rows: np.ndarray, out=None) -> np.ndarray:
+    """The Gram of each entry of a (c, s, m) stack of rows: conj(rows[i]) rows[i]^T, a (c, s, s) stack.
+
+    rows[i] holds the columns a_k of a sub-matrix A_S as its rows, so entry i is A_S^H A_S. Each of
+    its entries is one conjugating dot product (np.vecdot), so no conjugate copy of the stack is made,
+    and lies within gamma ||a_k|| ||a_l|| of the exact one, in any summation order (coherence.gamma).
+    With out, the blocks are written there.
+    """
+    return np.vecdot(rows[:, :, None, :], rows[:, None, :, :], out=out)
+
+
 def _strip_extremes(strip: np.ndarray) -> tuple[float, float, float]:
-    """(largest, smallest) magnitude right of a strip's diagonal, and its smallest diagonal real part."""
-    off = np.abs(strip)[np.arange(strip.shape[1]) > np.arange(strip.shape[0])[:, None]]
-    return float(off.max(initial=0.0)), float(off.min(initial=math.inf)), float(strip.diagonal().real.min())
+    """(largest, smallest) magnitude right of a strip's diagonal, and its smallest diagonal real part.
+
+    A strip of r rows starts at its diagonal, so its columns from r on are strictly upper: their
+    magnitudes are reduced as they are, and only the r x r diagonal block is masked.
+    """
+    r = strip.shape[0]
+    right = np.abs(strip[:, r:])
+    block = np.abs(strip[:, :r])[np.arange(r) > np.arange(r)[:, None]]
+    return (
+        float(max(right.max(initial=0.0), block.max(initial=0.0))),
+        float(min(right.min(initial=math.inf), block.min(initial=math.inf))),
+        float(strip.diagonal().real.min()),
+    )
 
 
 def gram_extremes(a, cached=None) -> tuple[float, float, float]:

@@ -9,6 +9,7 @@ arithmetic that links coherence to a usable sparsity level.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -487,6 +488,11 @@ def exhaustive_l0_search(
     of the same size. Computationally infeasible beyond desk scale, which
     is exactly what the budget guard documents: only the first max_subsets
     supports are fitted, and complete says whether that was all of them.
+
+    Every solution comes from _fit, on a stack of the supports that need it.
+    Where coherence.screens allows, a bordered Gram block per support, from
+    one A^H y per search, first clears the supports that _fit would surely
+    reject (_fits_out); they are not fitted.
     """
     vec = _measurements(a, y)
     k_max = matrices.check_int(k_max, "k_max", 1, a.m)
@@ -494,13 +500,66 @@ def exhaustive_l0_search(
     scan = coherence.SubsetScan(a.n, range(1, k_max + 1), max_subsets)
     y_norm = float(np.linalg.norm(vec))
     solutions = [L0Solution((), np.zeros(0, dtype=np.complex128), y_norm)] if y_norm <= epsilon * y_norm else []
+    border = None  # (A^H v, v^H v) for v = y / ||y||: one product per search
+    if y_norm:
+        v = vec / y_norm
+        border = (_correlate(a, v[None])[0], float(np.vdot(v, v).real))
     for idx in scan.chunks(a.m * a.data.itemsize):
-        full, vals, residual = _fit(a.data[:, idx].transpose(1, 0, 2), vec)  # a (c, m, size) stack
-        idx = idx[full]
+        idx, vals, residual = _fit_chunk(a, idx, vec, border, epsilon)
         consistent = (residual <= epsilon * y_norm) & (np.min(np.abs(vals), axis=1) > numerics.ZERO_TOL * y_norm)
         for i in np.flatnonzero(consistent):
             solutions.append(L0Solution(tuple(idx[i].tolist()), vals[i].copy(), float(residual[i])))
     return L0Report(solutions, scan.scanned, scan.total, scan.complete)
+
+
+def _fit_chunk(a: matrices.MeasurementMatrix, idx: np.ndarray, vec, border, epsilon: float):
+    """One chunk of the l0 search: the full-rank supports _fit took, with their values and residuals.
+
+    border is (A^H v, v^H v) for v = y / ||y||, or None for y = 0. Where
+    coherence.screens allows, _fits_out first clears the supports _fit would
+    surely reject. The chunk's arrays go when it returns.
+    """
+    rows = a.data.T[idx]  # rows[i] holds the columns of support i as its rows
+    size = idx.shape[1]
+    if border is not None and coherence.screens(size + 1, size, a.m):
+        keep = ~_fits_out(rows, border[0][idx], border[1], a.m, epsilon)
+        if not keep.all():
+            idx, rows = idx[keep], rows[keep]
+    full, vals, residual = _fit(rows.transpose(0, 2, 1), vec)  # a (c, m, size) stack
+    return idx[full], vals, residual
+
+
+def _fits_out(rows, border, corner: float, m: int, epsilon: float) -> np.ndarray:
+    """Mask of the supports S whose _fit surely fails the residual test, from the Gram of [A_S, v].
+
+    v is y / ||y|| as computed, border holds A_S^H v and corner v^H v. The
+    bordered block is the Gram of s + 1 columns, each entry within gamma of
+    the exact one (coherence.gamma), so coherence.block_spectra bounds its
+    smallest eigenvalue: sigma^2 <= lambda_min, sigma >= 0. Then:
+    - the distance of v from the span of A_S is at least sigma, and, by
+      interlacing, sigma_min(A_S) >= sigma;
+    - v is y / ||y|| within u ||v||, so the exact residual r of y is at
+      least ||y|| (sigma - 2u);
+    - the SVD in _fit returns sigma_min(A_S) within d
+      (coherence.singular_value_allowance), so for sigma >= 2d the fitted x
+      has ||x|| <= 5 ||y|| / sigma, and the computed residual of y - A_S x
+      lies within 2 gamma sqrt(t) ||x|| + 2u ||y|| of its exact value, which
+      is at least r (t = coherence.frobenius_sq(s) >= ||A_S||_F^2);
+    - _fit's residual then exceeds epsilon ||y|| whenever
+      sigma (sigma - 2 epsilon - 8u) > 10 gamma sqrt(t); the factor 2 on
+      epsilon and the spare 4u cover the roundings of the test. Whatever
+      the rank test then says, the support is rejected.
+    """
+    c, s, _ = rows.shape
+    g = np.empty((c, s + 1, s + 1), dtype=np.complex128)
+    numerics.gram_blocks(rows, out=g[:, :s, :s])
+    g[:, :s, s], g[:, s, :s], g[:, s, s] = border, border.conj(), corner
+    w, e = coherence.block_spectra(g, m)
+    sigma = np.sqrt(np.maximum(w[:, 0] - e, 0.0))
+    g_num, g_den = coherence.gamma(m)
+    slack = 10.0 * g_num / g_den * math.sqrt(coherence.frobenius_sq(s))
+    u = numerics.UNIT_ROUNDOFF
+    return (sigma >= 2.0 * coherence.singular_value_allowance(m, s)) & (sigma * (sigma - 2.0 * epsilon - 8.0 * u) > slack)
 
 
 def worst_case_margin(mu: float, k: int) -> MarginReport:

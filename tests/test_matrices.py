@@ -484,6 +484,15 @@ def test_matrix_files_are_written_and_read_without_whole_text_copies(tmp_path):
     assert load_peak <= 2.75 * text_bytes
 
 
+def test_load_checks_column_norms_without_data_sized_temporaries(tmp_path):
+    # the parsed text, the decoded bytes and little else: complex norms of the data read 2.504 texts
+    path = tmp_path / "mat.json"
+    matrices.save_matrix(matrices.from_spec("partial-dft", n=1024, m=256, seed=0), path)
+    matrices.load_matrix(path)
+    _, peak = traced_peak(matrices.load_matrix, path)
+    assert peak <= 2.25 * path.stat().st_size
+
+
 @pytest.mark.parametrize(
     "decode, d",
     [

@@ -193,6 +193,16 @@ def test_coherence_of_a_fresh_matrix_holds_no_gram(rng):
     assert mat.cached_gram is None
 
 
+def test_strip_extremes_hold_no_strip_sized_mask_or_copy(rng):
+    # beside a complex strip, only the magnitudes right of its diagonal block (half a strip):
+    # the whole strip's magnitudes, a strip-sized mask and the masked copy read 2.09 strips
+    m, n = 16, 2048
+    mat = MeasurementMatrix(normalize_columns(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))), "custom")
+    coherence.coherence_index(mat)
+    _, peak = traced_peak(coherence.coherence_index, mat)
+    assert peak <= 1.75 * (16 * B * n)
+
+
 @pytest.mark.parametrize("n", [512, 1024])
 def test_coherence_on_a_tall_frame_holds_no_conjugate_of_the_whole_matrix(rng, n):
     # at m = B, A is one strip: a whole conjugate copy of it held for the walk would read about 3 strips

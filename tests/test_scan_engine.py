@@ -5,6 +5,11 @@ public numerics helpers. The engine must reproduce them: uniqueness reports
 exactly, RIP constants within 1e-12 and l0 supports exactly with values
 within 1e-10. Small SCAN_CHUNK_BYTES values force many chunk boundaries on
 small matrices.
+
+The Gram-block screening of the uniqueness scan and the l0 search may skip
+only factorizations whose results could not be reported. The uniqueness
+loop checks that exactly; for the l0 search, l0_by_fit fits every support on
+its own with the search's own fit, and the search must match it bit for bit.
 """
 import itertools
 import math
@@ -237,3 +242,208 @@ def test_subset_scan_enumerates_in_order_and_stops_at_budget():
     assert [len(c) for c in chunks] == [3, 3, 3, 3, 3]
     assert [tuple(r) for c in chunks for r in c.tolist()] == list(itertools.combinations(range(6), 2))
     assert scan.complete
+
+
+# ------------------------------------------- Gram-block screening of the scans
+
+
+def near_duplicate_matrix(seed, m, n, pairs, distance):
+    """Unit-norm complex Gaussian columns, column j moved to within about distance of column i for each (i, j) in pairs."""
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    data /= np.linalg.norm(data, axis=0)
+    for i, j in pairs:
+        nudge = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        data[:, j] = data[:, i] + distance * nudge / np.linalg.norm(nudge)
+    return matrices.MeasurementMatrix(data / np.linalg.norm(data, axis=0), "custom")
+
+
+def count_svd_inputs(monkeypatch):
+    """Count the matrices np.linalg.svd factors from here on."""
+    seen = []
+    svd = np.linalg.svd
+
+    def counting(x, *args, **kwargs):
+        seen.append(len(x))
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return seen
+
+
+def l0_by_fit(mat, y, k_max, epsilon, max_subsets):
+    """(support, value bytes, residual) of each support whose _fit, on that support alone, passes the search's tests.
+
+    What the search reports when it fits every support: the oracle for its screening, bit for bit.
+    Near a tie, where lstsq and the SVD fit round differently, it can differ from l0_by_loop.
+    """
+    vec = numerics.as_vector(y)
+    y_norm = float(np.linalg.norm(vec))
+    supports = itertools.chain.from_iterable(itertools.combinations(range(mat.n), k) for k in range(1, k_max + 1))
+    solutions = []
+    for subset in itertools.islice(supports, max_subsets):
+        full, vals, residual = recovery._fit(mat.data[:, list(subset)][None], vec)
+        if full[0] and residual[0] <= epsilon * y_norm and np.min(np.abs(vals[0])) > numerics.ZERO_TOL * y_norm:
+            solutions.append((subset, vals[0].tobytes(), float(residual[0])))
+    return solutions
+
+
+def assert_l0_matches_fit_alone(mat, y, k_max, epsilon, max_subsets=coherence.DEFAULT_MAX_SUBSETS):
+    """The search's solutions, values and residuals are those of _fit on each support alone."""
+    rep = recovery.exhaustive_l0_search(mat, y, k_max, epsilon, max_subsets=max_subsets)
+    got = [(s.support, s.values.tobytes(), s.residual) for s in rep.solutions if s.support]
+    assert got == l0_by_fit(mat, y, k_max, epsilon, max_subsets)
+    return rep
+
+
+@pytest.mark.parametrize("distance", [1e-2, 1e-5, 1e-8, 1e-11])
+@pytest.mark.parametrize("k", [1, 2])
+def test_near_duplicate_columns_are_factored_as_the_loop_does(distance, k):
+    # the nearer the pair, the larger its condition number, until the rank test flags it
+    mat = near_duplicate_matrix(3, 10, 16, [(2, 9), (5, 13)], distance)
+    assert coherence.screens(2 * k, 2 * k, mat.m)
+    rep = coherence.uniqueness_rank_scan(mat, k)
+    assert (rep.witness, rep.scanned, rep.min_cond, rep.max_cond) == uniqueness_by_loop(mat, k, coherence.DEFAULT_MAX_SUBSETS)
+
+
+@pytest.mark.parametrize("distance", [1e-2, 1e-5, 1e-8, 1e-11])
+def test_near_duplicate_columns_in_the_l0_search(distance):
+    mat = near_duplicate_matrix(4, 12, 16, [(2, 9), (5, 13)], distance)
+    for support in [(2, 5), (2, 9, 13), (1, 9, 14)]:
+        y = recovery.measure(mat, recovery.SparseSignal(mat.n, support, np.exp(1j * np.arange(1.0, len(support) + 1))))
+        for epsilon in (1e-10, 1e-6, 0.3):
+            assert_l0_matches_fit_alone(mat, y, 3, epsilon)
+
+
+@pytest.mark.parametrize("name, k, all_tie", [("etf14", 1, True), ("etf30", 1, True), ("etf30", 2, False)])
+def test_etf_tie_classes_keep_their_extremes(request, monkeypatch, name, k, all_tie):
+    # an ETF's subsets fall into classes of equal condition number in exact arithmetic (every
+    # pair is one class); rounding decides which member holds an extreme, so all of both
+    # extreme classes are factored
+    mat = request.getfixturevalue(name)
+    factored = count_svd_inputs(monkeypatch)
+    rep = coherence.uniqueness_rank_scan(mat, k)
+    monkeypatch.undo()
+    assert (rep.witness, rep.scanned, rep.min_cond, rep.max_cond) == uniqueness_by_loop(mat, k, coherence.DEFAULT_MAX_SUBSETS)
+    assert rep.all_full_rank and rep.complete
+    assert (sum(factored) == rep.scanned) is all_tie
+
+
+def test_a_generic_frame_factors_few_subsets(monkeypatch):
+    mat = matrices.build_gaussian(12, 24, seed=2)
+    factored = count_svd_inputs(monkeypatch)
+    rep = coherence.uniqueness_rank_scan(mat, 2)
+    monkeypatch.undo()
+    assert rep.scanned == math.comb(24, 4) and sum(factored) <= rep.scanned // 100
+    assert (rep.witness, rep.scanned, rep.min_cond, rep.max_cond) == uniqueness_by_loop(mat, 2, coherence.DEFAULT_MAX_SUBSETS)
+
+
+@pytest.mark.parametrize("n, p", [(16, 2), (24, 3), (32, 4)])
+def test_subsampling_frames_with_many_deficient_subsets(n, p):
+    mat = matrices.from_spec("subsampling", n=n, p=p)
+    for k in range(1, mat.m // 2 + 1):
+        rep = coherence.uniqueness_rank_scan(mat, k, max_subsets=3000)
+        assert (rep.witness, rep.scanned, rep.min_cond, rep.max_cond) == uniqueness_by_loop(mat, k, 3000)
+        assert rep.all_full_rank is False
+    y = mat.data[:, 1] + 2.0 * mat.data[:, 3]
+    assert_l0_matches_fit_alone(mat, y, 2, 1e-8)
+
+
+def test_an_all_deficient_frame_factors_every_subset(monkeypatch):
+    # 10 rows but every column in a 3-dimensional subspace: no 4 columns have full rank
+    rng = np.random.default_rng(5)
+    basis = np.linalg.qr(rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3)))[0]
+    data = basis @ (rng.standard_normal((3, 14)) + 1j * rng.standard_normal((3, 14)))
+    mat = matrices.MeasurementMatrix(data / np.linalg.norm(data, axis=0), "custom")
+    factored = count_svd_inputs(monkeypatch)
+    rep = coherence.uniqueness_rank_scan(mat, 2)
+    monkeypatch.undo()
+    assert sum(factored) == rep.scanned == math.comb(14, 4)
+    assert (rep.witness, rep.min_cond, rep.max_cond) == ((0, 1, 2, 3), math.inf, math.inf)
+    assert (rep.witness, rep.scanned, rep.min_cond, rep.max_cond) == uniqueness_by_loop(mat, 2, coherence.DEFAULT_MAX_SUBSETS)
+
+
+def test_a_near_duplicate_witness_past_the_first_chunk():
+    mat = near_duplicate_matrix(8, 10, 40, [(30, 36)], 1e-15)
+    per_chunk = coherence.SCAN_CHUNK_BYTES // (4 * mat.m * mat.data.itemsize)
+    first = next(s for s in itertools.combinations(range(40), 4) if {30, 36} <= set(s))
+    assert list(itertools.combinations(range(40), 4)).index(first) >= per_chunk
+    rep = coherence.uniqueness_rank_scan(mat, 2)
+    assert rep.witness == first and rep.all_full_rank is False
+    assert (rep.witness, rep.scanned, rep.min_cond, rep.max_cond) == uniqueness_by_loop(mat, 2, coherence.DEFAULT_MAX_SUBSETS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(4, 12), st.data())
+def test_screened_scans_match_the_loops(seed, m, data):
+    # rows enough for the Gram blocks to screen, near-duplicates at any distance, budgets and chunks of any size
+    n = data.draw(st.integers(m, 15))
+    distance = data.draw(st.sampled_from([0.0, 1e-13, 1e-9, 1e-6, 1e-3, 0.1]))
+    i, j = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    mat = near_duplicate_matrix(seed, m, n, [(i, j)], distance)
+    k = data.draw(st.integers(1, m // 2))
+    budget = data.draw(st.integers(0, math.comb(n, 2 * k) + 1))
+    chunk = data.draw(st.integers(1, 30)) * 2 * k * m * 16
+    with mock.patch.object(coherence, "SCAN_CHUNK_BYTES", chunk):
+        rep = coherence.uniqueness_rank_scan(mat, k, max_subsets=budget)
+    assert (rep.witness, rep.scanned, rep.min_cond, rep.max_cond) == uniqueness_by_loop(mat, k, budget)
+    k_max = data.draw(st.integers(1, min(3, m)))
+    support = tuple(sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=k_max, unique=True))))
+    y = recovery.measure(mat, recovery.SparseSignal(n, support, np.exp(1j * np.arange(1.0, len(support) + 1))))
+    epsilon = data.draw(st.sampled_from([1e-12, 1e-8, 1e-3, 0.5]))
+    with mock.patch.object(coherence, "SCAN_CHUNK_BYTES", data.draw(st.integers(1, 30)) * k_max * m * 16):
+        assert_l0_matches_fit_alone(mat, y, k_max, epsilon, max_subsets=budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.data())
+def test_singular_values_lie_within_the_block_allowances(seed, m, data):
+    # the claims _needs_svd rests on: the SVD's extreme singular values lie within d of
+    # the square roots of the Gram block's eigenvalue intervals
+    n = data.draw(st.integers(m, 14))
+    s = data.draw(st.integers(1, m))
+    distance = data.draw(st.sampled_from([0.0, 1e-12, 1e-7, 1e-3, 0.5]))
+    mat = near_duplicate_matrix(seed, m, n, [(0, n - 1)], distance)
+    idx = np.array(list(itertools.islice(itertools.combinations(range(n), s), 200)))
+    rows = mat.data.T[idx]
+    w, e = coherence.block_spectra(numerics.gram_blocks(rows), m)
+    d = coherence.singular_value_allowance(m, s)
+    sv = np.linalg.svd(rows.transpose(0, 2, 1), compute_uv=False)
+    for lam, sigma in ((w[:, 0], sv[:, -1]), (w[:, -1], sv[:, 0])):
+        assert np.all(sigma >= np.sqrt(np.maximum(lam - e, 0.0)) - d)
+        assert np.all(sigma <= np.sqrt(np.maximum(lam + e, 0.0)) + d)
+
+
+def test_gram_blocks_are_the_gram_of_each_subset(etf30):
+    idx = np.array(list(itertools.combinations(range(8), 3)))
+    blocks = numerics.gram_blocks(etf30.data.T[idx])
+    for block, subset in zip(blocks, idx.tolist()):
+        assert np.max(np.abs(block - numerics.gram(etf30.data[:, subset]))) <= 1e-14
+
+
+def test_l0_memory_is_bounded_by_the_chunk(etf30):
+    y = recovery.measure(etf30, recovery.SparseSignal(30, (2, 5, 19), np.exp(1j * np.arange(1.0, 4.0))))
+    recovery.exhaustive_l0_search(etf30, y, 3)
+    rep, peak = traced_peak(recovery.exhaustive_l0_search, etf30, y, 3, 1e-10)
+    assert [s.support for s in rep.solutions] == [(2, 5, 19)]
+    assert peak <= 2 * coherence.SCAN_CHUNK_BYTES
+
+
+def test_scan_memory_on_a_two_row_frame_is_bounded_by_the_chunk():
+    # 4096 pairs of 2x2 sub-matrices fill a chunk; the enumeration holds no Python int per column
+    mat = matrices.build_gaussian(2, 4096, seed=1)
+    rep, peak = traced_peak(coherence.uniqueness_rank_scan, mat, 1)
+    assert rep.scanned == coherence.DEFAULT_MAX_SUBSETS and not rep.complete
+    assert peak <= 2 * coherence.SCAN_CHUNK_BYTES
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_the_enumeration_is_itertools_order_at_any_block_size(n):
+    for size in range(1, n + 2):
+        want = list(itertools.combinations(range(n), size))
+        for count in (1, 2, 3, 5, 64):
+            subsets, got = coherence._Lex(n, size), []
+            while len(block := subsets.take(count)):
+                assert len(block) == count or len(got) + len(block) == len(want)
+                got += map(tuple, block.tolist())
+            assert got == want
