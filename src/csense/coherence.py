@@ -312,13 +312,12 @@ def uniqueness_rank_scan(
     """
     k = matrices.check_int(k, "sparsity k", 1, a.m // 2)  # 2k columns must fit in m rows
     scan = SubsetScan(a.n, (2 * k,), max_subsets)
-    screened = screens(2 * k, 2 * k, a.m)
     witness = None
     min_cond = math.inf
     max_cond = 0.0
     bounds = (0.0, math.inf)  # (floor, ceiling), see _needs_svd
     for idx in scan.chunks(a.m * a.data.itemsize):
-        first, low, high, bounds = _factor_chunk(a, idx, screened, bounds)
+        first, low, high, bounds = _factor_chunk(a, idx, bounds)
         witness = witness or first
         min_cond, max_cond = min(min_cond, low), max(max_cond, high)
     if max_cond == 0.0:  # no full-rank subset seen
@@ -327,20 +326,21 @@ def uniqueness_rank_scan(
     return UniquenessReport(k, scan.total, scan.scanned, all_full_rank, witness, min_cond, max_cond, scan.complete)
 
 
-def _factor_chunk(a: matrices.MeasurementMatrix, idx: np.ndarray, screened: bool, bounds):
+def _factor_chunk(a: matrices.MeasurementMatrix, idx: np.ndarray, bounds):
     """One chunk of the uniqueness scan: (first rank-deficient subset or None, least and greatest
     condition number of the full-rank ones, bounds updated), from one SVD of the subsets that need it.
 
     Its arrays go when it returns, so none is alive while the next chunk is gathered.
     """
     rows = a.data.T[idx]  # rows[i] holds the columns of sub-matrix i as its rows
-    if screened:
+    size = idx.shape[1]
+    if screens(size, size, a.m):
         need, bounds = _needs_svd(rows, a.m, bounds)
         if not need.all():
             idx, rows = idx[need], rows[need]
     s = np.linalg.svd(rows.transpose(0, 2, 1), compute_uv=False)
     del rows  # the chunk's largest array is not read past the SVD
-    deficient = s[:, -1] <= numerics.rank_tolerance((a.m, idx.shape[1]), s[:, 0])
+    deficient = s[:, -1] <= numerics.rank_tolerance((a.m, size), s[:, 0])
     first = tuple(idx[np.argmax(deficient)].tolist()) if deficient.any() else None
     cond = s[~deficient, 0] / s[~deficient, -1]
     low, high = float(np.min(cond, initial=math.inf)), float(np.max(cond, initial=0.0))
@@ -391,9 +391,8 @@ def rip_constant(
     """
     k = matrices.check_int(k, "sparsity k", 1, a.m)
     scan = SubsetScan(a.n, (k,), max_subsets)
-    g = a.gram
     delta = 0.0
-    for idx in scan.chunks(k * g.itemsize):
-        w = np.linalg.eigvalsh(g[idx[:, :, None], idx[:, None, :]])
+    for idx in scan.chunks(k * a.data.itemsize):
+        w = np.linalg.eigvalsh(a.gram[idx[:, :, None], idx[:, None, :]])
         delta = max(delta, float(w[:, -1].max()) - 1.0, 1.0 - float(w[:, 0].min()))
     return RipReport(k, delta, scan.scanned, scan.total, scan.complete)

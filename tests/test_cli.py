@@ -194,7 +194,7 @@ def gram_builds(capsys, *argv):
 
 
 def test_only_the_readers_of_the_whole_gram_build_it(tmp_path, capsys):
-    # rip_constant and run_experiment read the whole Gram; every other command answers from strips or from A
+    # rip_constant, once it visits a subset, and run_experiment read the whole Gram; every other command answers from strips or from A
     for flags in GEN_MATRIX_FLAGS:
         assert gram_builds(capsys, "gen-matrix", *flags, "--out", str(tmp_path / "m.json")) == (0, 0)
     mat_path, y_path, cfg_path = tmp_path / "etf.json", tmp_path / "y.json", tmp_path / "cfg.json"
@@ -205,6 +205,7 @@ def test_only_the_readers_of_the_whole_gram_build_it(tmp_path, capsys):
     matrix = ["--matrix", str(mat_path)]
     assert gram_builds(capsys, "coherence", *matrix) == (0, 0)
     assert gram_builds(capsys, "coherence", *matrix, "--uniqueness-k", "1", "--rip-k", "2") == (0, 1)
+    assert gram_builds(capsys, "coherence", *matrix, "--rip-k", "2", "--max-subsets", "0") == (4, 0)
     assert gram_builds(capsys, "recover", *matrix, "--measurements", str(y_path), "--oracle") == (0, 0)
     for name in ("fig2", "fig3", "fig4"):
         assert gram_builds(capsys, "figure", "--name", name, "--outdir", str(tmp_path / name)) == (0, 0)

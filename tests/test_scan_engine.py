@@ -201,8 +201,10 @@ def test_zero_budget_scans_nothing_and_says_so():
     uniq = coherence.uniqueness_rank_scan(mat, 2, max_subsets=0)
     assert (uniq.scanned, uniq.all_full_rank, uniq.complete, uniq.witness) == (0, None, False, None)
     assert to_dict(uniq)["all_full_rank"] is None
-    rip = coherence.rip_constant(mat, 2, max_subsets=0)
+    with mock.patch.object(numerics, "gram", wraps=numerics.gram) as gram:
+        rip = coherence.rip_constant(mat, 2, max_subsets=0)
     assert (rip.subsets_scanned, rip.total_subsets, rip.complete, rip.delta) == (0, 2016, False, 0.0)
+    assert (gram.call_count, mat.cached_gram) == (0, None)  # a scan of nothing builds no n x n Gram
     l0 = recovery.exhaustive_l0_search(mat, mat.data[:, 5], 2, 1e-8, max_subsets=0)
     assert l0 == recovery.L0Report([], 0, 64 + 2016, False)
 
