@@ -17,7 +17,8 @@ screens the scans: block_spectra bounds the singular values of each
 subset's columns from the eigenvalues of its Gram block, with an allowance
 for every rounding (gamma for the block's entries, _factor_allowance for
 the eigensolver and the SVD). uniqueness_rank_scan factors only the subsets
-those bounds cannot place, so its report is the SVD's, bit for bit.
+those bounds cannot place, so its report is the SVD's, bit for bit, on
+every shape: SubsetScan.chunks keeps each chunk's blocks in half a chunk.
 """
 from __future__ import annotations
 
@@ -30,7 +31,8 @@ from . import matrices, numerics
 from .serialization import BOOLS
 
 DEFAULT_MAX_SUBSETS = 100_000
-# Bytes of sub-matrices one scan chunk gathers, which fixes a scan's working memory.
+# Bytes of sub-matrices one scan chunk gathers; its Gram blocks take at most half as many.
+# Together they fix a scan's working memory.
 SCAN_CHUNK_BYTES = 256 * 1024
 
 
@@ -161,16 +163,6 @@ def block_spectra(g: np.ndarray, m: int) -> tuple[np.ndarray, float]:
     return np.linalg.eigvalsh(g), e
 
 
-def screens(block: int, cols: int, m: int) -> bool:
-    """Whether a scan of cols-column subsets of an m-row matrix clears subsets on (block, block) Gram blocks.
-
-    Only where the blocks take at most half the bytes of the sub-matrices
-    they stand for, so a chunk holds its gathered columns and their blocks
-    in 1.5 chunks: a square sub-matrix's Gram is as large as the matrix.
-    """
-    return 2 * block * block <= cols * m
-
-
 def coherence_upper_bound(m: int, off_max: float, norm_sq_min: float) -> float:
     """An upper bound in [0, 1] on the exact coherence of the stored columns, each scaled to unit norm.
 
@@ -228,10 +220,14 @@ class SubsetScan:
     def complete(self) -> bool:
         return self.scanned == self.total
 
-    def chunks(self, column_bytes: int):
-        """Yield (c, size) index arrays, c capped so c*size columns of column_bytes fit SCAN_CHUNK_BYTES."""
+    def chunks(self, column_bytes: int, gram_border: int | None = None):
+        """Yield (c, size) index arrays, c capped so c*size columns of column_bytes fit SCAN_CHUNK_BYTES
+        and, given a gram_border, so c complex Gram blocks of side size + gram_border fit half of it."""
         for size in self.sizes:
-            per_chunk = max(1, SCAN_CHUNK_BYTES // (size * column_bytes))
+            per_subset = size * column_bytes
+            if gram_border is not None:  # on near-square sub-matrices the blocks set the cap
+                per_subset = max(per_subset, 2 * (size + gram_border) ** 2 * np.dtype(np.complex128).itemsize)
+            per_chunk = max(1, SCAN_CHUNK_BYTES // per_subset)
             subsets = _Lex(self.n, size)
             while self.scanned < self.max_subsets:
                 idx = subsets.take(min(per_chunk, self.max_subsets - self.scanned))
@@ -304,11 +300,11 @@ def uniqueness_rank_scan(
     subsets are scanned, and complete says whether that was all of them.
 
     Every reported number comes from one batched SVD of the subsets that
-    need it. Where screens allows, the Gram block of each subset decides
-    first which do (_needs_svd): a subset it proves full rank, whose
-    condition number it proves to lie inside the extremes seen so far, is
-    not factored. It cannot be the witness or set min_cond or max_cond, so
-    the report is the same as when every subset is factored.
+    need it. The Gram block of each subset decides first which do
+    (_needs_svd): a subset it proves full rank, whose condition number it
+    proves to lie inside the extremes seen so far, is not factored. It
+    cannot be the witness or set min_cond or max_cond, so the report is the
+    same as when every subset is factored.
     """
     k = matrices.check_int(k, "sparsity k", 1, a.m // 2)  # 2k columns must fit in m rows
     scan = SubsetScan(a.n, (2 * k,), max_subsets)
@@ -316,7 +312,7 @@ def uniqueness_rank_scan(
     min_cond = math.inf
     max_cond = 0.0
     bounds = (0.0, math.inf)  # (floor, ceiling), see _needs_svd
-    for idx in scan.chunks(a.m * a.data.itemsize):
+    for idx in scan.chunks(a.m * a.data.itemsize, gram_border=0):
         first, low, high, bounds = _factor_chunk(a, idx, bounds)
         witness = witness or first
         min_cond, max_cond = min(min_cond, low), max(max_cond, high)
@@ -334,10 +330,9 @@ def _factor_chunk(a: matrices.MeasurementMatrix, idx: np.ndarray, bounds):
     """
     rows = a.data.T[idx]  # rows[i] holds the columns of sub-matrix i as its rows
     size = idx.shape[1]
-    if screens(size, size, a.m):
-        need, bounds = _needs_svd(rows, a.m, bounds)
-        if not need.all():
-            idx, rows = idx[need], rows[need]
+    need, bounds = _needs_svd(rows, a.m, bounds)
+    if not need.all():
+        idx, rows = idx[need], rows[need]
     s = np.linalg.svd(rows.transpose(0, 2, 1), compute_uv=False)
     del rows  # the chunk's largest array is not read past the SVD
     deficient = s[:, -1] <= numerics.rank_tolerance((a.m, size), s[:, 0])

@@ -490,9 +490,9 @@ def exhaustive_l0_search(
     supports are fitted, and complete says whether that was all of them.
 
     Every solution comes from _fit, on a stack of the supports that need it.
-    Where coherence.screens allows, a bordered Gram block per support, from
-    one A^H y per search, first clears the supports that _fit would surely
-    reject (_fits_out); they are not fitted.
+    A bordered Gram block per support, from one A^H y per search, first
+    clears the supports that _fit would surely reject (_fits_out); they are
+    not fitted.
     """
     vec = _measurements(a, y)
     k_max = matrices.check_int(k_max, "k_max", 1, a.m)
@@ -504,7 +504,7 @@ def exhaustive_l0_search(
     if y_norm:
         v = vec / y_norm
         border = (_correlate(a, v[None])[0], float(np.vdot(v, v).real))
-    for idx in scan.chunks(a.m * a.data.itemsize):
+    for idx in scan.chunks(a.m * a.data.itemsize, gram_border=None if border is None else 1):
         idx, vals, residual = _fit_chunk(a, idx, vec, border, epsilon)
         consistent = (residual <= epsilon * y_norm) & (np.min(np.abs(vals), axis=1) > numerics.ZERO_TOL * y_norm)
         for i in np.flatnonzero(consistent):
@@ -515,13 +515,12 @@ def exhaustive_l0_search(
 def _fit_chunk(a: matrices.MeasurementMatrix, idx: np.ndarray, vec, border, epsilon: float):
     """One chunk of the l0 search: the full-rank supports _fit took, with their values and residuals.
 
-    border is (A^H v, v^H v) for v = y / ||y||, or None for y = 0. Where
-    coherence.screens allows, _fits_out first clears the supports _fit would
-    surely reject. The chunk's arrays go when it returns.
+    border is (A^H v, v^H v) for v = y / ||y||, or None for y = 0. Unless
+    y = 0, _fits_out first clears the supports _fit would surely reject.
+    The chunk's arrays go when it returns.
     """
     rows = a.data.T[idx]  # rows[i] holds the columns of support i as its rows
-    size = idx.shape[1]
-    if border is not None and coherence.screens(size + 1, size, a.m):
+    if border is not None:
         keep = ~_fits_out(rows, border[0][idx], border[1], a.m, epsilon)
         if not keep.all():
             idx, rows = idx[keep], rows[keep]

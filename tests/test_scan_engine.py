@@ -246,6 +246,21 @@ def test_subset_scan_enumerates_in_order_and_stops_at_budget():
     assert scan.complete
 
 
+@pytest.mark.parametrize("gram_border", [0, 1])
+def test_gram_blocks_cap_a_chunk_only_where_they_outweigh_half_its_columns(gram_border):
+    for m, size in itertools.product(range(1, 13), range(1, 7)):
+        plain, capped = (coherence.SubsetScan(9, (size,), 5000) for _ in range(2))
+        with mock.patch.object(coherence, "SCAN_CHUNK_BYTES", 4096):
+            lengths = [len(c) for c in plain.chunks(m * 16)]
+            capped_lengths = [len(c) for c in capped.chunks(m * 16, gram_border)]
+        side = size + gram_border
+        if 2 * side * side <= size * m:
+            assert capped_lengths == lengths
+        else:
+            per, total = min(lengths[0], max(1, 4096 // (2 * side * side * 16))), math.comb(9, size)
+            assert capped_lengths == [per] * (total // per) + [total % per] * (total % per > 0)
+
+
 # ------------------------------------------- Gram-block screening of the scans
 
 
@@ -303,7 +318,6 @@ def assert_l0_matches_fit_alone(mat, y, k_max, epsilon, max_subsets=coherence.DE
 def test_near_duplicate_columns_are_factored_as_the_loop_does(distance, k):
     # the nearer the pair, the larger its condition number, until the rank test flags it
     mat = near_duplicate_matrix(3, 10, 16, [(2, 9), (5, 13)], distance)
-    assert coherence.screens(2 * k, 2 * k, mat.m)
     rep = coherence.uniqueness_rank_scan(mat, k)
     assert (rep.witness, rep.scanned, rep.min_cond, rep.max_cond) == uniqueness_by_loop(mat, k, coherence.DEFAULT_MAX_SUBSETS)
 
@@ -332,12 +346,14 @@ def test_etf_tie_classes_keep_their_extremes(request, monkeypatch, name, k, all_
 
 
 def test_a_generic_frame_factors_few_subsets(monkeypatch):
+    # at k = 4 the 12x8 sub-matrices are near square: their Gram blocks outweigh half their columns
     mat = matrices.build_gaussian(12, 24, seed=2)
-    factored = count_svd_inputs(monkeypatch)
-    rep = coherence.uniqueness_rank_scan(mat, 2)
-    monkeypatch.undo()
-    assert rep.scanned == math.comb(24, 4) and sum(factored) <= rep.scanned // 100
-    assert (rep.witness, rep.scanned, rep.min_cond, rep.max_cond) == uniqueness_by_loop(mat, 2, coherence.DEFAULT_MAX_SUBSETS)
+    for k, budget in [(2, coherence.DEFAULT_MAX_SUBSETS), (4, 20_000)]:
+        factored = count_svd_inputs(monkeypatch)
+        rep = coherence.uniqueness_rank_scan(mat, k, max_subsets=budget)
+        monkeypatch.undo()
+        assert rep.scanned == min(math.comb(24, 2 * k), budget) and sum(factored) <= rep.scanned // 100
+        assert (rep.witness, rep.scanned, rep.min_cond, rep.max_cond) == uniqueness_by_loop(mat, k, budget)
 
 
 @pytest.mark.parametrize("n, p", [(16, 2), (24, 3), (32, 4)])
@@ -378,7 +394,7 @@ def test_a_near_duplicate_witness_past_the_first_chunk():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(4, 12), st.data())
 def test_screened_scans_match_the_loops(seed, m, data):
-    # rows enough for the Gram blocks to screen, near-duplicates at any distance, budgets and chunks of any size
+    # near-duplicates at any distance, budgets and chunks of any size, supports up to square and past it
     n = data.draw(st.integers(m, 15))
     distance = data.draw(st.sampled_from([0.0, 1e-13, 1e-9, 1e-6, 1e-3, 0.1]))
     i, j = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
@@ -389,7 +405,7 @@ def test_screened_scans_match_the_loops(seed, m, data):
     with mock.patch.object(coherence, "SCAN_CHUNK_BYTES", chunk):
         rep = coherence.uniqueness_rank_scan(mat, k, max_subsets=budget)
     assert (rep.witness, rep.scanned, rep.min_cond, rep.max_cond) == uniqueness_by_loop(mat, k, budget)
-    k_max = data.draw(st.integers(1, min(3, m)))
+    k_max = data.draw(st.integers(1, min(4, m)))  # at k_max = m the bordered block is wider than tall
     support = tuple(sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=k_max, unique=True))))
     y = recovery.measure(mat, recovery.SparseSignal(n, support, np.exp(1j * np.arange(1.0, len(support) + 1))))
     epsilon = data.draw(st.sampled_from([1e-12, 1e-8, 1e-3, 0.5]))
@@ -424,11 +440,18 @@ def test_gram_blocks_are_the_gram_of_each_subset(etf30):
 
 
 def test_l0_memory_is_bounded_by_the_chunk(etf30):
-    y = recovery.measure(etf30, recovery.SparseSignal(30, (2, 5, 19), np.exp(1j * np.arange(1.0, 4.0))))
-    recovery.exhaustive_l0_search(etf30, y, 3)
-    rep, peak = traced_peak(recovery.exhaustive_l0_search, etf30, y, 3, 1e-10)
-    assert [s.support for s in rep.solutions] == [(2, 5, 19)]
-    assert peak <= 2 * coherence.SCAN_CHUNK_BYTES
+    # the Gaussians' supports are near square: their bordered Gram blocks outweigh their columns
+    cases = [
+        (etf30, (2, 5, 19)),
+        (matrices.build_gaussian(4, 300, seed=2), (7, 150)),
+        (matrices.build_gaussian(2, 4096, seed=1), (1000,)),
+    ]
+    for mat, support in cases:
+        y = recovery.measure(mat, recovery.SparseSignal(mat.n, support, np.exp(1j * np.arange(1.0, len(support) + 1))))
+        recovery.exhaustive_l0_search(mat, y, len(support))
+        rep, peak = traced_peak(recovery.exhaustive_l0_search, mat, y, len(support), 1e-10)
+        assert [s.support for s in rep.solutions] == [support] and rep.complete
+        assert peak <= 2 * coherence.SCAN_CHUNK_BYTES
 
 
 def test_scan_memory_on_a_two_row_frame_is_bounded_by_the_chunk():
