@@ -19,6 +19,8 @@ for every rounding (gamma for the block's entries, _factor_allowance for
 the eigensolver and the SVD). uniqueness_rank_scan factors only the subsets
 those bounds cannot place, so its report is the SVD's, bit for bit, on
 every shape: SubsetScan.chunks keeps each chunk's blocks in half a chunk.
+On partial DFTs and Paley ETFs a complete scan screens one block per
+translation orbit (_orbit_chunks), widened by the measured translation_gap.
 """
 from __future__ import annotations
 
@@ -207,6 +209,15 @@ def coherence_index(a: matrices.MeasurementMatrix) -> CoherenceReport:
     )
 
 
+def _chunk_length(size: int, column_bytes: int, gram_border: int | None = None) -> int:
+    """Subsets per chunk: their size columns of column_bytes fit SCAN_CHUNK_BYTES and, given a
+    gram_border, their complex Gram blocks of side size + gram_border fit half of it."""
+    per_subset = size * column_bytes
+    if gram_border is not None:  # on near-square sub-matrices the blocks set the cap
+        per_subset = max(per_subset, 2 * (size + gram_border) ** 2 * np.dtype(np.complex128).itemsize)
+    return max(1, SCAN_CHUNK_BYTES // per_subset)
+
+
 class SubsetScan:
     """Subsets of range(n) by size, then lexicographically, cut off after max_subsets."""
 
@@ -221,13 +232,9 @@ class SubsetScan:
         return self.scanned == self.total
 
     def chunks(self, column_bytes: int, gram_border: int | None = None):
-        """Yield (c, size) index arrays, c capped so c*size columns of column_bytes fit SCAN_CHUNK_BYTES
-        and, given a gram_border, so c complex Gram blocks of side size + gram_border fit half of it."""
+        """Yield (c, size) index arrays, c at most _chunk_length(size, column_bytes, gram_border)."""
         for size in self.sizes:
-            per_subset = size * column_bytes
-            if gram_border is not None:  # on near-square sub-matrices the blocks set the cap
-                per_subset = max(per_subset, 2 * (size + gram_border) ** 2 * np.dtype(np.complex128).itemsize)
-            per_chunk = max(1, SCAN_CHUNK_BYTES // per_subset)
+            per_chunk = _chunk_length(size, column_bytes, gram_border)
             subsets = _Lex(self.n, size)
             while self.scanned < self.max_subsets:
                 idx = subsets.take(min(per_chunk, self.max_subsets - self.scanned))
@@ -296,8 +303,9 @@ def uniqueness_rank_scan(
 
     Full rank for all subsets rules out two distinct k-sparse vectors
     explaining the same measurements. Subsets are visited in lexicographic
-    order and the witness is the first failure. Only the first max_subsets
-    subsets are scanned, and complete says whether that was all of them.
+    order and the witness is the lexicographically first failure. Only the
+    first max_subsets subsets are scanned, and complete says whether that
+    was all of them.
 
     Every reported number comes from one batched SVD of the subsets that
     need it. The Gram block of each subset decides first which do
@@ -305,44 +313,57 @@ def uniqueness_rank_scan(
     proves to lie inside the extremes seen so far, is not factored. It
     cannot be the witness or set min_cond or max_cond, so the report is the
     same as when every subset is factored.
+
+    When the budget covers every subset and a's family names a translation
+    group (translation_group) that the stored data obey to within
+    translation_gap < 1/2, one Gram block per orbit decides for its whole
+    orbit instead (_orbit_chunks), with the same report.
     """
     k = matrices.check_int(k, "sparsity k", 1, a.m // 2)  # 2k columns must fit in m rows
     scan = SubsetScan(a.n, (2 * k,), max_subsets)
+    group = translation_group(a) if max_subsets >= scan.total else None
+    orbits = group is not None and (eta := translation_gap(a, *group)) < 0.5
+    batches = _orbit_chunks(a, 2 * k, *group, eta) if orbits else scan.chunks(a.m * a.data.itemsize, gram_border=0)
     witness = None
     min_cond = math.inf
     max_cond = 0.0
     bounds = (0.0, math.inf)  # (floor, ceiling), see _needs_svd
-    for idx in scan.chunks(a.m * a.data.itemsize, gram_border=0):
-        first, low, high, bounds = _factor_chunk(a, idx, bounds)
-        witness = witness or first
+    for idx in batches:
+        first, low, high, bounds = _factor_chunk(a, idx, bounds, screen=not orbits)
+        witness = min((w for w in (witness, first) if w is not None), default=None)
         min_cond, max_cond = min(min_cond, low), max(max_cond, high)
+    if orbits:
+        scan.scanned = scan.total  # every orbit is covered, so every subset is
     if max_cond == 0.0:  # no full-rank subset seen
         min_cond = max_cond = math.inf
     all_full_rank = False if witness is not None else (True if scan.complete else None)
     return UniquenessReport(k, scan.total, scan.scanned, all_full_rank, witness, min_cond, max_cond, scan.complete)
 
 
-def _factor_chunk(a: matrices.MeasurementMatrix, idx: np.ndarray, bounds):
-    """One chunk of the uniqueness scan: (first rank-deficient subset or None, least and greatest
-    condition number of the full-rank ones, bounds updated), from one SVD of the subsets that need it.
+def _factor_chunk(a: matrices.MeasurementMatrix, idx: np.ndarray, bounds, screen: bool = True):
+    """One chunk of the uniqueness scan: (lex-least rank-deficient subset or None, least and greatest
+    condition number of the full-rank ones, bounds updated), from one SVD of the subsets that need it,
+    all of idx unless screen.
 
     Its arrays go when it returns, so none is alive while the next chunk is gathered.
     """
     rows = a.data.T[idx]  # rows[i] holds the columns of sub-matrix i as its rows
     size = idx.shape[1]
-    need, bounds = _needs_svd(rows, a.m, bounds)
-    if not need.all():
-        idx, rows = idx[need], rows[need]
+    if screen:
+        need, bounds = _needs_svd(rows, a.m, bounds)
+        if not need.all():
+            idx, rows = idx[need], rows[need]
     s = np.linalg.svd(rows.transpose(0, 2, 1), compute_uv=False)
     del rows  # the chunk's largest array is not read past the SVD
     deficient = s[:, -1] <= numerics.rank_tolerance((a.m, size), s[:, 0])
-    first = tuple(idx[np.argmax(deficient)].tolist()) if deficient.any() else None
+    bad = idx[deficient]
+    first = tuple(bad[np.lexsort(bad.T[::-1])[0]].tolist()) if len(bad) else None
     cond = s[~deficient, 0] / s[~deficient, -1]
     low, high = float(np.min(cond, initial=math.inf)), float(np.max(cond, initial=0.0))
     return first, low, high, (max(bounds[0], high), min(bounds[1], low))
 
 
-def _needs_svd(rows: np.ndarray, m: int, bounds):
+def _needs_svd(rows: np.ndarray, m: int, bounds, extra: float = 0.0):
     """Mask of the subsets whose SVD the scan must read, and bounds updated.
 
     From the eigenvalues w of each Gram block and their allowance e
@@ -359,9 +380,14 @@ def _needs_svd(rows: np.ndarray, m: int, bounds):
     below ceiling, as the bounds only widen. A surely full-rank subset with
     hi < floor and lo > ceiling sets neither and is not factored; a subset
     that sets one has hi >= floor or lo <= ceiling at every step.
+
+    extra widens e, so the mask and [lo, hi] also hold for every sub-matrix
+    whose exact Gram lies within extra of a block's exact Gram in 2-norm
+    (Weyl's theorem): the other members of an orbit (_orbit_chunks).
     """
     s = rows.shape[1]
     w, e = block_spectra(numerics.gram_blocks(rows), m)
+    e += extra
     d = 2.0 * singular_value_allowance(m, s)
     big_lo, big_hi = np.sqrt(np.maximum(w[:, -1] - e, 0.0)) - d, np.sqrt(w[:, -1] + e) + d
     small_lo, small_hi = np.sqrt(np.maximum(w[:, 0] - e, 0.0)) - d, np.sqrt(np.maximum(w[:, 0] + e, 0.0)) + d
@@ -371,6 +397,111 @@ def _needs_svd(rows: np.ndarray, m: int, bounds):
     need = ~sure
     need[sure] = (hi >= floor) | (lo <= ceiling)
     return need, (floor, ceiling)
+
+
+def translation_group(a: matrices.MeasurementMatrix) -> tuple[int, int] | None:
+    """(o, q): the translations a's family names, or None. Translation b keeps the columns below o
+    and moves column c >= o to o + (c - o + b) mod q.
+
+    - A partial DFT, whose meta holds its rows (partial-dft, subsampling and
+      harmonic etf), has columns a_c = (w^(r c))_r, so A_{S+b} = D_b A_S with
+      D_b = diag(w^(r b)) unitary: (0, n).
+    - A Paley ETF has the Gram I + C / sqrt(n - 1). Its columns are infinity,
+      then GF(n - 1), and x -> x + b fixes infinity and the conference matrix
+      C: (1, n - 1).
+    Either way the exact sub-matrices of one orbit share their singular
+    values. The name only says which group to try: translation_gap measures
+    how closely the stored data obey it.
+    """
+    if "rows" in a.meta:
+        return 0, a.n
+    if a.meta.get("route") == "paley-conference":
+        return 1, a.n - 1
+    return None
+
+
+def translation_gap(a: matrices.MeasurementMatrix, o: int, q: int) -> float:
+    """eta: the largest gap between a computed Gram entry of a and the reference entry of its translates.
+
+    The reference r(x, y) of an ordered pair is the computed entry G[o, o + d],
+    d = (y - x) mod q, when both columns move; G[0, 1] (its conjugate when
+    x > y) when one is fixed; and the exact G[x, y] when both are. No
+    translation changes r. Each upper entry is held to its reference and its
+    conjugate to the transpose's, so |G[x, y] - r(x, y)| <= eta on every
+    ordered pair of the computed Gram, its lower triangle the upper's
+    conjugate (numerics.gram).
+
+    The entries come from numerics.gram_strips, so none is built n x n,
+    and each lies within gamma ||a_x|| ||a_y|| of the exact one (gamma).
+    """
+    eta, ref = 0.0, None
+    for strip in numerics.gram_strips(a.data):
+        i = a.n - strip.shape[1]  # rows i.. of the Gram, from column i on
+        if ref is None:  # the first strip holds rows 0 to o, from column 0
+            ref = strip[o, o:].copy()
+            if o:
+                eta = float(np.abs(strip[0, 1:] - strip[0, 1]).max())
+        x = np.arange(i, i + len(strip))[:, None]
+        d = np.arange(i, a.n) - x
+        upper = (d >= 0) & (x >= o)
+        g, d = strip[upper], d[upper]
+        eta = max(eta, float(np.abs(g - ref[d]).max(initial=0.0)), float(np.abs(g - ref[-d % q].conj()).max(initial=0.0)))
+    return eta
+
+
+def _translate(subsets: np.ndarray, shift, o: int, q: int) -> np.ndarray:
+    """Each subset moved by its shift (translation_group), sorted."""
+    return np.sort(np.where(subsets >= o, o + (subsets - o + shift) % q, subsets), axis=-1)
+
+
+def _orbit_chunks(a: matrices.MeasurementMatrix, s: int, o: int, q: int, eta: float):
+    """The s-subsets the uniqueness scan must factor, in chunks: every member of each orbit of the
+    translations (o, q) whose representative's Gram block cannot clear it.
+
+    The representative is an orbit's lex-least member. It holds column o, as
+    a translate of any member does, so the candidates are the subsets that
+    hold o, in _Lex chunks, and a candidate is kept when no translate taking
+    one of its columns to o is lex-less. The lex-least deficient subset of a
+    is then the lex-least deficient member of a factored orbit.
+
+    Every member's exact Gram block lies within extra = 2 s (eta + 2 gamma
+    rho^2)(1 + u) of its representative's in 2-norm, rho^2 = frobenius_sq(1):
+    - a computed Gram entry lies within gamma rho^2 of the exact one
+      (gamma), so by translation_gap every exact entry lies within eta +
+      gamma rho^2 of a reference that no translation changes, and a member's
+      block, in the order its translation gives it, lies entrywise within
+      2 (eta + gamma rho^2) of the representative's;
+    - an s x s matrix of such entries has 2-norm at most s times that;
+    - eta < 1/2, so the roundings in computing eta and extra, under 8 u
+      eta < 4 u in all, stay below the second gamma rho^2 (gamma > 5 u).
+    So _needs_svd with extra clears an orbit only where it would clear every
+    member, and the report is the lexicographic scan's, bit for bit.
+    """
+    g_num, g_den = gamma(a.m)
+    extra = 2.0 * s * (eta + 2.0 * g_num / g_den * frobenius_sq(1)) * (1.0 + numerics.UNIT_ROUNDOFF)
+    per_chunk = _chunk_length(s, a.m * a.data.itemsize, 0)
+    # a subset that translation b fixes is a union of cosets of the q / b translations b generates: q / b <= s
+    periods = [b for b in range(q - 1, 0, -1) if q % b == 0 and q // b <= s]
+    bounds = (0.0, math.inf)
+    candidates = _Lex(a.n - 1, s - 1)
+    while len(rest := candidates.take(per_chunk)):
+        held = np.sort(np.concatenate((np.full((len(rest), 1), o), rest + (rest >= o)), axis=1), axis=1)
+        moved = _translate(held[:, None, :], o - held[:, :, None], o, q) - held[:, None, :]
+        first = np.take_along_axis(moved, (moved != 0).argmax(axis=-1)[..., None], axis=-1)
+        reps = held[(first >= 0).all(axis=(1, 2))]
+        del held, moved, first
+        need, bounds = _needs_svd(a.data.T[reps], a.m, bounds, extra)
+        reps = reps[need]
+        if not len(reps):
+            continue
+        sizes = np.full(len(reps), q)  # orbit sizes: the least translation that fixes the representative
+        for b in periods:
+            sizes[(_translate(reps, b, o, q) == reps).all(axis=1)] = b
+        ends = np.cumsum(sizes)
+        for start in range(0, int(ends[-1]), per_chunk):
+            at = np.arange(start, min(start + per_chunk, int(ends[-1])))
+            owner = np.searchsorted(ends, at, side="right")
+            yield _translate(reps[owner], (at - ends[owner] + sizes[owner])[:, None], o, q)
 
 
 def rip_constant(

@@ -33,7 +33,8 @@ def check_int(value, what: str, low: int, high: int | None = None) -> int:
     """value as an int in [low, high] (no upper bound when high is None).
 
     An int or a whole float such as 7.0 is accepted; a fractional,
-    non-finite, boolean or non-numeric value, or one out of range, is a ValueError.
+    non-finite, boolean or non-numeric value, or one out of range, is a ValueError,
+    which says so plainly when the range is empty (high < low).
     """
     try:
         whole = int(value)
@@ -41,6 +42,8 @@ def check_int(value, what: str, low: int, high: int | None = None) -> int:
         whole = None
     if whole is None or whole != value or type(value) in BOOLS:
         raise ValueError(f"{what} must be a whole number, got {value!r}")
+    if high is not None and high < low:
+        raise ValueError(f"no {what} fits: its range [{low}, {high}] is empty, got {whole}")
     if whole < low or (high is not None and whole > high):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{what} must be {bounds}, got {whole}")

@@ -165,14 +165,15 @@ def test_coherence_rip_pairs(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [[], ["--rip-k", "2"], ["--uniqueness-k", "1"]], ids=["alone", "rip_k", "uniqueness_k"])
 def test_coherence_command_walks_the_gram_once(tmp_path, capsys, flags):
-    # with --rip-k the Gram is built first and the coherence reads it: one product, not a walk and then a Gram
+    # with --rip-k the Gram is built first and the coherence reads it: one product, not a walk and then a Gram.
+    # With --uniqueness-k the complete scan takes the orbit route, whose translation_gap walks the strips once more
     out = tmp_path / "dft.json"
     run(capsys, "gen-matrix", "--family", "partial-dft", "--m", "12", "--n", "300", "--out", str(out))
     with mock.patch.object(numerics, "gram_strips", wraps=numerics.gram_strips) as strips, \
             mock.patch.object(numerics, "gram", wraps=numerics.gram) as gram:
         code, stdout, _ = run(capsys, "coherence", "--matrix", str(out), *flags)
     assert code == 0
-    assert strips.call_count == 1
+    assert strips.call_count == 1 + ("--uniqueness-k" in flags)
     assert gram.call_count == ("--rip-k" in flags)
     assert strict_json(stdout)["coherence"]["mu"] == coherence_index(matrices.load_matrix(out)).mu
 
@@ -254,6 +255,14 @@ def test_coherence_report_of_equal_columns_is_json(tmp_path, capsys):
     assert (report["all_full_rank"], report["witness"], report["min_cond"], report["max_cond"]) == (False, [0, 1], None, None)
     with pytest.raises(ValueError, match="Infinity is not JSON"):
         strict_json('{"min_cond": Infinity}')
+
+
+def test_coherence_uniqueness_scan_of_a_one_row_matrix_exits_2(tmp_path, capsys):
+    path = tmp_path / "row.json"
+    path.write_text(json.dumps({"m": 1, "n": 3, "family": "custom", "data": [[1.0, 0.0]] * 3}))
+    code, stdout, err = run(capsys, "coherence", "--matrix", str(path), "--uniqueness-k", "1")
+    assert (code, stdout) == (2, "")
+    assert err == "error: no sparsity k fits: its range [1, 0] is empty, got 1\n"
 
 
 def test_coherence_missing_file_exits_2(tmp_path, capsys):

@@ -299,6 +299,14 @@ def test_uniqueness_scan_requires_2k_measurements(etf14):
         coherence.uniqueness_rank_scan(etf14, 4)  # 2k = 8 > m = 7
 
 
+def test_a_one_row_matrix_has_no_sparsity_to_scan():
+    # 2k columns must fit in m = 1 row, so no k in [1, 0] exists; the error says so, not "must be in [1, 0]"
+    mat = matrices.MeasurementMatrix(np.ones((1, 3)), "custom")
+    with pytest.raises(ValueError, match=r"^no sparsity k fits: its range \[1, 0\] is empty, got 1$"):
+        coherence.uniqueness_rank_scan(mat, 1)
+    assert coherence.rip_constant(mat, 1).delta == 0.0  # one column fits in one row
+
+
 def test_certified_sparsity_implies_full_rank_scans(etf14, etf30, fig3_dft):
     # whenever k <= k_max the 2k-column scan must pass; exhaustive at desk scale
     cases = [(etf14, (1, 2)), (etf30, (1, 2)), (fig3_dft, (1, 2, 3))]

@@ -10,8 +10,11 @@ The Gram-block screening of the uniqueness scan and the l0 search may skip
 only factorizations whose results could not be reported. The uniqueness
 loop checks that exactly; for the l0 search, l0_by_fit fits every support on
 its own with the search's own fit, and the search must match it bit for bit.
+The uniqueness scan's orbit route, which screens one block per translation
+orbit, must match the loop and the lexicographic route field for field.
 """
 import itertools
+import json
 import math
 from unittest import mock
 
@@ -20,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csense import coherence, matrices, numerics, recovery
+from csense import cli, coherence, matrices, numerics, recovery
 from csense.serialization import to_dict
 
 from conftest import traced_peak
@@ -472,3 +475,152 @@ def test_the_enumeration_is_itertools_order_at_any_block_size(n):
                 assert len(block) == count or len(got) + len(block) == len(want)
                 got += map(tuple, block.tolist())
             assert got == want
+
+
+# ------------------------------------------- translation orbits of the uniqueness scan
+
+
+def lexicographic_scan(mat, k, max_subsets):
+    """The uniqueness scan on its lexicographic route, whatever the matrix's family."""
+    with mock.patch.object(coherence, "translation_group", return_value=None):
+        return coherence.uniqueness_rank_scan(mat, k, max_subsets)
+
+
+def assert_orbit_route_matches(mat, k):
+    """At a complete budget the scan takes the orbit route, and its report is the loop's and the lexicographic route's, field for field."""
+    total = math.comb(mat.n, 2 * k)
+    with mock.patch.object(coherence, "_orbit_chunks", wraps=coherence._orbit_chunks) as orbits:
+        rep = coherence.uniqueness_rank_scan(mat, k, total)
+    assert orbits.call_count == 1
+    witness, scanned, min_cond, max_cond = uniqueness_by_loop(mat, k, total)
+    full_rank = witness is None
+    assert rep == coherence.UniquenessReport(k, total, scanned, full_rank, witness, min_cond, max_cond, True)
+    assert to_dict(rep) == to_dict(lexicographic_scan(mat, k, total))
+    return rep
+
+
+def edited(mat, row, col, by):
+    """mat with entry (row, col) moved by `by` and its columns normalized again; family and meta kept."""
+    data = np.array(mat.data)
+    data[row, col] += by
+    return matrices.MeasurementMatrix(data / np.linalg.norm(data, axis=0), mat.family, mat.meta)
+
+
+def translations(mat):
+    """Every translation of mat's group as a column permutation (translation_group)."""
+    o, q = coherence.translation_group(mat)
+    return [np.r_[np.arange(o), o + (np.arange(q) + b) % q] for b in range(q)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 24), st.data())
+def test_orbit_route_matches_the_loop_on_partial_dfts(n, data):
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True).map(sorted))
+    mat = matrices.build_partial_dft(n, rows)
+    k = data.draw(st.sampled_from([k for k in range(1, mat.m // 2 + 1) if math.comb(n, 2 * k) <= 5000]))
+    chunk = data.draw(st.one_of(st.just(coherence.SCAN_CHUNK_BYTES), st.integers(1, 30).map(lambda c: c * 2 * k * mat.m * 16)))
+    with mock.patch.object(coherence, "SCAN_CHUNK_BYTES", chunk):
+        assert_orbit_route_matches(mat, k)
+
+
+@pytest.mark.parametrize("m, n, ks", [(3, 7, (1,)), (4, 7, (1, 2)), (5, 11, (1, 2)), (7, 14, (1, 2, 3)), (15, 30, (1, 2))])
+def test_orbit_route_matches_the_loop_on_etfs(m, n, ks):
+    mat = matrices.build_etf(m, n)  # harmonic below n = 14, Paley from it on
+    for k in ks:
+        assert assert_orbit_route_matches(mat, k).all_full_rank
+
+
+@pytest.mark.parametrize("n, p, ks", [(16, 2, (1, 2, 3, 4)), (24, 3, (1, 2)), (32, 4, (1, 2))])
+def test_orbit_route_finds_the_lex_least_deficient_member(n, p, ks):
+    # subsampling frames repeat with period n/p, so deficient subsets lie in many orbits, and an orbit may be
+    # smaller than n; the witness is the least deficient member of any of them, not a representative's
+    mat = matrices.from_spec("subsampling", n=n, p=p)
+    for k in ks:
+        rep = assert_orbit_route_matches(mat, k)
+        assert rep.all_full_rank is False and rep.witness[0] == 0
+
+
+def test_the_paley_scan_factors_only_its_two_tie_classes(etf30, monkeypatch):
+    # 945 orbits of 29 subsets stand for all 27,405; the 210 orbits of the two extreme tie classes are factored
+    factored = count_svd_inputs(monkeypatch)
+    rep = coherence.uniqueness_rank_scan(etf30, 2)
+    monkeypatch.undo()
+    assert sum(factored) == 6090 == 210 * 29
+    assert (rep.scanned, rep.complete, rep.all_full_rank) == (27405, True, True)
+
+
+def test_orbit_memory_is_bounded_by_the_chunk():
+    mat = matrices.from_spec("partial-dft", n=40, m=12, seed=0)
+    coherence.uniqueness_rank_scan(mat, 2)
+    with mock.patch.object(coherence, "_orbit_chunks", wraps=coherence._orbit_chunks) as orbits:
+        rep, peak = traced_peak(coherence.uniqueness_rank_scan, mat, 2)
+    assert orbits.call_count == 1 and rep.complete and rep.all_full_rank
+    assert peak <= 2 * coherence.SCAN_CHUNK_BYTES
+
+
+@pytest.mark.parametrize("make, nudged", [
+    (lambda: matrices.build_etf(3, 7), False),
+    (lambda: matrices.build_etf(5, 11), False),
+    (lambda: matrices.build_etf(7, 14), False),
+    (lambda: matrices.build_etf(15, 30), False),
+    (lambda: matrices.from_spec("subsampling", n=16, p=2), False),
+    (lambda: matrices.from_spec("partial-dft", n=24, m=9, seed=3), False),
+    (lambda: edited(matrices.from_spec("partial-dft", n=24, m=9, seed=3), 4, 17, 1e-9), True),
+    (lambda: edited(matrices.build_etf(7, 14), 2, 5, 1e-9j), True),
+])
+def test_the_translation_gap_bounds_every_translation(make, nudged):
+    # brute force over the whole Gram that translation_gap reads in strips: their upper triangle, mirrored
+    mat = make()
+    o, q = coherence.translation_group(mat)
+    eta = coherence.translation_gap(mat, o, q)
+    g = np.zeros((mat.n, mat.n), dtype=complex)
+    for _ in numerics.gram_strips(mat.data, out=g):
+        pass
+    g = np.triu(g) + np.triu(g, 1).conj().T
+    worst = max(float(np.abs(g[np.ix_(t, t)] - g).max()) for t in translations(mat))
+    # each entry against its translate that takes its row to column o (or, from the fixed column, its column to o)
+    to_ref = np.zeros(g.shape)
+    for x in range(mat.n):
+        for y in range(mat.n):
+            if x >= o:
+                to_ref[x, y] = abs(g[x, y] - g[o, o + (y - x) % q if y >= o else y])
+            elif y >= o:
+                to_ref[x, y] = abs(g[x, y] - g[x, o])
+    assert eta >= to_ref.max() and 2.0 * eta >= worst
+    assert eta > 1e-10 if nudged else eta < 1e-13
+
+
+@pytest.mark.parametrize("by", [1e-9, 1e-5, 1e-1])
+def test_an_edited_partial_dft_still_matches_the_loop(by):
+    # the file keeps its partial-dft meta, but one entry moved: the group is only nearly there. A scan that
+    # cleared each orbit on its representative's block alone, with no allowance, misses the loop's report here
+    mat = edited(matrices.from_spec("partial-dft", n=24, m=8, seed=4), 3, 11, by)
+    assert mat.family == "partial-dft" and coherence.translation_gap(mat, 0, 24) > by / 10
+    for k in (1, 2):
+        assert_orbit_route_matches(mat, k)
+
+
+def test_the_budget_picks_the_route_at_the_cli(tmp_path, capsys):
+    # a budget of every subset takes the orbit route; one less keeps the lexicographic route, its exit 4 and its report
+    path = tmp_path / "dft.json"
+    matrices.save_matrix(matrices.from_spec("partial-dft", n=24, m=8, seed=1), path)
+    total = math.comb(24, 4)
+
+    def scan(budget, group=coherence.translation_group):
+        """(exit code, stdout, stderr, orbit routes taken) of coherence --uniqueness-k 2 at budget."""
+        argv = ["coherence", "--matrix", str(path), "--uniqueness-k", "2", "--max-subsets", str(budget)]
+        with mock.patch.object(coherence, "_orbit_chunks", wraps=coherence._orbit_chunks) as orbits, \
+                mock.patch.object(coherence, "translation_group", group):
+            code = cli.main(argv)
+        return (code, *capsys.readouterr(), orbits.call_count)
+
+    def lexicographic(a):
+        return None
+
+    assert scan(total) == scan(total, lexicographic)[:3] + (1,)
+    assert scan(total - 1) == scan(total - 1, lexicographic)
+    code, out, err, _ = scan(total - 1)
+    assert code == 4 and f"covered only {total - 1} of {total} subsets" in err
+    report = json.loads(out)["uniqueness"]
+    witness, scanned, min_cond, max_cond = uniqueness_by_loop(matrices.load_matrix(path), 2, total - 1)
+    assert (report["scanned"], report["complete"], report["min_cond"], report["max_cond"]) == (scanned, False, min_cond, max_cond)
