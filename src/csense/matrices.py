@@ -12,7 +12,7 @@ from __future__ import annotations
 import inspect
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -125,6 +125,54 @@ class MeasurementMatrix:
         """The Gram if something already built it, else None; never builds it."""
         return self.__dict__.get("gram")
 
+    @cached_property
+    def dft_rows(self) -> tuple[int, ...] | None:
+        """meta["rows"] when data holds exactly the entries build_partial_dft(n, rows) makes, else None.
+
+        Then A^H r is one FFT of r scattered to those rows (the pursuit's
+        correlations). The partial-DFT builders hand their rows over; any
+        other matrix whose meta names rows (a loaded file) is compared with
+        the formula once, a row at a time.
+        """
+        try:
+            rows = check_indices(self.meta.get("rows", ()), self.n, "row")
+        except (TypeError, ValueError):
+            return None
+        if len(rows) != self.m:
+            return None
+        roots = _roots_of_unity(self.n)
+        for i in range(self.m):
+            if not np.array_equal(self.data[i], _dft_entries(roots, rows[i : i + 1], self.m)[0]):
+                return None
+        return rows
+
+
+def _roots_of_unity(n: int) -> np.ndarray:
+    """exp(2j pi k / n) for k in range(n)."""
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def _dft_entries(roots: np.ndarray, rows, m: int) -> np.ndarray:
+    """Rows rows of the partial DFT with m rows: entry (i, k) is roots[(rows[i] k) mod n] / sqrt(m).
+
+    The phase index r*k is reduced mod n in integers, so equal phases give
+    equal bits, and a strip of rows gets the bits it has in the whole matrix.
+    """
+    n = len(roots)
+    return roots[np.outer(rows, np.arange(n)) % n] / math.sqrt(m)
+
+
+def _partial_dft(n: int, rows, family: str, meta: dict) -> MeasurementMatrix:
+    """The partial DFT on rows, checked strictly increasing in range(n), tagged family and meta with rows last.
+
+    It made its data from the formula, so it records its rows as dft_rows and no comparison follows.
+    """
+    m, n = check_shape(len(rows), n)
+    rows = check_indices(rows, n, "row")
+    mat = MeasurementMatrix(_dft_entries(_roots_of_unity(n), rows, m), family, {**meta, "rows": rows})
+    mat.__dict__["dft_rows"] = rows
+    return mat
+
 
 def build_partial_dft(n: int, rows) -> MeasurementMatrix:
     """Keep the listed rows, strictly increasing in range(n), of the n-point inverse-DFT matrix.
@@ -132,12 +180,7 @@ def build_partial_dft(n: int, rows) -> MeasurementMatrix:
     Entry (m, k) is exp(+2j*pi*((rows[m]*k) mod n)/n) / sqrt(M), so each
     column has M entries of magnitude 1/sqrt(M) and is automatically unit norm.
     """
-    m, n = check_shape(len(rows), n)
-    rows = check_indices(rows, n, "row")
-    # the phase index r*k is reduced mod n in integers, so equal phases give equal bits
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    data = roots[np.outer(rows, np.arange(n)) % n] / math.sqrt(m)
-    return MeasurementMatrix(data, "partial-dft", {"rows": rows})
+    return _partial_dft(n, rows, "partial-dft", {})
 
 
 def draw_without_replacement(rng: np.random.Generator, n: int, m: int) -> tuple[int, ...]:
@@ -259,7 +302,7 @@ def build_etf(m: int, n: int) -> MeasurementMatrix:
         # orthonormal columns: every off-diagonal inner product is 0 = Welch
         mat = MeasurementMatrix(np.eye(n), "etf", {"route": "orthonormal"})
     elif (rows := _harmonic_rows(m, n)) is not None:
-        mat = replace(build_partial_dft(n, rows), family="etf", meta={"route": "harmonic", "rows": rows})
+        mat = _partial_dft(n, rows, "etf", {"route": "harmonic"})
     elif n == 2 * m and n % 4 == 2 and _is_odd_prime(n - 1):
         # C^2 = (n-1) I and trace 0 give C the eigenvalues +-sqrt(n-1), each n/2 = m times
         w, v = np.linalg.eigh(paley_conference(n))
@@ -313,8 +356,8 @@ def _partial_dft_spec(n: int, rows=None, m=None, seed=None) -> MeasurementMatrix
 
 def _subsampling_spec(n: int, p: int) -> MeasurementMatrix:
     """Every p-th row of the n-point partial DFT, tagged subsampling with its period."""
-    mat = build_partial_dft(n, build_subsampling_rows(n, p))
-    return replace(mat, family="subsampling", meta={"p": mat.n // mat.m, **mat.meta})
+    rows = build_subsampling_rows(n, p)
+    return _partial_dft(n, rows, "subsampling", {"p": int(n) // len(rows)})
 
 
 # Each family's builder; its parameters are exactly the keys of that family's spec.

@@ -9,8 +9,10 @@ coherence_index and the pursuit's pivot test scale theirs with the problem
 The Gram is walked in upper-triangular row strips of GRAM_BLOCK rows, one BLAS
 product each, conjugating only that strip's columns (gram_strips). gram fills
 the n x n Gram for MeasurementMatrix.gram, which only its whole readers build:
-rip_constant, once it visits a subset, and run_experiment. The pursuit reads
-only a Gram already built (cached_gram). gram_extremes reduces the strips to
+rip_constant, once it visits a subset, and run_experiment, except on a partial
+DFT (MeasurementMatrix.dft_rows), whose pursuit takes A^H r from one FFT per
+step. The pursuit reads only a Gram already built (cached_gram), and none on
+a partial DFT. gram_extremes reduces the strips to
 the coherence's needs in O(GRAM_BLOCK n) memory: mu makes no n x n array.
 gram_blocks gives the scans the Gram of each subset's columns, one block per
 subset, from the columns they gather. The batched scans, the least-squares

@@ -158,6 +158,18 @@ def _correlate(a: matrices.MeasurementMatrix, rows: np.ndarray) -> np.ndarray:
     return _rows_times(rows.conj(), a.data).conj()
 
 
+def _dft_correlate(spread: np.ndarray, rows: np.ndarray, residuals: np.ndarray, out=None) -> np.ndarray:
+    """A^H r for every row r of a stack, on the partial DFT with these rows: the FFT of r / sqrt(m) at its rows.
+
+    Entry k of the n-point FFT of x is sum_j x_j exp(-2j pi j k / n), and
+    column k of A holds exp(2j pi r k / n) / sqrt(m) at row r. spread is a
+    zeroed (T, n) buffer; only the columns rows are written, so it stays
+    zero elsewhere from call to call. With out, the result is written there.
+    """
+    spread[:, rows] = residuals / math.sqrt(residuals.shape[1])
+    return np.fft.fft(spread, axis=1, out=out)
+
+
 def decompose_initial_estimate(a: matrices.MeasurementMatrix, x: SparseSignal) -> InitialEstimate:
     """Back-projected estimate split into per-source additive components.
 
@@ -323,11 +335,24 @@ def pursue_batch(
     The refit is incremental: each new column is orthogonalized against the
     earlier ones (Gram-Schmidt, applied twice), which extends a QR
     factorization A_S = Q R; the values come from one solve with the
-    triangular R at the end. When the matrix already holds its Gram (as
-    run_experiment's does), the correlations A^H r are updated from Gram
-    rows and an iteration costs O(T (m k + n k)) after the first. Otherwise
-    they are recomputed from A at O(T m n) per iteration: building the Gram
-    for a few runs would cost O(m n^2) time and n^2 memory.
+    triangular R at the end.
+
+    The correlations A^H r only choose the picks: the refit, the residuals,
+    the rank tests and the values all come from the stored columns, so two
+    sources that give the same picks give the same run bit for bit. They
+    come from one of three sources:
+    - a partial DFT (a.dft_rows): each residual, divided by sqrt(m), is
+      scattered to its rows of a zeroed length-n vector, whose FFT is A^H r,
+      at O(T n log n) per iteration, with no Gram read. pocketfft's error,
+      of order u log2(n) sqrt(n / m) ||r|| (below 1e-13 ||r|| for n <= 4096),
+      lies far below TIE_TOL ||y||, and it runs no BLAS and no threads, so
+      the FFT adds no rounding that depends on the BLAS thread count to the
+      picks;
+    - a Gram the matrix already holds: the correlations are updated from
+      Gram rows, and an iteration costs O(T (m k + n k)) after the first;
+    - otherwise they are recomputed from A at O(T m n) per iteration:
+      building the Gram for a few runs would cost O(m n^2) time and n^2
+      memory.
 
     Every product is taken row by row, so a trial computes the same numbers
     in any batch as alone. Each step taken adds a basis vector and a column
@@ -342,7 +367,7 @@ def pursue_batch(
     y_norms = np.linalg.norm(stack, axis=1)
     thresholds = matrices.check_positive(epsilon, "epsilon") * y_norms
     max_iter = a.m if max_iter is None else matrices.check_int(max_iter, "max_iter", 1, a.m)
-    return _pursue(a, _Live(a, stack, y_norms, thresholds), max_iter)
+    return _pursue(a, stack, y_norms, thresholds, max_iter)
 
 
 class _Live:
@@ -351,12 +376,13 @@ class _Live:
     The per-trial arrays hold one entry per trial. The step arrays hold one
     row per step, each with one entry per trial: q[i, t] is the i-th
     orthonormal basis vector of trial t's selected span, b[i, t] = A^H q[i, t]
-    (kept only with a Gram), r[j, t] holds column j of trial t's R (A_S = Q R),
-    z[i, t] = q[i, t]^H y and x[i, t] the i-th fitted value, written when the
-    trial ends. Their room for steps doubles when it runs out.
+    (kept only when the correlations come from a Gram), r[j, t] holds column
+    j of trial t's R (A_S = Q R), z[i, t] = q[i, t]^H y and x[i, t] the i-th
+    fitted value, written when the trial ends. Their room for steps doubles
+    when it runs out.
     """
 
-    def __init__(self, a: matrices.MeasurementMatrix, ys, y_norms, thresholds):
+    def __init__(self, a: matrices.MeasurementMatrix, ys, y_norms, thresholds, keep_b: bool):
         t = len(ys)
         self.y_norm, self.threshold = y_norms, thresholds
         self.residual = ys.copy()
@@ -368,7 +394,7 @@ class _Live:
         self.errors: dict[int, RankDeficientError] = {}
         self.picks = np.empty((1, t), dtype=np.intp)
         self.q = np.empty((1, t, a.m), dtype=np.complex128)
-        self.b = np.empty((1, t, a.n), dtype=np.complex128) if a.cached_gram is not None else None
+        self.b = np.empty((1, t, a.n), dtype=np.complex128) if keep_b else None
         self.r = np.empty((1, t, a.m), dtype=np.complex128)
         self.z = np.empty((1, t), dtype=np.complex128)
         self.x = np.empty((1, t), dtype=np.complex128)
@@ -384,13 +410,20 @@ class _Live:
                 setattr(self, name, new)
 
 
-def _pursue(a: matrices.MeasurementMatrix, live: _Live, max_iter: int) -> BatchPursuit:
-    """Run every trial of live to its end."""
-    gram = a.cached_gram
+def _pursue(a: matrices.MeasurementMatrix, ys, y_norms, thresholds, max_iter: int) -> BatchPursuit:
+    """Run every trial to its end, with the correlations from the source pursue_batch names."""
+    rows = a.dft_rows
+    gram = a.cached_gram if rows is None else None
+    live = _Live(a, ys, y_norms, thresholds, keep_b=gram is not None)
     # Unit columns give sigma_max(A_S) >= 1 and sigma_min(A_S) <= r_jj, so a
     # pivot r_jj at or below this already fails the shared rank test.
     step_tol = numerics.rank_tolerance((a.m,), 1.0)
-    correlations = _correlate(a, live.residual)
+    if rows is None:
+        correlations = _correlate(a, live.residual)
+    else:
+        rows = np.array(rows)
+        spread = np.zeros((len(ys), a.n), dtype=np.complex128)
+        correlations = _dft_correlate(spread, rows, live.residual)
     for j in itertools.count():
         pick = select_column(correlations, live.y_norm)
         if j == 0:
@@ -423,7 +456,9 @@ def _pursue(a: matrices.MeasurementMatrix, live: _Live, max_iter: int) -> BatchP
         np.divide(v, r_jj[:, None], out=live.q[j])
         live.z[j] = z_j = (live.q[j].conj() * live.residual).sum(axis=1)
         live.residual -= z_j[:, None] * live.q[j]
-        if gram is None:
+        if rows is not None:
+            _dft_correlate(spread, rows, live.residual, out=correlations)
+        elif gram is None:
             correlations = _correlate(a, live.residual)
         else:
             b_j = gram[pick]

@@ -211,6 +211,10 @@ def test_only_the_readers_of_the_whole_gram_build_it(tmp_path, capsys):
     for name in ("fig2", "fig3", "fig4"):
         assert gram_builds(capsys, "figure", "--name", name, "--outdir", str(tmp_path / name)) == (0, 0)
     assert gram_builds(capsys, "experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")) == (0, 1)
+    # but a partial DFT's pursuit takes A^H r from one FFT per step, so its experiment builds none
+    dft_cfg = {"matrix": {"family": "partial-dft", "m": 12, "n": 300}, "k_range": [1, 2], "trials": 4}
+    cfg_path.write_text(json.dumps(dft_cfg))
+    assert gram_builds(capsys, "experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")) == (0, 0)
 
 
 def test_coherence_scans_report_completeness(tmp_path, capsys):

@@ -757,3 +757,56 @@ def test_etf_build_and_coherence_cache_no_gram():
         coherence.coherence_index(mat)
     assert gram.call_count == 0
     assert mat.cached_gram is None
+
+
+DFT_SPECS = [  # every builder route to a partial DFT
+    {"family": "partial-dft", "n": 64, "m": 16, "seed": 3},
+    {"family": "partial-dft", "n": 16, "rows": [0, 1, 2, 3, 4, 5, 7, 10, 11, 12, 14, 15]},
+    {"family": "partial-dft", "n": 5, "rows": [0, 1, 2, 3, 4]},
+    {"family": "subsampling", "n": 32, "p": 4},
+    {"family": "subsampling", "n": 7, "p": 7},
+    {"family": "etf", "m": 1, "n": 6},
+    {"family": "etf", "m": 3, "n": 7},
+    {"family": "etf", "m": 4, "n": 7},
+    {"family": "etf", "m": 5, "n": 11},
+    {"family": "etf", "m": 10, "n": 11},
+]
+
+
+@pytest.mark.parametrize("spec", DFT_SPECS, ids=lambda spec: "-".join(map(str, spec.values()))[:40])
+def test_dft_rows_hold_for_every_builder_route_and_after_a_round_trip(tmp_path, spec):
+    mat = matrices.from_spec(**spec)
+    assert mat.dft_rows == mat.meta["rows"]
+    assert np.array_equal(mat.data, matrices.build_partial_dft(mat.n, mat.dft_rows).data)
+    matrices.save_matrix(mat, tmp_path / "m.json")
+    loaded = matrices.load_matrix(tmp_path / "m.json")
+    assert "dft_rows" not in loaded.__dict__  # a loaded file is compared with the formula, once
+    assert loaded.dft_rows == mat.meta["rows"]
+
+
+def test_dft_rows_are_none_for_every_other_matrix(etf14, etf30, fig3_dft):
+    assert matrices.build_gaussian(8, 20, seed=1).dft_rows is None
+    assert etf14.meta["route"] == etf30.meta["route"] == "paley-conference"
+    assert etf14.dft_rows is None and etf30.dft_rows is None
+    assert matrices.MeasurementMatrix(fig3_dft.data, "custom").dft_rows is None
+    assert matrices.build_etf(6, 6).dft_rows is None  # the orthonormal route keeps no rows
+
+
+def edited_file(tmp_path, mat, data=None, meta=None):
+    """mat saved with its data or its meta replaced, then loaded back."""
+    path = tmp_path / "edited.json"
+    edited = matrices.MeasurementMatrix(mat.data if data is None else data, mat.family, mat.meta if meta is None else meta)
+    matrices.save_matrix(edited, path)
+    return matrices.load_matrix(path)
+
+
+def test_dft_rows_are_none_for_an_edited_file(tmp_path, fig3_dft):
+    rows = list(fig3_dft.meta["rows"])
+    data = fig3_dft.data.copy()
+    data[3, 5] = complex(np.nextafter(data[3, 5].real, math.inf), data[3, 5].imag)  # one ulp
+    assert edited_file(tmp_path, fig3_dft, data=data).dft_rows is None
+    assert edited_file(tmp_path, fig3_dft, meta={"rows": rows[:-1] + [13]}).dft_rows is None
+    assert edited_file(tmp_path, fig3_dft, meta={"rows": rows[:-1]}).dft_rows is None  # one row short of m
+    for bad in ([15] + rows[:-1], [2.5] + rows[1:], [True] + rows[1:], 7, "rows", {"a": 1}):  # no index set
+        assert edited_file(tmp_path, fig3_dft, meta={"rows": bad}).dft_rows is None
+    assert edited_file(tmp_path, fig3_dft, meta={"rows": rows}).dft_rows == tuple(rows)

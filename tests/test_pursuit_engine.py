@@ -7,6 +7,8 @@ when no correlation sits near the edge of the tie set, values within 1e-8,
 and the same RankDeficientError and stall outcomes, whether it
 updates the correlations from a cached Gram or recomputes them from A. The
 batched engine must give every trial of a batch exactly what it gets alone.
+On a partial DFT, whose correlations come from one FFT per step, every run
+must equal the Gram route's bit for bit.
 """
 import dataclasses
 import json
@@ -283,7 +285,8 @@ def test_max_iter_past_m_is_rejected(tmp_path, capsys):
 
 
 def test_pursuit_reads_the_cached_gram_once():
-    spec = {"family": "partial-dft", "m": 24, "n": 64, "seed": 5}
+    # the 15x30 Paley ETF: not a partial DFT, so run_experiment builds its Gram for the pursuit
+    spec = {"family": "etf", "m": 15, "n": 30}
     cfg = experiments.ExperimentConfig(matrix=spec, k_range=(2, 4), trials=5)
     with mock.patch.object(numerics, "gram", wraps=numerics.gram) as gram, \
             mock.patch.object(numerics, "solve_least_squares", wraps=numerics.solve_least_squares) as lstsq:
@@ -292,9 +295,22 @@ def test_pursuit_reads_the_cached_gram_once():
     assert lstsq.call_count == 0
 
 
+def test_partial_dft_experiment_builds_no_gram():
+    # its pursuit takes A^H r from one FFT per step, and its coherence walks fresh strips
+    spec = {"family": "partial-dft", "m": 24, "n": 64, "seed": 5}
+    cfg = experiments.ExperimentConfig(matrix=spec, k_range=(2, 4), trials=5)
+    with mock.patch.object(numerics, "gram", wraps=numerics.gram) as gram, \
+            mock.patch.object(recovery, "pursue_batch", wraps=recovery.pursue_batch) as pursue:
+        experiments.run_experiment(cfg)
+    assert gram.call_count == 0
+    mat = pursue.call_args.args[0]
+    assert all(call.args[0] is mat for call in pursue.call_args_list)
+    assert mat.dft_rows is not None and mat.cached_gram is None
+
+
 def test_pursuit_on_a_fresh_matrix_builds_no_gram():
-    # one run recomputes A^H r from A in O(m n) per step; an n x n Gram built
-    # for it alone would cost O(m n^2) time and n^2 memory
+    # one run takes A^H r from one FFT per step on a partial DFT, or from A in
+    # O(m n); an n x n Gram built for it alone would cost O(m n^2) time and n^2 memory
     mat = matrices.from_spec("partial-dft", m=16, n=256, seed=2)
     x = recovery.SparseSignal(mat.n, (3, 70, 200), np.array([1.0, -0.5j, 0.25]))
     with mock.patch.object(numerics, "gram", wraps=numerics.gram) as gram:
@@ -450,6 +466,124 @@ def test_batch_memory_is_bounded_by_the_batch_size():
     report, peak = traced_peak(experiments.run_experiment, cfg)
     assert [row.exact_recovery_rate for row in report.rows] == [1.0, 1.0, 1.0]
     assert peak <= 12 * experiments.BATCH_BYTES
+
+
+# ------------------------------------------------- FFT route on partial DFTs
+
+
+def fft_route_matches_gram_route(mat, ys, *args):
+    """pursue_batch on a partial DFT (the FFT route) and on a custom copy of its data with the Gram built.
+
+    The correlations only choose the picks, so equal picks make every
+    result(t) bit-equal; entries past iterations[t] are unread and may differ.
+    """
+    assert mat.dft_rows is not None
+    copy = with_gram(mat, True)
+    assert copy.dft_rows is None
+    with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft_calls:
+        fft = recovery.pursue_batch(mat, ys, *args)
+        gram = recovery.pursue_batch(copy, ys, *args)
+    assert fft_calls.call_count == 1 + fft.iterations.max()  # one FFT per step, none on the Gram route
+    assert np.array_equal(fft.first_picks, gram.first_picks)
+    for got, expected in zip(outcomes(fft), outcomes(gram), strict=True):
+        assert_same_outcome(got, expected)
+
+
+def dft_measurements(mat, rng, trials):
+    """A (trials, m) stack: sparse signals of every size up to m, random or unit amplitudes, some noisy, some zero."""
+    ys = np.zeros((trials, mat.m), dtype=np.complex128)
+    for y in ys:
+        kind = rng.integers(5)
+        if kind == 0:
+            continue
+        k = int(rng.integers(1, mat.m + 1))
+        x = np.zeros(mat.n, dtype=np.complex128)
+        x[rng.choice(mat.n, size=k, replace=False)] = 1.0 if kind == 1 else rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        y[:] = mat.data @ x
+        if kind == 4:
+            y += 1e-2 * (rng.standard_normal(mat.m) + 1j * rng.standard_normal(mat.m))
+    return ys
+
+
+@st.composite
+def partial_dfts(draw):
+    """A partial DFT with n <= 400: m rows drawn by seed, or an explicit row set."""
+    n = draw(st.integers(1, 400))
+    m = draw(st.integers(1, min(n, 40)))
+    if draw(st.booleans()):
+        return matrices.from_spec("partial-dft", n=n, m=m, seed=draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m, unique=True))
+    return matrices.build_partial_dft(n, sorted(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(partial_dfts(), st.integers(0, 2**32 - 1), st.sampled_from([recovery.DEFAULT_RELATIVE_EPSILON, 1e-6, 1e-300]))
+def test_fft_route_matches_the_gram_route_on_partial_dfts(mat, seed, epsilon):
+    rng = np.random.default_rng(seed)
+    fft_route_matches_gram_route(mat, dft_measurements(mat, rng, 8), epsilon)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "subsampling", "n": 16, "p": 2},
+        {"family": "subsampling", "n": 32, "p": 4},
+        {"family": "subsampling", "n": 48, "p": 3},
+        {"family": "etf", "m": 3, "n": 7},
+        {"family": "etf", "m": 4, "n": 7},
+        {"family": "etf", "m": 5, "n": 11},
+    ],
+    ids=lambda spec: "-".join(map(str, spec.values())),
+)
+def test_fft_route_matches_the_gram_route_on_shipped_frames(spec, rng):
+    # subsampling frames repeat every column n / p times, so their correlations tie exactly
+    mat = matrices.from_spec(**spec)
+    for max_iter in (None, 1, mat.m):
+        fft_route_matches_gram_route(mat, dft_measurements(mat, rng, 60), recovery.DEFAULT_RELATIVE_EPSILON, max_iter)
+
+
+def test_fft_route_matches_the_gram_route_on_fig3(fig3_dft, rng):
+    fft_route_matches_gram_route(fig3_dft, dft_measurements(fig3_dft, rng, 200))
+    spec = {"family": "partial-dft", "n": 16, "rows": list(fig3_dft.meta["rows"])}
+    for model in experiments.AMPLITUDE_MODELS:  # run_experiment's draws at k 1-8
+        cfg = experiments.ExperimentConfig(matrix=spec, k_range=(1, 8), trials=100, amplitude_model=model)
+        for k in range(1, 9):
+            supports, values = experiments.draw_trials(cfg, fig3_dft.n, k, range(cfg.trials))
+            fft_route_matches_gram_route(fig3_dft, experiments.measure_trials(fig3_dft, supports, values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(partial_dfts(), st.integers(0, 2**32 - 1))
+def test_fft_correlations_lie_within_the_allowance_of_the_dot_products(mat, seed):
+    # _correlate's dot products lie within about m u ||r|| of the exact A^H r
+    # (coherence.gamma), and an FFT's within about log2(n) u ||F x||, with
+    # ||F x|| = sqrt(n / m) ||r|| here (Higham 2002, Thm 24.2). The allowance
+    # is twice their sum; the largest gap measured on 400 random partial DFTs
+    # was 0.54 of that sum
+    rng = np.random.default_rng(seed)
+    residuals = rng.standard_normal((4, mat.m)) + 1j * rng.standard_normal((4, mat.m))
+    spread = np.zeros((4, mat.n), dtype=np.complex128)
+    fft = recovery._dft_correlate(spread, np.array(mat.dft_rows), residuals)
+    dot = recovery._correlate(mat, residuals)
+    allowance = 2.0 * (mat.m + math.log2(2 * mat.n) * math.sqrt(mat.n / mat.m)) * numerics.UNIT_ROUNDOFF
+    assert np.all(np.abs(fft - dot) <= allowance * np.linalg.norm(residuals, axis=1)[:, None])
+
+
+def test_an_edited_partial_dft_file_takes_the_dot_product_route(tmp_path, rng):
+    # rows in meta that no longer match the data: no FFT, and the run of a custom copy without a Gram
+    mat = matrices.from_spec("partial-dft", n=64, m=16, seed=3)
+    meta = {"rows": [r + 1 for r in mat.meta["rows"]]}
+    matrices.save_matrix(matrices.MeasurementMatrix(mat.data, "partial-dft", meta), tmp_path / "edited.json")
+    edited = matrices.load_matrix(tmp_path / "edited.json")
+    assert edited.dft_rows is None
+    ys = dft_measurements(mat, rng, 40)
+    with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
+        got = recovery.pursue_batch(edited, ys)
+    assert fft.call_count == 0
+    expected = recovery.pursue_batch(with_gram(mat, False), ys)
+    assert np.array_equal(got.first_picks, expected.first_picks)
+    for g, e in zip(outcomes(got), outcomes(expected), strict=True):
+        assert_same_outcome(g, e)
 
 
 # ----------------------------------------------------------------- tie rule
