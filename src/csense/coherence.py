@@ -434,10 +434,12 @@ def translation_gap(a: matrices.MeasurementMatrix, o: int, q: int) -> float:
     The entries come from numerics.gram_strips, so none is built n x n,
     and each lies within gamma ||a_x|| ||a_y|| of the exact one (gamma).
     """
-    eta, ref = 0.0, None
-    for strip in numerics.gram_strips(a.data):
-        i = a.n - strip.shape[1]  # rows i.. of the Gram, from column i on
-        if ref is None:  # the first strip holds rows 0 to o, from column 0
+    ref = None
+
+    def gap(strip):
+        nonlocal ref
+        i, eta = a.n - strip.shape[1], 0.0  # rows i.. of the Gram, from column i on
+        if ref is None:  # the first strip, reduced before any other, holds rows 0 to o from column 0
             ref = strip[o, o:].copy()
             if o:
                 eta = float(np.abs(strip[0, 1:] - strip[0, 1]).max())
@@ -445,8 +447,9 @@ def translation_gap(a: matrices.MeasurementMatrix, o: int, q: int) -> float:
         d = np.arange(i, a.n) - x
         upper = (d >= 0) & (x >= o)
         g, d = strip[upper], d[upper]
-        eta = max(eta, float(np.abs(g - ref[d]).max(initial=0.0)), float(np.abs(g - ref[-d % q].conj()).max(initial=0.0)))
-    return eta
+        return max(eta, float(np.abs(g - ref[d]).max(initial=0.0)), float(np.abs(g - ref[-d % q].conj()).max(initial=0.0)))
+
+    return max(numerics.gram_strips(a.data, gap, first_alone=True))
 
 
 def _translate(subsets: np.ndarray, shift, o: int, q: int) -> np.ndarray:

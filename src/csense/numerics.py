@@ -6,8 +6,14 @@ input coercions are the ones every module uses. ZERO_TOL is the zero test on
 column norms and signal entries and, times ||y||, on fitted values;
 coherence_index and the pursuit's pivot test scale theirs with the problem
 (n * eps and m * eps).
-The Gram is walked in upper-triangular row strips of GRAM_BLOCK rows, one BLAS
-product each, conjugating only that strip's columns (gram_strips). gram fills
+The Gram is walked in upper-triangular row strips of STRIP_ROWS = 64 rows, one
+BLAS product each, conjugating only that strip's columns (gram_strips). The
+strips are shared among min(usable CPUs, GRAM_BLOCK // STRIP_ROWS) workers:
+the calling thread and, when there are two strips or more, short-lived
+threads (_walk). Each worker's strip buffer is allocated by the calling
+thread, so a walk holds at most GRAM_BLOCK strip rows. A strip's entries do
+not depend on its height or on which thread computes it, so no result depends
+on the number of workers. gram fills
 the n x n Gram for MeasurementMatrix.gram, which only its whole readers build:
 rip_constant, once it visits a subset, and run_experiment, except on a partial
 DFT (MeasurementMatrix.dft_rows), whose pursuit takes A^H r from one FFT per
@@ -24,13 +30,16 @@ against.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
 from .errors import NotHermitianError, RankDeficientError
 
 HERMITIAN_TOL = 1e-10
-# Rows of one Gram strip: gram_extremes holds a strip of GRAM_BLOCK x n complex numbers and its magnitudes at once.
+# Rows of one Gram strip. Fixed, so no entry depends on how many workers walk the strips.
+STRIP_ROWS = 64
+# Strip rows held at once across a walk's workers: gram_extremes holds GRAM_BLOCK x n complex numbers and their magnitudes.
 GRAM_BLOCK = 256
 # Magnitudes at or below this count as numerically zero: fitted values, signal entries, column norms.
 ZERO_TOL = 1e-14
@@ -84,33 +93,92 @@ def rank_tolerance(shape, sigma_max):
 def _strip_rows(n: int):
     """(i, j) row ranges of the Gram strips. A last strip of one row joins the one
     before it: BLAS computes a product with a side of 1 on another path (gemv)."""
-    starts = list(range(0, n - 1, GRAM_BLOCK)) or [0]
-    return zip(starts, starts[1:] + [n])
+    starts = list(range(0, n - 1, STRIP_ROWS)) or [0]
+    return list(zip(starts, starts[1:] + [n]))
 
 
-def gram_strips(a, out=None):
-    """The upper-triangular row strips of A^H A in order, rows i..j from column i on; with out, written to out[i:j, i:].
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one, else every CPU."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _walk(strips: int, work, buffer=lambda: None, first_alone: bool = False) -> list:
+    """[work(buffer, k) for k in range(strips)], the strips shared among min(usable CPUs, GRAM_BLOCK // STRIP_ROWS, strips) workers.
+
+    The calling thread allocates each worker's buffer() and is the first
+    worker; one short-lived thread runs each other one, so a walk of one strip
+    starts none. Workers take strips in turn. With first_alone, strip 0 is
+    done before any other starts. The first exception raised in any worker is
+    raised here unchanged, once every thread has been joined.
+    """
+    buffers = [buffer() for _ in range(min(_usable_cpus(), GRAM_BLOCK // STRIP_ROWS, strips))]
+    results = [None] * strips
+    deal = iter(range(strips))
+    failures = []
+
+    def share(buffer):
+        try:
+            for k in deal:
+                if failures:
+                    return
+                results[k] = work(buffer, k)
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            failures.append(exc)
+
+    if first_alone:
+        results[0] = work(buffers[0], next(deal))
+    threads = []
+    if len(buffers) > 1:
+        import threading  # here, not at the top: importing csense loads no module that numpy does not
+
+        threads = [threading.Thread(target=share, args=(buffer,)) for buffer in buffers[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        share(buffers[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+    return results
+
+
+def gram_strips(a, reduce, out=None, first_alone: bool = False) -> list:
+    """[reduce(strip) for each upper-triangular row strip of A^H A], in order: rows i..j from column i on.
 
     Strip i is the one product A_I^H A_{>=I}. Read only its strict upper triangle and its
     diagonal's real part: left of the diagonal, entries are rounded apart from their conjugates
-    above it. For n <= GRAM_BLOCK + 1 that is one strip, A^H A.
+    above it. For n <= STRIP_ROWS + 1 that is one strip, A^H A. The strips are shared among
+    workers (_walk), and reduce runs on the worker that computed the strip. Each strip is
+    written to out[i:j, i:] when out is given, else to its worker's buffer, which is valid
+    only until reduce returns.
     """
     arr = as_matrix(a)
-    return (
-        np.matmul(arr[:, i:j].conj().T, arr[:, i:], out=None if out is None else out[i:j, i:])
-        for i, j in _strip_rows(arr.shape[1])
-    )
+    n = arr.shape[1]
+    rows = _strip_rows(n)
+    size = max((j - i) * (n - i) for i, j in rows)
+
+    def strip(buffer, k):
+        i, j = rows[k]
+        dest = out[i:j, i:] if out is not None else buffer[: (j - i) * (n - i)].reshape(j - i, n - i)
+        return reduce(np.matmul(arr[:, i:j].conj().T, arr[:, i:], out=dest))
+
+    return _walk(len(rows), strip, lambda: None if out is not None else np.empty(size, dtype=np.complex128), first_alone)
 
 
 def gram(a) -> np.ndarray:
-    """Gram matrix A^H A, exactly Hermitian: gram_strips' upper triangle, mirrored in place a row at a time, on a real diagonal."""
+    """Gram matrix A^H A, exactly Hermitian: gram_strips' upper triangle, each strip mirrored in place a row at a time, on a real diagonal."""
     arr = as_matrix(a)
     n = arr.shape[1]
     g = np.empty((n, n), dtype=np.complex128)
-    for _ in gram_strips(arr, out=g):
-        pass
-    for k in range(n - 1):
-        np.conjugate(g[k, k + 1 :], out=g[k + 1 :, k])
+
+    def mirror(strip):
+        # rows i..j write only columns i..j below the diagonal, where no other strip writes
+        for k in range(n - strip.shape[1], n - strip.shape[1] + len(strip)):
+            np.conjugate(g[k, k + 1 :], out=g[k + 1 :, k])
+
+    gram_strips(arr, mirror, out=g)
     np.fill_diagonal(g.imag, 0.0)
     return g
 
@@ -150,11 +218,16 @@ def gram_extremes(a, cached=None) -> tuple[float, float, float]:
     from gram, when given, else fresh gram_strips. No n x n array is made.
     """
     if cached is None:
-        strips = gram_strips(a)
-    else:
-        strips = (cached[i:j, i:] for i, j in _strip_rows(cached.shape[0]))
-    # map drops each strip once reduced, so at most one is alive at a time
-    maxes, mins, diagonals = zip(*map(_strip_extremes, strips))
+        extremes = gram_strips(a, _strip_extremes)
+    else:  # the cached Gram's strips, shared among workers as gram_strips shares fresh ones
+        rows = _strip_rows(cached.shape[0])
+
+        def cached_strip(_, k):
+            i, j = rows[k]
+            return _strip_extremes(cached[i:j, i:])
+
+        extremes = _walk(len(rows), cached_strip)
+    maxes, mins, diagonals = zip(*extremes)
     return max(maxes), (0.0 if min(mins) == math.inf else min(mins)), min(diagonals)
 
 

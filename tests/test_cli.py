@@ -784,9 +784,9 @@ print(json.dumps(sorted(loaded - set(sys.stdlib_module_names) - {"csense", "nump
 def test_numpy_is_the_only_runtime_dependency():
     """Importing csense and every module in it loads nothing outside the standard library and numpy.
 
-    Every import in csense sits at module level, none inside a function, so
-    importing every module makes every import the package can make at run
-    time. The audit runs in a fresh interpreter, since this one already holds
+    Every import in csense sits at module level, none inside a function, but
+    numerics' threading, a standard-library module; so importing every module
+    makes every other import the package can make at run time. The audit runs in a fresh interpreter, since this one already holds
     pytest and hypothesis, and it counts only what loads after the snapshot
     taken before `import csense`, since a venv's .pth hooks may load other
     packages at start-up. It audits the csense this process imports, from a
@@ -794,6 +794,39 @@ def test_numpy_is_the_only_runtime_dependency():
     """
     package_dir = str(Path(csense.__file__).parent.parent)
     proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY, package_dir], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+# Run as `python -S -c NAMED_ONLY DIR NUMPY_DIR`, DIR as for NUMPY_ONLY and NUMPY_DIR the directory
+# that holds numpy: prints the modules outside csense that importing csense and each of its modules
+# loads once numpy and the standard-library modules that csense's sources import at the top are
+# loaded. -S keeps site's start-up hooks from loading modules first.
+NAMED_ONLY = """
+import importlib, json, pkgutil, sys
+sys.path[:0] = sys.argv[1:]
+import numpy
+for name in ("__future__", "argparse", "binascii", "collections.abc", "contextlib", "dataclasses", "functools",
+             "inspect", "itertools", "json", "math", "os", "sys", "types", "typing"):
+    importlib.import_module(name)
+before = set(sys.modules)
+import csense
+for module in pkgutil.iter_modules(csense.__path__):
+    importlib.import_module("csense." + module.name)
+print(json.dumps(sorted(name for name in set(sys.modules) - before if name.partition(".")[0] != "csense")))
+"""
+
+
+def test_importing_csense_loads_no_module_beyond_those_it_names():
+    """Beyond numpy and the standard-library modules named above, csense's import loads nothing.
+
+    Numpy does not load threading, so the strip walk imports it only when it
+    starts threads, and a command's start-up does not pay for it; a module-level
+    threading or concurrent.futures import, or any other new one, shows here.
+    """
+    package_dir = str(Path(csense.__file__).parent.parent)
+    numpy_dir = str(Path(np.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-S", "-c", NAMED_ONLY, package_dir, numpy_dir], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
 

@@ -1,6 +1,11 @@
 import itertools
 import math
+import os
+import sys
+import threading
+import time
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -102,13 +107,16 @@ def test_gram_peak_memory_is_one_and_a_half_gram_sized_buffers(rng):
 
 # ---------------------------------------------------------- Gram strips
 
-B = numerics.GRAM_BLOCK
+B = numerics.GRAM_BLOCK  # strip rows held at once across a walk's workers
+H = numerics.STRIP_ROWS  # rows of one strip
+CAP = B // H  # the most workers a walk has
 
 
 def one_product_gram(a):
     """The upper triangle of the one product A^H A, the lower its conjugate, the diagonal its real part.
 
-    gram_strips' single strip, as gram mirrors it, for n <= GRAM_BLOCK + 1.
+    gram_strips' single strip, as gram mirrors it, for n <= STRIP_ROWS + 1. A strip's entries do
+    not depend on its height, so gram gives these bits up to n = GRAM_BLOCK + 1 too.
     """
     p = a.conj().T @ a
     k, l = np.indices(p.shape)
@@ -125,8 +133,8 @@ def averaged_gram(a):
 
 @st.composite
 def straddling_frames(draw):
-    """Gaussian or partial-DFT frames whose n lies on both sides of the strip height."""
-    n = draw(st.sampled_from((1, 2, B - 1, B, B + 1, 2 * B + 3)))
+    """Gaussian or partial-DFT frames whose n lies on both sides of the strip height, and of GRAM_BLOCK."""
+    n = draw(st.sampled_from((1, 2, H - 1, H, H + 1, H + 2, 4 * H + 1, B - 1, B, B + 1, 2 * B + 3)))
     m = draw(st.integers(1, min(n, 12)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -210,6 +218,172 @@ def test_coherence_on_a_tall_frame_holds_no_conjugate_of_the_whole_matrix(rng, n
     mat = MeasurementMatrix(normalize_columns(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))), "custom")
     _, peak = traced_peak(coherence.coherence_index, mat)
     assert peak <= 2.25 * (16 * B * n)
+
+
+def workers(count):
+    """Force every walk to min(count, CAP, strips) workers, as on a machine with count usable CPUs."""
+    return mock.patch.object(numerics, "_usable_cpus", return_value=count)
+
+
+def test_strip_extremes_at_the_worker_cap_hold_no_strip_sized_mask_or_copy(rng):
+    # the same bound with the most workers a walk has: CAP buffers of H rows are B rows, and their magnitudes half that
+    m, n = 16, 2048
+    mat = MeasurementMatrix(normalize_columns(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))), "custom")
+    with workers(CAP):
+        coherence.coherence_index(mat)
+        _, peak = traced_peak(coherence.coherence_index, mat)
+    assert peak <= 1.75 * (16 * B * n)
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_coherence_at_the_worker_cap_holds_no_conjugate_of_the_whole_matrix(rng, n):
+    # each of CAP workers conjugates only its own strip's H columns
+    m = B
+    mat = MeasurementMatrix(normalize_columns(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))), "custom")
+    with workers(CAP):
+        _, peak = traced_peak(coherence.coherence_index, mat)
+    assert peak <= 2.25 * (16 * B * n)
+
+
+def test_usable_cpus_come_from_the_affinity_mask():
+    # taskset -c 0 makes this 1, and every walk then runs on the calling thread alone
+    expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert numerics._usable_cpus() == expected
+
+
+def reference_strips(a, reduce, out=None, first_alone=False):
+    """The walk with GRAM_BLOCK-row strips, one at a time on the calling thread, a one-row last strip joined to the one before."""
+    arr = numerics.as_matrix(a)
+    n = arr.shape[1]
+    starts = list(range(0, n - 1, B)) or [0]
+    return [
+        reduce(np.matmul(arr[:, i:j].conj().T, arr[:, i:], out=None if out is None else out[i:j, i:]))
+        for i, j in zip(starts, starts[1:] + [n])
+    ]
+
+
+@st.composite
+def walked_frames(draw):
+    """Real and complex Gaussian, partial-DFT and Paley ETF frames whose n lies about the strip height (h + 2 leaves a
+    one-row remainder), at the worker cap (4h + 1: four strips, a one-row remainder joined to the last) and past two
+    GRAM_BLOCKs."""
+    family = draw(st.sampled_from(("real", "complex", "partial-dft", "paley")))
+    if family == "paley":  # n = 2 (mod 4) with n - 1 prime, on both sides of H and of 4H
+        n = draw(st.sampled_from((14, 30, 62, 74, 258)))
+        return matrices.build_etf(n // 2, n)
+    n = draw(st.sampled_from((H - 1, H, H + 1, H + 2, 4 * H + 1, 2 * B + 3)))
+    m = draw(st.integers(1, min(n, 160)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "partial-dft":
+        return matrices.build_partial_dft(n, np.sort(rng.choice(n, m, replace=False)).tolist())
+    data = rng.standard_normal((m, n)) + (1j * rng.standard_normal((m, n)) if family == "complex" else 0)
+    return MeasurementMatrix(normalize_columns(data), "custom")
+
+
+def walk_outputs(mat):
+    """What a walk gives: the Gram's bytes, the extremes (fresh and from a cached Gram), the coherence report and
+    the translation gap of the frame's group, or of every shift of its columns."""
+    g = numerics.gram(mat.data)
+    return (
+        g.tobytes(),
+        [x.hex() for x in numerics.gram_extremes(mat.data)],
+        [x.hex() for x in numerics.gram_extremes(mat.data, g)],
+        report_bits(coherence.coherence_index(mat)),
+        coherence.translation_gap(mat, *(coherence.translation_group(mat) or (0, mat.n))).hex(),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(walked_frames())
+def test_the_walk_gives_the_same_bits_on_any_number_of_workers(mat):
+    with workers(1):
+        alone = walk_outputs(mat)
+    with workers(CAP):
+        assert walk_outputs(mat) == alone
+    with mock.patch.object(numerics, "gram_strips", reference_strips):
+        assert walk_outputs(mat) == alone
+
+
+class RecordedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        RecordedThread.started += 1
+        super().start()
+
+
+@pytest.fixture()
+def recorded_threads():
+    RecordedThread.started = 0
+    with mock.patch.object(threading, "Thread", RecordedThread):
+        yield RecordedThread
+
+
+def test_a_walk_of_one_strip_starts_no_thread(recorded_threads, etf30, fig3_dft):
+    # n <= H + 1 is one strip: every frame of the montecarlo and scan workloads, n <= 65 there
+    one_strip = matrices.build_partial_dft(H + 1, list(range(0, H + 1, 2)))
+    with workers(CAP):
+        for mat in (etf30, fig3_dft, one_strip):
+            coherence.coherence_index(mat)
+            numerics.gram(mat.data)
+            coherence.translation_gap(mat, *coherence.translation_group(mat))
+        coherence.uniqueness_rank_scan(etf30, 2)
+    assert recorded_threads.started == 0
+
+
+def test_a_walk_starts_one_thread_per_worker_past_the_first(recorded_threads):
+    two_strips = matrices.build_partial_dft(H + 2, [0, 1, 5])
+    with workers(CAP):
+        coherence.coherence_index(two_strips)
+    assert recorded_threads.started == 1
+    with workers(CAP):
+        coherence.coherence_index(matrices.build_partial_dft(4 * H + 1, [0, 1, 5]))
+    assert recorded_threads.started == 1 + CAP - 1
+    with workers(1):
+        coherence.coherence_index(matrices.build_partial_dft(4 * H + 1, [0, 1, 5]))
+    assert recorded_threads.started == CAP
+
+
+def test_every_strip_is_walked_once_under_fast_thread_switching(rng):
+    # more workers than this machine may have cores, switching threads every microsecond: a strip dealt
+    # twice or lost would show as a wrong or missing entry
+    n = 40 * H + 1
+    a = rng.standard_normal((2, n)) + 0j
+    expected = [(i, j - i) for i, j in numerics._strip_rows(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with workers(CAP):
+            for _ in range(20):
+                assert numerics.gram_strips(a, lambda strip: (n - strip.shape[1], len(strip))) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("raiser", ["worker", "caller"])
+def test_a_failed_strip_reaches_the_caller_after_every_worker_is_joined(rng, raiser):
+    mat = MeasurementMatrix(normalize_columns(rng.standard_normal((8, 9 * H)) + 0j), "custom")
+    boom = RuntimeError("one strip failed")
+    matmul, raised = np.matmul, []
+
+    def failing(*args, **kwargs):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if on_worker == (raiser == "worker") and not raised:
+            raised.append(boom)
+            raise boom
+        time.sleep(0.01)  # the other workers keep taking strips meanwhile
+        return matmul(*args, **kwargs)
+
+    before = threading.active_count()
+    with workers(CAP), mock.patch.object(np, "matmul", side_effect=failing):
+        try:
+            coherence.coherence_index(mat)
+        except RuntimeError as exc:
+            assert exc is boom
+            assert threading.active_count() == before
+        else:
+            pytest.fail("the failed strip did not reach the caller")
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------- solve_least_squares
