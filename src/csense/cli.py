@@ -67,7 +67,7 @@ def _cmd_gen_matrix(args) -> int:
 def _cmd_coherence(args) -> int:
     budget = matrices.check_int(args.max_subsets, "the subset budget", 0)
     mat = matrices.load_matrix(args.matrix)
-    # the scans run first: the isometry scan builds the whole Gram once it scans a subset, and the coherence reads it
+    # the scans run first, so a k they reject fails before the coherence walks the Gram strips
     uniqueness = None if args.uniqueness_k is None else coherence.uniqueness_rank_scan(mat, args.uniqueness_k, budget)
     rip = None if args.rip_k is None else coherence.rip_constant(mat, args.rip_k, budget)
     payload = {"coherence": serialization.to_dict(coherence.coherence_index(mat))}

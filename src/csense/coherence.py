@@ -189,10 +189,10 @@ def coherence_index(a: matrices.MeasurementMatrix) -> CoherenceReport:
 
     Off-diagonal mass below the numerical noise floor n*eps counts as zero,
     so orthonormal columns report mu = 0 (unbounded sparsity) instead of
-    rounding dust. One pass over the Gram in strips: the cached Gram's if
-    the matrix holds one, else fresh ones, and no Gram is cached.
+    rounding dust. One pass over the Gram in strips, and no n x n Gram is
+    built.
     """
-    off_max, off_min, norm_sq_min = numerics.gram_extremes(a.data, a.cached_gram)
+    off_max, off_min, norm_sq_min = numerics.gram_extremes(a.data)
     if off_max <= a.n * np.finfo(np.float64).eps:
         mu = mu_hi = 0.0
     else:
@@ -421,35 +421,32 @@ def translation_group(a: matrices.MeasurementMatrix) -> tuple[int, int] | None:
 
 
 def translation_gap(a: matrices.MeasurementMatrix, o: int, q: int) -> float:
-    """eta: the largest gap between a computed Gram entry of a and the reference entry of its translates.
+    """eta: the largest gap between a computed Gram entry of a and a reference shared by its translates.
 
-    The reference r(x, y) of an ordered pair is the computed entry G[o, o + d],
-    d = (y - x) mod q, when both columns move; G[0, 1] (its conjugate when
-    x > y) when one is fixed; and the exact G[x, y] when both are. No
-    translation changes r. Each upper entry is held to its reference and its
-    conjugate to the transpose's, so |G[x, y] - r(x, y)| <= eta on every
-    ordered pair of the computed Gram, its lower triangle the upper's
-    conjugate (numerics.gram).
+    The reference r(x, y) of an ordered pair is entry d = (y - x) mod q of
+    the row a_o^H A_{>=o}, computed up front by one product, when both
+    columns move; the computed G[0, 1] (its conjugate when x > y) when one
+    is fixed; and the exact G[x, y] when both are. No translation changes r,
+    and that is all the bound needs: r need not be a Gram entry. Each upper
+    entry is held to its reference and its conjugate to the transpose's, so
+    |G[x, y] - r(x, y)| <= eta on every ordered pair of the computed Gram,
+    its lower triangle the upper's conjugate (numerics.gram).
 
     The entries come from numerics.gram_strips, so none is built n x n,
     and each lies within gamma ||a_x|| ||a_y|| of the exact one (gamma).
     """
-    ref = None
+    ref = a.data[:, o].conj() @ a.data[:, o:]
 
     def gap(strip):
-        nonlocal ref
-        i, eta = a.n - strip.shape[1], 0.0  # rows i.. of the Gram, from column i on
-        if ref is None:  # the first strip, reduced before any other, holds rows 0 to o from column 0
-            ref = strip[o, o:].copy()
-            if o:
-                eta = float(np.abs(strip[0, 1:] - strip[0, 1]).max())
+        i = a.n - strip.shape[1]  # rows i.. of the Gram, from column i on
+        eta = float(np.abs(strip[0, 1:] - strip[0, 1]).max()) if o and not i else 0.0
         x = np.arange(i, i + len(strip))[:, None]
         d = np.arange(i, a.n) - x
         upper = (d >= 0) & (x >= o)
         g, d = strip[upper], d[upper]
         return max(eta, float(np.abs(g - ref[d]).max(initial=0.0)), float(np.abs(g - ref[-d % q].conj()).max(initial=0.0)))
 
-    return max(numerics.gram_strips(a.data, gap, first_alone=True))
+    return max(numerics.gram_strips(a.data, gap))
 
 
 def _translate(subsets: np.ndarray, shift, o: int, q: int) -> np.ndarray:
@@ -471,7 +468,8 @@ def _orbit_chunks(a: matrices.MeasurementMatrix, s: int, o: int, q: int, eta: fl
     rho^2)(1 + u) of its representative's in 2-norm, rho^2 = frobenius_sq(1):
     - a computed Gram entry lies within gamma rho^2 of the exact one
       (gamma), so by translation_gap every exact entry lies within eta +
-      gamma rho^2 of a reference that no translation changes, and a member's
+      gamma rho^2 of a reference that no translation changes (any such
+      reference will do; it need not be a Gram entry), and a member's
       block, in the order its translation gives it, lies entrywise within
       2 (eta + gamma rho^2) of the representative's;
     - an s x s matrix of such entries has 2-norm at most s times that;
@@ -520,8 +518,10 @@ def rip_constant(
     """
     k = matrices.check_int(k, "sparsity k", 1, a.m)
     scan = SubsetScan(a.n, (k,), max_subsets)
-    delta = 0.0
+    delta, g = 0.0, None
     for idx in scan.chunks(k * a.data.itemsize):
-        w = np.linalg.eigvalsh(a.gram[idx[:, :, None], idx[:, None, :]])
+        if g is None:  # built once the first subset is visited, so a zero budget builds none
+            g = numerics.gram(a.data)
+        w = np.linalg.eigvalsh(g[idx[:, :, None], idx[:, None, :]])
         delta = max(delta, float(w[:, -1].max()) - 1.0, 1.0 - float(w[:, 0].min()))
     return RipReport(k, delta, scan.scanned, scan.total, scan.complete)

@@ -29,10 +29,10 @@ AMPLITUDE_RANDOM = "random_magnitude_phase"
 AMPLITUDE_MODELS = (AMPLITUDE_UNIT_EQUAL, AMPLITUDE_RANDOM)
 
 VALUE_MATCH_RTOL = 1e-6
-# Bytes of state one pursuit step may add to a batch of trials, 2m + n complex
-# values per trial (recovery.pursue_batch): a basis vector, a column of R and,
-# with a Gram, a row A^H q; on a partial DFT the n term is instead the FFT
-# buffer, held once per batch. It caps the trials of one batch.
+# Bytes per trial of a batch, 2m + n complex values (recovery.pursue_batch):
+# the m terms are the basis vector and the column of R one pursuit step adds,
+# and the n term covers the trial's row of the (T, n) correlations A^H r and,
+# on a partial DFT, its row of the FFT buffer. It caps the trials of one batch.
 # Each batch pays a fixed cost (a seeded draw, about 40 numpy calls per pursuit
 # step, one refit stack), so a larger budget runs faster and peaks higher;
 # README's Monte Carlo paragraph gives the measured trade.
@@ -212,9 +212,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     lo, hi = cfg.k_range
     if hi > mat.m:
         raise ValueError(f"k_range high {hi} exceeds measurement count {mat.m}")
-    if mat.dft_rows is None:
-        mat.gram  # built once here: the pursuit reads Gram rows, and the coherence reuses it
-    # a partial DFT's pursuit takes one FFT per step and reads no Gram, so its coherence walks fresh strips
     base = coherence.coherence_index(mat)
     rows = []
     for k in range(lo, hi + 1):

@@ -89,8 +89,9 @@ class MeasurementMatrix:
 
     The record is frozen, data is read-only and shares no memory a caller
     can write (a private copy, or a view of immutable bytes as load_matrix
-    decodes them) and meta is a deep, read-only copy, so the Gram matrix,
-    built when a caller first reads gram and then kept, can never go stale.
+    decodes them) and meta is a deep, read-only copy, so dft_rows, decided
+    when a caller first reads it and then kept, can never go stale. It holds
+    no Gram: whoever needs one builds it (numerics).
     """
 
     data: np.ndarray
@@ -112,18 +113,6 @@ class MeasurementMatrix:
         object.__setattr__(self, "meta", freeze(self.meta))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """A^H A from numerics.gram, computed once and read-only."""
-        g = numerics.gram(self.data)
-        g.flags.writeable = False
-        return g
-
-    @property
-    def cached_gram(self) -> np.ndarray | None:
-        """The Gram if something already built it, else None; never builds it."""
-        return self.__dict__.get("gram")
 
     @cached_property
     def dft_rows(self) -> tuple[int, ...] | None:

@@ -13,13 +13,10 @@ the calling thread and, when there are two strips or more, short-lived
 threads (_walk). Each worker's strip buffer is allocated by the calling
 thread, so a walk holds at most GRAM_BLOCK strip rows. A strip's entries do
 not depend on its height or on which thread computes it, so no result depends
-on the number of workers. gram fills
-the n x n Gram for MeasurementMatrix.gram, which only its whole readers build:
-rip_constant, once it visits a subset, and run_experiment, except on a partial
-DFT (MeasurementMatrix.dft_rows), whose pursuit takes A^H r from one FFT per
-step. The pursuit reads only a Gram already built (cached_gram), and none on
-a partial DFT. gram_extremes reduces the strips to
-the coherence's needs in O(GRAM_BLOCK n) memory: mu makes no n x n array.
+on the number of workers. gram fills the n x n Gram for its one whole reader,
+rip_constant, once it visits a subset; no matrix keeps one, and the pursuit
+reads A or its FFT instead. gram_extremes reduces the strips to the
+coherence's needs in O(GRAM_BLOCK n) memory: mu makes no n x n array.
 gram_blocks gives the scans the Gram of each subset's columns, one block per
 subset, from the columns they gather. The batched scans, the least-squares
 fits and the pursuit factor their own stacks, so solve_least_squares,
@@ -102,14 +99,13 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _walk(strips: int, work, buffer=lambda: None, first_alone: bool = False) -> list:
+def _walk(strips: int, work, buffer) -> list:
     """[work(buffer, k) for k in range(strips)], the strips shared among min(usable CPUs, GRAM_BLOCK // STRIP_ROWS, strips) workers.
 
     The calling thread allocates each worker's buffer() and is the first
     worker; one short-lived thread runs each other one, so a walk of one strip
-    starts none. Workers take strips in turn. With first_alone, strip 0 is
-    done before any other starts. The first exception raised in any worker is
-    raised here unchanged, once every thread has been joined.
+    starts none. Workers take strips in turn. The first exception raised in
+    any worker is raised here unchanged, once every thread has been joined.
     """
     buffers = [buffer() for _ in range(min(_usable_cpus(), GRAM_BLOCK // STRIP_ROWS, strips))]
     results = [None] * strips
@@ -125,8 +121,6 @@ def _walk(strips: int, work, buffer=lambda: None, first_alone: bool = False) -> 
         except BaseException as exc:  # handed to the calling thread, which raises it
             failures.append(exc)
 
-    if first_alone:
-        results[0] = work(buffers[0], next(deal))
     threads = []
     if len(buffers) > 1:
         import threading  # here, not at the top: importing csense loads no module that numpy does not
@@ -144,7 +138,7 @@ def _walk(strips: int, work, buffer=lambda: None, first_alone: bool = False) -> 
     return results
 
 
-def gram_strips(a, reduce, out=None, first_alone: bool = False) -> list:
+def gram_strips(a, reduce, out=None) -> list:
     """[reduce(strip) for each upper-triangular row strip of A^H A], in order: rows i..j from column i on.
 
     Strip i is the one product A_I^H A_{>=I}. Read only its strict upper triangle and its
@@ -164,7 +158,7 @@ def gram_strips(a, reduce, out=None, first_alone: bool = False) -> list:
         dest = out[i:j, i:] if out is not None else buffer[: (j - i) * (n - i)].reshape(j - i, n - i)
         return reduce(np.matmul(arr[:, i:j].conj().T, arr[:, i:], out=dest))
 
-    return _walk(len(rows), strip, lambda: None if out is not None else np.empty(size, dtype=np.complex128), first_alone)
+    return _walk(len(rows), strip, lambda: None if out is not None else np.empty(size, dtype=np.complex128))
 
 
 def gram(a) -> np.ndarray:
@@ -210,24 +204,14 @@ def _strip_extremes(strip: np.ndarray) -> tuple[float, float, float]:
     )
 
 
-def gram_extremes(a, cached=None) -> tuple[float, float, float]:
+def gram_extremes(a) -> tuple[float, float, float]:
     """(largest, smallest) off-diagonal Gram magnitude and smallest diagonal real part; (0, 0, d) for one column.
 
     Reduced over the upper triangle, which holds every off-diagonal magnitude of
-    the exactly Hermitian Gram, one strip at a time: the strips of cached, a Gram
-    from gram, when given, else fresh gram_strips. No n x n array is made.
+    the exactly Hermitian Gram, one gram_strips strip at a time. No n x n array
+    is made.
     """
-    if cached is None:
-        extremes = gram_strips(a, _strip_extremes)
-    else:  # the cached Gram's strips, shared among workers as gram_strips shares fresh ones
-        rows = _strip_rows(cached.shape[0])
-
-        def cached_strip(_, k):
-            i, j = rows[k]
-            return _strip_extremes(cached[i:j, i:])
-
-        extremes = _walk(len(rows), cached_strip)
-    maxes, mins, diagonals = zip(*extremes)
+    maxes, mins, diagonals = zip(*gram_strips(a, _strip_extremes))
     return max(maxes), (0.0 if min(mins) == math.inf else min(mins)), min(diagonals)
 
 

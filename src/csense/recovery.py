@@ -340,26 +340,22 @@ def pursue_batch(
     The correlations A^H r only choose the picks: the refit, the residuals,
     the rank tests and the values all come from the stored columns, so two
     sources that give the same picks give the same run bit for bit. They
-    come from one of three sources:
+    come from one of two sources:
     - a partial DFT (a.dft_rows): each residual, divided by sqrt(m), is
       scattered to its rows of a zeroed length-n vector, whose FFT is A^H r,
-      at O(T n log n) per iteration, with no Gram read. pocketfft's error,
-      of order u log2(n) sqrt(n / m) ||r|| (below 1e-13 ||r|| for n <= 4096),
-      lies far below TIE_TOL ||y||, and it runs no BLAS and no threads, so
-      the FFT adds no rounding that depends on the BLAS thread count to the
+      at O(T n log n) per iteration. pocketfft's error, of order
+      u log2(n) sqrt(n / m) ||r|| (below 1e-13 ||r|| for n <= 4096), lies
+      far below TIE_TOL ||y||, and it runs no BLAS and no threads, so the
+      FFT adds no rounding that depends on the BLAS thread count to the
       picks;
-    - a Gram the matrix already holds: the correlations are updated from
-      Gram rows, and an iteration costs O(T (m k + n k)) after the first;
-    - otherwise they are recomputed from A at O(T m n) per iteration:
-      building the Gram for a few runs would cost O(m n^2) time and n^2
-      memory.
+    - any other matrix: they are recomputed from A at O(T m n) per
+      iteration, and no Gram is built.
 
     Every product is taken row by row, so a trial computes the same numbers
     in any batch as alone. Each step taken adds a basis vector and a column
-    of R (m values each) and, with a Gram, a row A^H q (n values) per trial;
-    the room for steps doubles when it runs out. A trial that ends is
-    recorded at that step and keeps its row, unread, until the whole batch
-    ends.
+    of R (m values each) per trial; the room for steps doubles when it runs
+    out. A trial that ends is recorded at that step and keeps its row,
+    unread, until the whole batch ends.
     """
     stack = numerics.as_matrix(ys)
     if stack.shape[1] != a.m:
@@ -375,14 +371,13 @@ class _Live:
 
     The per-trial arrays hold one entry per trial. The step arrays hold one
     row per step, each with one entry per trial: q[i, t] is the i-th
-    orthonormal basis vector of trial t's selected span, b[i, t] = A^H q[i, t]
-    (kept only when the correlations come from a Gram), r[j, t] holds column
+    orthonormal basis vector of trial t's selected span, r[j, t] holds column
     j of trial t's R (A_S = Q R), z[i, t] = q[i, t]^H y and x[i, t] the i-th
     fitted value, written when the trial ends. Their room for steps doubles
     when it runs out.
     """
 
-    def __init__(self, a: matrices.MeasurementMatrix, ys, y_norms, thresholds, keep_b: bool):
+    def __init__(self, a: matrices.MeasurementMatrix, ys, y_norms, thresholds):
         t = len(ys)
         self.y_norm, self.threshold = y_norms, thresholds
         self.residual = ys.copy()
@@ -394,7 +389,6 @@ class _Live:
         self.errors: dict[int, RankDeficientError] = {}
         self.picks = np.empty((1, t), dtype=np.intp)
         self.q = np.empty((1, t, a.m), dtype=np.complex128)
-        self.b = np.empty((1, t, a.n), dtype=np.complex128) if keep_b else None
         self.r = np.empty((1, t, a.m), dtype=np.complex128)
         self.z = np.empty((1, t), dtype=np.complex128)
         self.x = np.empty((1, t), dtype=np.complex128)
@@ -402,19 +396,17 @@ class _Live:
 
     def resize(self, room: int, taken: int) -> None:
         """Give the step arrays room for room steps, keeping the taken ones."""
-        for name in ("picks", "q", "b", "r", "z", "x", "trace"):
+        for name in ("picks", "q", "r", "z", "x", "trace"):
             value = getattr(self, name)
-            if value is not None:
-                new = np.empty((room,) + value.shape[1:], dtype=value.dtype)
-                new[:taken] = value[:taken]
-                setattr(self, name, new)
+            new = np.empty((room,) + value.shape[1:], dtype=value.dtype)
+            new[:taken] = value[:taken]
+            setattr(self, name, new)
 
 
 def _pursue(a: matrices.MeasurementMatrix, ys, y_norms, thresholds, max_iter: int) -> BatchPursuit:
-    """Run every trial to its end, with the correlations from the source pursue_batch names."""
+    """Run every trial to its end, with the correlations from one FFT per step on a partial DFT, else from A."""
     rows = a.dft_rows
-    gram = a.cached_gram if rows is None else None
-    live = _Live(a, ys, y_norms, thresholds, keep_b=gram is not None)
+    live = _Live(a, ys, y_norms, thresholds)
     # Unit columns give sigma_max(A_S) >= 1 and sigma_min(A_S) <= r_jj, so a
     # pivot r_jj at or below this already fails the shared rank test.
     step_tol = numerics.rank_tolerance((a.m,), 1.0)
@@ -456,16 +448,10 @@ def _pursue(a: matrices.MeasurementMatrix, ys, y_norms, thresholds, max_iter: in
         np.divide(v, r_jj[:, None], out=live.q[j])
         live.z[j] = z_j = (live.q[j].conj() * live.residual).sum(axis=1)
         live.residual -= z_j[:, None] * live.q[j]
-        if rows is not None:
-            _dft_correlate(spread, rows, live.residual, out=correlations)
-        elif gram is None:
+        if rows is None:
             correlations = _correlate(a, live.residual)
         else:
-            b_j = gram[pick]
-            np.conjugate(b_j, out=b_j)  # column pick of the Hermitian Gram, A^H a_pick
-            b_j -= _rows_times(c, live.b[:j].swapaxes(0, 1))
-            np.divide(b_j, r_jj[:, None], out=live.b[j])
-            correlations -= z_j[:, None] * live.b[j]
+            _dft_correlate(spread, rows, live.residual, out=correlations)
         live.norm = np.linalg.norm(live.residual, axis=1)
         live.trace[j] = live.norm
 

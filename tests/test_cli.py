@@ -165,15 +165,15 @@ def test_coherence_rip_pairs(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [[], ["--rip-k", "2"], ["--uniqueness-k", "1"]], ids=["alone", "rip_k", "uniqueness_k"])
 def test_coherence_command_walks_the_gram_once(tmp_path, capsys, flags):
-    # with --rip-k the Gram is built first and the coherence reads it: one product, not a walk and then a Gram.
-    # With --uniqueness-k the complete scan takes the orbit route, whose translation_gap walks the strips once more
+    # with --rip-k the isometry scan builds the whole Gram (numerics.gram, itself one strip walk) and the coherence
+    # walks fresh strips. With --uniqueness-k the complete scan takes the orbit route, whose translation_gap walks them once more
     out = tmp_path / "dft.json"
     run(capsys, "gen-matrix", "--family", "partial-dft", "--m", "12", "--n", "300", "--out", str(out))
     with mock.patch.object(numerics, "gram_strips", wraps=numerics.gram_strips) as strips, \
             mock.patch.object(numerics, "gram", wraps=numerics.gram) as gram:
         code, stdout, _ = run(capsys, "coherence", "--matrix", str(out), *flags)
     assert code == 0
-    assert strips.call_count == 1 + ("--uniqueness-k" in flags)
+    assert strips.call_count == 1 + ("--uniqueness-k" in flags) + ("--rip-k" in flags)
     assert gram.call_count == ("--rip-k" in flags)
     assert strict_json(stdout)["coherence"]["mu"] == coherence_index(matrices.load_matrix(out)).mu
 
@@ -195,7 +195,7 @@ def gram_builds(capsys, *argv):
 
 
 def test_only_the_readers_of_the_whole_gram_build_it(tmp_path, capsys):
-    # rip_constant, once it visits a subset, and run_experiment read the whole Gram; every other command answers from strips or from A
+    # only rip_constant, once it visits a subset, reads the whole Gram; every other command answers from strips, from A or from an FFT
     for flags in GEN_MATRIX_FLAGS:
         assert gram_builds(capsys, "gen-matrix", *flags, "--out", str(tmp_path / "m.json")) == (0, 0)
     mat_path, y_path, cfg_path = tmp_path / "etf.json", tmp_path / "y.json", tmp_path / "cfg.json"
@@ -210,8 +210,8 @@ def test_only_the_readers_of_the_whole_gram_build_it(tmp_path, capsys):
     assert gram_builds(capsys, "recover", *matrix, "--measurements", str(y_path), "--oracle") == (0, 0)
     for name in ("fig2", "fig3", "fig4"):
         assert gram_builds(capsys, "figure", "--name", name, "--outdir", str(tmp_path / name)) == (0, 0)
-    assert gram_builds(capsys, "experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")) == (0, 1)
-    # but a partial DFT's pursuit takes A^H r from one FFT per step, so its experiment builds none
+    assert gram_builds(capsys, "experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")) == (0, 0)
+    # nor does a partial DFT's, whose pursuit takes A^H r from one FFT per step
     dft_cfg = {"matrix": {"family": "partial-dft", "m": 12, "n": 300}, "k_range": [1, 2], "trials": 4}
     cfg_path.write_text(json.dumps(dft_cfg))
     assert gram_builds(capsys, "experiment", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")) == (0, 0)

@@ -171,7 +171,7 @@ def test_etf_check_and_is_etf_share_one_welch_distance(monkeypatch):
     assert len(seen) == 2
     assert seen[0] == seen[1]
     # the same float as the largest |off - welch| over every off-diagonal magnitude
-    off = np.abs(mat.gram[~np.eye(mat.n, dtype=bool)])
+    off = np.abs(numerics.gram(mat.data)[~np.eye(mat.n, dtype=bool)])
     assert seen[0] == float(np.max(np.abs(off - rep.welch)))
     assert rep.is_etf == (seen[0] <= matrices.ETF_GRAM_TOL)
 

@@ -341,7 +341,6 @@ def outcomes(pursuit):
 def tally_by_trial(cfg):
     """run_experiment's rows counted one trial at a time: the reference for the batch tally."""
     mat = matrices.from_spec(**cfg.matrix)
-    mat.gram  # run_experiment's matrix holds its Gram
     rows = []
     for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
         first_hits = 0

@@ -74,8 +74,6 @@ def selection_order(cfg: experiments.ExperimentConfig, batched: bool = False) ->
     the trial's entry in errors.
     """
     mat = matrices.from_spec(**cfg.matrix)
-    if batched:
-        mat.gram  # run_experiment's matrix holds its Gram
     out = {}
     for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
         orders = out[str(k)] = []

@@ -310,7 +310,7 @@ def test_etf_builds_exactly_the_covered_sizes():
                     matrices.build_etf(m, n)
                 continue
             mat = matrices.build_etf(m, n)
-            assert matrices.welch_distance(m, n, *numerics.gram_extremes(mat.data, mat.cached_gram)[:2]) <= matrices.ETF_GRAM_TOL
+            assert matrices.welch_distance(m, n, *numerics.gram_extremes(mat.data)[:2]) <= matrices.ETF_GRAM_TOL
             assert coherence.coherence_index(mat).is_etf, (m, n)
 
 
@@ -347,10 +347,10 @@ def small_frames(draw):
 @given(small_frames())
 def test_gram_extremes_match_a_loop_over_the_off_diagonal(mat):
     # magnitudes from numpy's array loop, which may differ from a scalar abs in the last bit
-    mags = np.abs(mat.gram)
+    mags = np.abs(numerics.gram(mat.data))
     off = [mags[i, j] for i in range(mat.n) for j in range(mat.n) if i != j]
     expected = (max(off, default=0.0), min(off, default=0.0))
-    got = numerics.gram_extremes(mat.data, mat.cached_gram)[:2]
+    got = numerics.gram_extremes(mat.data)[:2]
     assert [x.hex() for x in got] == [float(x).hex() for x in expected]
 
 
@@ -677,7 +677,7 @@ def test_measurement_matrix_rejects_bad_norms():
         matrices.MeasurementMatrix(np.eye(3)[:, :2], "custom")
 
 
-# ------------------------------------------------------------- cached Gram
+# ---------------------------------------------------- frozen records, no Gram
 
 
 def test_data_is_a_frozen_private_copy():
@@ -702,7 +702,6 @@ def test_a_loaded_matrix_keeps_the_decoded_bytes_without_a_copy(etf14):
 
 def test_every_field_is_frozen():
     mat = matrices.build_etf(7, 14)
-    assert mat.gram is mat.cached_gram is not None
     with pytest.raises(FrozenInstanceError):
         mat.data = np.eye(7, 14)  # seven zero columns
     with pytest.raises(FrozenInstanceError):
@@ -731,14 +730,6 @@ def test_meta_is_a_deep_read_only_copy():
     assert matrices.matrix_to_dict(etf)["meta"] == {"route": "harmonic", "rows": [1, 3, 4, 5, 9]}
 
 
-def test_gram_is_cached_read_only_and_exact(etf14):
-    mat = matrices.build_etf(7, 14)
-    g = mat.gram
-    assert mat.gram is g
-    assert not g.flags.writeable
-    assert np.array_equal(g, numerics.gram(mat.data))
-
-
 def test_one_gram_per_matrix_across_commands(etf14):
     mat = matrices.MeasurementMatrix(etf14.data, "custom")
     y = recovery.measure(mat, recovery.SparseSignal(14, (2, 7), np.ones(2)))
@@ -751,12 +742,11 @@ def test_one_gram_per_matrix_across_commands(etf14):
 
 
 def test_etf_build_and_coherence_cache_no_gram():
-    # the ETF check and the coherence each reduce fresh Gram strips; neither keeps an n x n Gram
+    # the ETF check and the coherence each reduce fresh Gram strips; neither builds an n x n Gram
     with mock.patch.object(numerics, "gram", wraps=numerics.gram) as gram:
         mat = matrices.build_etf(7, 14)
         coherence.coherence_index(mat)
     assert gram.call_count == 0
-    assert mat.cached_gram is None
 
 
 DFT_SPECS = [  # every builder route to a partial DFT

@@ -164,8 +164,7 @@ def test_strip_extremes_are_those_of_the_whole_gram(mat):
     g = numerics.gram(mat.data)
     mags = np.abs(g)[~np.eye(mat.n, dtype=bool)]
     expected = (np.max(mags, initial=0.0), np.min(mags, initial=np.inf) if mat.n > 1 else 0.0, np.min(g.diagonal().real))
-    for cached in (None, g):
-        assert [x.hex() for x in numerics.gram_extremes(mat.data, cached)] == [float(x).hex() for x in expected]
+    assert [x.hex() for x in numerics.gram_extremes(mat.data)] == [float(x).hex() for x in expected]
 
 
 @settings(max_examples=40, deadline=None)
@@ -182,15 +181,6 @@ def test_coherence_lies_within_two_gamma_of_the_averaged_gram(mat):
     assert abs(coherence.coherence_index(mat).mu - avg_mu) <= 2 * gamma
 
 
-@settings(max_examples=40, deadline=None)
-@given(straddling_frames())
-def test_coherence_on_strips_equals_coherence_on_the_cached_gram(mat):
-    fresh = coherence.coherence_index(mat)
-    assert mat.cached_gram is None
-    mat.gram
-    assert report_bits(coherence.coherence_index(mat)) == report_bits(fresh)
-
-
 def test_coherence_of_a_fresh_matrix_holds_no_gram(rng):
     m, n = 16, 2048
     mat = MeasurementMatrix(normalize_columns(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))), "custom")
@@ -198,7 +188,6 @@ def test_coherence_of_a_fresh_matrix_holds_no_gram(rng):
     _, peak = traced_peak(coherence.coherence_index, mat)
     # a strip and its magnitudes, plus copies of A: about a quarter of the 64 MiB Gram at B = 256
     assert peak <= 3 * strip_bytes + 4 * mat.data.nbytes < gram_bytes / 2
-    assert mat.cached_gram is None
 
 
 def test_strip_extremes_hold_no_strip_sized_mask_or_copy(rng):
@@ -251,7 +240,7 @@ def test_usable_cpus_come_from_the_affinity_mask():
     assert numerics._usable_cpus() == expected
 
 
-def reference_strips(a, reduce, out=None, first_alone=False):
+def reference_strips(a, reduce, out=None):
     """The walk with GRAM_BLOCK-row strips, one at a time on the calling thread, a one-row last strip joined to the one before."""
     arr = numerics.as_matrix(a)
     n = arr.shape[1]
@@ -281,13 +270,11 @@ def walked_frames(draw):
 
 
 def walk_outputs(mat):
-    """What a walk gives: the Gram's bytes, the extremes (fresh and from a cached Gram), the coherence report and
-    the translation gap of the frame's group, or of every shift of its columns."""
-    g = numerics.gram(mat.data)
+    """What a walk gives: the Gram's bytes, the extremes, the coherence report and the translation gap of the
+    frame's group, or of every shift of its columns."""
     return (
-        g.tobytes(),
+        numerics.gram(mat.data).tobytes(),
         [x.hex() for x in numerics.gram_extremes(mat.data)],
-        [x.hex() for x in numerics.gram_extremes(mat.data, g)],
         report_bits(coherence.coherence_index(mat)),
         coherence.translation_gap(mat, *(coherence.translation_group(mat) or (0, mat.n))).hex(),
     )

@@ -4,11 +4,10 @@ The reference loop below recomputes A^H r from A and refits all selected
 columns with an SVD least-squares solve at every iteration, under the same
 tie rule. The incremental engine must reproduce it: the same selection order
 when no correlation sits near the edge of the tie set, values within 1e-8,
-and the same RankDeficientError and stall outcomes, whether it
-updates the correlations from a cached Gram or recomputes them from A. The
-batched engine must give every trial of a batch exactly what it gets alone.
-On a partial DFT, whose correlations come from one FFT per step, every run
-must equal the Gram route's bit for bit.
+and the same RankDeficientError and stall outcomes. The batched engine must
+give every trial of a batch exactly what it gets alone. On a partial DFT,
+whose correlations come from one FFT per step, every run must equal bit for
+bit the run of a custom copy, whose correlations come from A.
 """
 import dataclasses
 import json
@@ -94,12 +93,9 @@ def unit_columns(data):
     return matrices.MeasurementMatrix(data / np.linalg.norm(data, axis=0), "custom")
 
 
-def with_gram(mat, cached):
-    """A fresh copy of mat, with its Gram built when cached is true."""
-    fresh = matrices.MeasurementMatrix(mat.data, "custom")
-    if cached:
-        fresh.gram
-    return fresh
+def custom_copy(mat):
+    """A custom matrix of mat's data: no dft_rows, so its pursuit takes A^H r from A."""
+    return matrices.MeasurementMatrix(mat.data, "custom")
 
 
 @st.composite
@@ -130,12 +126,12 @@ def pursuit_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(pursuit_cases(), st.sampled_from([recovery.DEFAULT_RELATIVE_EPSILON, 1e-6, 1e-300]), st.booleans())
-def test_pursuit_matches_refit_oracle(case, epsilon, cached):
+@given(pursuit_cases(), st.sampled_from([recovery.DEFAULT_RELATIVE_EPSILON, 1e-6, 1e-300]))
+def test_pursuit_matches_refit_oracle(case, epsilon):
     mat, y, max_iter = case
     expected, clear = pursuit_by_refit(mat, y, epsilon, max_iter)
     assume(clear)
-    got = outcome(recovery.matching_pursuit, with_gram(mat, cached), y, epsilon, max_iter)
+    got = outcome(recovery.matching_pursuit, mat, y, epsilon, max_iter)
     if isinstance(expected, type):
         assert got is expected
         return
@@ -159,8 +155,8 @@ def test_pursuit_matches_oracle_on_shipped_matrices(etf14, etf30, fig3_dft, rng)
             y = recovery.measure(mat, x)
             result, clear = pursuit_by_refit(mat, y)
             assert clear
-            for cached in (False, True):
-                got = recovery.matching_pursuit(with_gram(mat, cached), y)
+            for a in (mat, custom_copy(mat)):  # fig3's own route is the FFT's
+                got = recovery.matching_pursuit(a, y)
                 assert got.support == result.support
                 assert np.max(np.abs(got.values - result.values)) <= VALUE_TOL
 
@@ -211,13 +207,12 @@ def test_pursuit_rank_test_window(factor, message):
     mat, y = near_dependent_third_pick(factor * 64 * np.finfo(np.float64).eps)
     expected, clear = pursuit_by_refit(mat, y)
     assert clear
-    for cached in (False, True):
-        if message is None:
-            assert recovery.matching_pursuit(with_gram(mat, cached), y).support == expected.support == (1, 2, 0)
-            continue
-        assert expected is RankDeficientError
-        with pytest.raises(RankDeficientError, match=message):
-            recovery.matching_pursuit(with_gram(mat, cached), y)
+    if message is None:
+        assert recovery.matching_pursuit(mat, y).support == expected.support == (1, 2, 0)
+        return
+    assert expected is RankDeficientError
+    with pytest.raises(RankDeficientError, match=message):
+        recovery.matching_pursuit(mat, y)
 
 
 def test_pursuit_keeps_accuracy_on_near_parallel_columns():
@@ -233,10 +228,9 @@ def test_pursuit_keeps_accuracy_on_near_parallel_columns():
         y = mat.data @ x
         expected, clear = pursuit_by_refit(mat, y)
         assert clear
-        for cached in (False, True):
-            got = recovery.matching_pursuit(with_gram(mat, cached), y)
-            assert got.support == expected.support
-            assert np.max(np.abs(got.values - expected.values)) <= 1e-10 * np.linalg.norm(expected.values)
+        got = recovery.matching_pursuit(mat, y)
+        assert got.support == expected.support
+        assert np.max(np.abs(got.values - expected.values)) <= 1e-10 * np.linalg.norm(expected.values)
 
 
 def test_pursuit_duplicated_column_is_never_reselected(even_rows_dft8):
@@ -284,14 +278,15 @@ def test_max_iter_past_m_is_rejected(tmp_path, capsys):
     assert (result["iterations"], result["converged"]) == (3, False)
 
 
-def test_pursuit_reads_the_cached_gram_once():
-    # the 15x30 Paley ETF: not a partial DFT, so run_experiment builds its Gram for the pursuit
+def test_an_etf_experiment_builds_no_gram_and_fits_nothing_alone():
+    # the 15x30 Paley ETF is not a partial DFT: its pursuit takes A^H r from A and
+    # its coherence walks strips, and the refit is the pursuit's own, not solve_least_squares
     spec = {"family": "etf", "m": 15, "n": 30}
     cfg = experiments.ExperimentConfig(matrix=spec, k_range=(2, 4), trials=5)
     with mock.patch.object(numerics, "gram", wraps=numerics.gram) as gram, \
             mock.patch.object(numerics, "solve_least_squares", wraps=numerics.solve_least_squares) as lstsq:
         experiments.run_experiment(cfg)
-    assert gram.call_count == 1
+    assert gram.call_count == 0
     assert lstsq.call_count == 0
 
 
@@ -305,7 +300,7 @@ def test_partial_dft_experiment_builds_no_gram():
     assert gram.call_count == 0
     mat = pursue.call_args.args[0]
     assert all(call.args[0] is mat for call in pursue.call_args_list)
-    assert mat.dft_rows is not None and mat.cached_gram is None
+    assert mat.dft_rows is not None
 
 
 def test_pursuit_on_a_fresh_matrix_builds_no_gram():
@@ -316,7 +311,6 @@ def test_pursuit_on_a_fresh_matrix_builds_no_gram():
     with mock.patch.object(numerics, "gram", wraps=numerics.gram) as gram:
         result = recovery.matching_pursuit(mat, recovery.measure(mat, x))
     assert gram.call_count == 0
-    assert mat.cached_gram is None
     assert sorted(result.support) == [3, 70, 200]
 
 
@@ -378,12 +372,12 @@ def batch_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(batch_cases(), st.sampled_from([recovery.DEFAULT_RELATIVE_EPSILON, 1e-6, 1e-300]), st.booleans())
-def test_batch_matches_each_trial_alone(case, epsilon, cached):
+@given(batch_cases(), st.sampled_from([recovery.DEFAULT_RELATIVE_EPSILON, 1e-6, 1e-300]))
+def test_batch_matches_each_trial_alone(case, epsilon):
     # every product is taken per trial, so a batch reproduces each trial's
-    # lone run bit for bit, on either correlation path
+    # lone run bit for bit
     mat, ys, max_iter = case
-    batch = assert_batch_matches_each_trial_alone(with_gram(mat, cached), ys, epsilon, max_iter)
+    batch = assert_batch_matches_each_trial_alone(mat, ys, epsilon, max_iter)
     assert all(isinstance(o, (recovery.RecoveryResult, RankDeficientError)) for o in outcomes(batch))
 
 
@@ -392,7 +386,6 @@ def test_trial_outcomes_match_each_trial_alone_in_any_batch_size():
     # one) and the shipped size, on a config whose trials stop at different steps
     cfg = early_stop_config()
     mat = matrices.from_spec(**cfg.matrix)
-    mat.gram
     lengths = set()
     for k in range(3, 6):
         signals = [lone_signal(cfg, mat, k, t) for t in range(cfg.trials)]
@@ -423,20 +416,19 @@ def test_batch_retires_trials_at_every_step():
     mat, y = dependent_third_pick()
     a, b = mat.data[:, 1], mat.data[:, 2]
     ys = np.array([y, a - 0.1 * b, a, [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-    for cached in (False, True):
-        batch = assert_batch_matches_each_trial_alone(with_gram(mat, cached), ys)
-        dependent, *returned = outcomes(batch)
-        assert isinstance(dependent, RankDeficientError)
-        assert [r.iterations for r in returned] == [2, 1, 1, 0]
-        assert [r.converged for r in returned] == [True, True, False, True]
-        assert batch.first_picks.tolist() == [1, 1, 1, 0, 0]
-        assert list(batch.errors) == [0]
-        assert batch.iterations[1:].tolist() == [2, 1, 1, 0]
-        assert batch.converged[1:].tolist() == [True, True, False, True]
-        assert batch.picks.shape == (5, 3)  # the dependent trial ended at the third step
-        assert batch.result(-1).iterations == 0  # a negative row counts from the end, as in the arrays
-        with pytest.raises(RankDeficientError):
-            batch.result(-5)
+    batch = assert_batch_matches_each_trial_alone(mat, ys)
+    dependent, *returned = outcomes(batch)
+    assert isinstance(dependent, RankDeficientError)
+    assert [r.iterations for r in returned] == [2, 1, 1, 0]
+    assert [r.converged for r in returned] == [True, True, False, True]
+    assert batch.first_picks.tolist() == [1, 1, 1, 0, 0]
+    assert list(batch.errors) == [0]
+    assert batch.iterations[1:].tolist() == [2, 1, 1, 0]
+    assert batch.converged[1:].tolist() == [True, True, False, True]
+    assert batch.picks.shape == (5, 3)  # the dependent trial ended at the third step
+    assert batch.result(-1).iterations == 0  # a negative row counts from the end, as in the arrays
+    with pytest.raises(RankDeficientError):
+        batch.result(-5)
 
 
 def test_pursue_batch_checks_its_input(etf14):
@@ -469,23 +461,25 @@ def test_batch_memory_is_bounded_by_the_batch_size():
 
 
 # ------------------------------------------------- FFT route on partial DFTs
+# The "gram route" of the test names below is the route without an FFT: a
+# custom copy of the data, whose pursuit takes A^H r from A.
 
 
-def fft_route_matches_gram_route(mat, ys, *args):
-    """pursue_batch on a partial DFT (the FFT route) and on a custom copy of its data with the Gram built.
+def fft_route_matches_a_route(mat, ys, *args):
+    """pursue_batch on a partial DFT (the FFT route) and on a custom copy of its data (the A route).
 
     The correlations only choose the picks, so equal picks make every
     result(t) bit-equal; entries past iterations[t] are unread and may differ.
     """
     assert mat.dft_rows is not None
-    copy = with_gram(mat, True)
+    copy = custom_copy(mat)
     assert copy.dft_rows is None
     with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft_calls:
         fft = recovery.pursue_batch(mat, ys, *args)
-        gram = recovery.pursue_batch(copy, ys, *args)
-    assert fft_calls.call_count == 1 + fft.iterations.max()  # one FFT per step, none on the Gram route
-    assert np.array_equal(fft.first_picks, gram.first_picks)
-    for got, expected in zip(outcomes(fft), outcomes(gram), strict=True):
+        dot = recovery.pursue_batch(copy, ys, *args)
+    assert fft_calls.call_count == 1 + fft.iterations.max()  # one FFT per step, none on the A route
+    assert np.array_equal(fft.first_picks, dot.first_picks)
+    for got, expected in zip(outcomes(fft), outcomes(dot), strict=True):
         assert_same_outcome(got, expected)
 
 
@@ -520,7 +514,7 @@ def partial_dfts(draw):
 @given(partial_dfts(), st.integers(0, 2**32 - 1), st.sampled_from([recovery.DEFAULT_RELATIVE_EPSILON, 1e-6, 1e-300]))
 def test_fft_route_matches_the_gram_route_on_partial_dfts(mat, seed, epsilon):
     rng = np.random.default_rng(seed)
-    fft_route_matches_gram_route(mat, dft_measurements(mat, rng, 8), epsilon)
+    fft_route_matches_a_route(mat, dft_measurements(mat, rng, 8), epsilon)
 
 
 @pytest.mark.parametrize(
@@ -539,17 +533,17 @@ def test_fft_route_matches_the_gram_route_on_shipped_frames(spec, rng):
     # subsampling frames repeat every column n / p times, so their correlations tie exactly
     mat = matrices.from_spec(**spec)
     for max_iter in (None, 1, mat.m):
-        fft_route_matches_gram_route(mat, dft_measurements(mat, rng, 60), recovery.DEFAULT_RELATIVE_EPSILON, max_iter)
+        fft_route_matches_a_route(mat, dft_measurements(mat, rng, 60), recovery.DEFAULT_RELATIVE_EPSILON, max_iter)
 
 
 def test_fft_route_matches_the_gram_route_on_fig3(fig3_dft, rng):
-    fft_route_matches_gram_route(fig3_dft, dft_measurements(fig3_dft, rng, 200))
+    fft_route_matches_a_route(fig3_dft, dft_measurements(fig3_dft, rng, 200))
     spec = {"family": "partial-dft", "n": 16, "rows": list(fig3_dft.meta["rows"])}
     for model in experiments.AMPLITUDE_MODELS:  # run_experiment's draws at k 1-8
         cfg = experiments.ExperimentConfig(matrix=spec, k_range=(1, 8), trials=100, amplitude_model=model)
         for k in range(1, 9):
             supports, values = experiments.draw_trials(cfg, fig3_dft.n, k, range(cfg.trials))
-            fft_route_matches_gram_route(fig3_dft, experiments.measure_trials(fig3_dft, supports, values))
+            fft_route_matches_a_route(fig3_dft, experiments.measure_trials(fig3_dft, supports, values))
 
 
 @settings(max_examples=150, deadline=None)
@@ -570,7 +564,7 @@ def test_fft_correlations_lie_within_the_allowance_of_the_dot_products(mat, seed
 
 
 def test_an_edited_partial_dft_file_takes_the_dot_product_route(tmp_path, rng):
-    # rows in meta that no longer match the data: no FFT, and the run of a custom copy without a Gram
+    # rows in meta that no longer match the data: no FFT, and the run of a custom copy
     mat = matrices.from_spec("partial-dft", n=64, m=16, seed=3)
     meta = {"rows": [r + 1 for r in mat.meta["rows"]]}
     matrices.save_matrix(matrices.MeasurementMatrix(mat.data, "partial-dft", meta), tmp_path / "edited.json")
@@ -580,7 +574,7 @@ def test_an_edited_partial_dft_file_takes_the_dot_product_route(tmp_path, rng):
     with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
         got = recovery.pursue_batch(edited, ys)
     assert fft.call_count == 0
-    expected = recovery.pursue_batch(with_gram(mat, False), ys)
+    expected = recovery.pursue_batch(custom_copy(mat), ys)
     assert np.array_equal(got.first_picks, expected.first_picks)
     for g, e in zip(outcomes(got), outcomes(expected), strict=True):
         assert_same_outcome(g, e)
@@ -665,13 +659,13 @@ def scaled(result, c):
 
 
 @settings(max_examples=100, deadline=None)
-@given(batch_cases(), st.integers(-60, 60), st.booleans())
-def test_pursuit_and_oracle_are_scale_equivariant(case, p, cached):
+@given(batch_cases(), st.integers(-60, 60))
+def test_pursuit_and_oracle_are_scale_equivariant(case, p):
     # x and c x have the same support and the same certificate, and every
     # tolerance on a quantity derived from y is relative to ||y||. A power of
     # two scales every product exactly, so the runs match bit for bit
     mat, ys, max_iter = case
-    mat, c = with_gram(mat, cached), 2.0**p
+    c = 2.0**p
     batch = recovery.pursue_batch(mat, ys, max_iter=max_iter)
     batch_c = recovery.pursue_batch(mat, c * ys, max_iter=max_iter)
     assert np.array_equal(batch_c.first_picks, batch.first_picks)
