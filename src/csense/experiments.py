@@ -8,13 +8,14 @@ default_rng(SeedSequence((seed, k, trial))) stream, so reports are pure
 functions of the config regardless of execution order.
 
 The draws come from csense's own copy of that stream (_stream), computed
-for a whole batch of trials at once. The seeding, the draws, the swaps, the
-amplitude transforms, the measurements and the tally all run once per
-batch, over arrays. The partial-DFT row-subset sweep draws from the same
-copy.
+for a whole slice of trials of one k at once. The seeding, the draws, the
+swaps, the amplitude transforms, the measurements and the tally all run
+once per slice, over arrays, and the pursuit once per batch of slices.
+The partial-DFT row-subset sweep draws from the same copy.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -32,7 +33,11 @@ VALUE_MATCH_RTOL = 1e-6
 # Bytes per trial of a batch, 2m + n complex values (recovery.pursue_batch):
 # the m terms are the basis vector and the column of R one pursuit step adds,
 # and the n term covers the trial's row of the (T, n) correlations A^H r and,
-# on a partial DFT, its row of the FFT buffer. It caps the trials of one batch.
+# on a partial DFT, its row of the FFT buffer. R's column is only as wide as
+# the room for steps, which reaches m only when a pursuit runs past m / 2
+# steps, so the rule over-counts R; it is kept because it sets every batch
+# size. It caps the trials of one batch, which trial_outcomes fills with whole
+# slices of one k each.
 # Each batch pays a fixed cost (a seeded draw, about 40 numpy calls per pursuit
 # step, one refit stack), so a larger budget runs faster and peaks higher;
 # README's Monte Carlo paragraph gives the measured trade.
@@ -127,12 +132,12 @@ def draw_trials(cfg: ExperimentConfig, n: int, k: int, trials: range) -> tuple[n
     """Sorted supports (T, k) and their values (T, k) for the given trials.
 
     Trial t draws from numpy's default_rng(SeedSequence((seed, k, t)))
-    stream, which _stream.generator_draws computes for the whole batch at
+    stream, which _stream.generator_draws computes for all the trials at
     once: in this order, the k indices of a partial Fisher-Yates shuffle of
     range(n) and, for random amplitudes, the 2k doubles of two rng.uniform
     calls (log-magnitudes, then phases). _stream.sorted_subsets then makes
-    the swaps and the sort, and the amplitude transforms run over the whole
-    batch, element by element, so each trial gets the bits it gets alone.
+    the swaps and the sort, and the amplitude transforms run over all the
+    trials, element by element, so each trial gets the bits it gets alone.
     """
     key = np.array(_stream.entropy_words(cfg.seed) + _stream.entropy_words(k), dtype=np.uint32)
     t = np.arange(trials.start, trials.stop, dtype=np.uint64)
@@ -163,25 +168,42 @@ def measure_trials(a: matrices.MeasurementMatrix, supports: np.ndarray, values: 
     return (a.data @ dense[:, :, None])[:, :, 0]
 
 
-def trial_outcomes(cfg: ExperimentConfig, mat: matrices.MeasurementMatrix, k: int):
-    """(supports, values, pursuit) of each batch of trials at sparsity k, in trial order.
+def trial_outcomes(cfg: ExperimentConfig, mat: matrices.MeasurementMatrix):
+    """(k, supports, values, pursuit) of each slice of trials, in k order and in trial order within k.
 
-    supports and values are draw_trials' and pursuit is recovery.pursue_batch's
-    BatchPursuit for their measurements. A batch holds at most
-    BATCH_BYTES / (16 (2m + n)) trials: 273 on the 15x30 ETF, 585 on the
-    7x14 and 10 on a 256x1024 partial DFT. The draw, the measurements and
-    the engine give every trial the numbers it gets alone, so the batch size
-    never shows in a report.
+    A slice is at most per_batch = BATCH_BYTES / (16 (2m + n)) consecutive
+    trials of one k (273 on the 15x30 ETF, 585 on the 7x14 and 10 on a
+    256x1024 partial DFT): supports and values are draw_trials' for it.
+    Consecutive slices, of one k or of several, share one
+    recovery.pursue_batch call while their trials together fit per_batch,
+    and pursuit is the slice's rows of that BatchPursuit. A slice is never
+    split to fill a batch: that would add draws, and steps for rows that
+    have already ended. The draw, the measurements and the engine give
+    every trial the numbers it gets alone, so neither the slices nor the
+    batches ever show in a report.
     """
     per_batch = max(1, BATCH_BYTES // ((2 * mat.m + mat.n) * mat.data.itemsize))
-    for start in range(0, cfg.trials, per_batch):
-        supports, values = draw_trials(cfg, mat.n, k, range(start, min(start + per_batch, cfg.trials)))
-        ys = measure_trials(mat, supports, values)
-        yield supports, values, recovery.pursue_batch(mat, ys, epsilon=cfg.epsilon)
+    batches, filled = [], per_batch
+    for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
+        for start in range(0, cfg.trials, per_batch):
+            trials = range(start, min(start + per_batch, cfg.trials))
+            if filled + len(trials) > per_batch:
+                batches.append([])
+                filled = 0
+            batches[-1].append((k, trials))
+            filled += len(trials)
+    for batch in batches:
+        draws = [(k, *draw_trials(cfg, mat.n, k, trials)) for k, trials in batch]
+        ys = np.concatenate([measure_trials(mat, supports, values) for _, supports, values in draws])
+        pursuit = recovery.pursue_batch(mat, ys, epsilon=cfg.epsilon)
+        start = 0
+        for k, supports, values in draws:
+            yield k, supports, values, pursuit.rows(start, start + len(supports))
+            start += len(supports)
 
 
 def _tally(m: int, supports, values, pursuit: recovery.BatchPursuit) -> tuple[int, int, int]:
-    """(first-pick hits, exact recoveries, iteration sum) of one batch; see run_experiment."""
+    """(first-pick hits, exact recoveries, iteration sum) of one slice; see run_experiment."""
     first_hits = int((supports == pursuit.first_picks[:, None]).any(axis=1).sum())
     failed = np.isin(np.arange(len(supports)), list(pursuit.errors))
     iterations = np.where(failed, m, pursuit.iterations)
@@ -205,17 +227,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     support as a set and the value error is at most 1e-6 * ||values||.
     The first pick is the pursuit's first selection: recovery.select_column
     on the back-projection A^H y. A mid-run rank-deficiency counts as a
-    failed trial at the iteration cap. The counts are taken a batch at a
-    time, over arrays.
+    failed trial at the iteration cap. The counts are taken a slice of
+    trial_outcomes at a time, over arrays.
     """
     mat = matrices.from_spec(**cfg.matrix)
-    lo, hi = cfg.k_range
+    hi = cfg.k_range[1]
     if hi > mat.m:
         raise ValueError(f"k_range high {hi} exceeds measurement count {mat.m}")
     base = coherence.coherence_index(mat)
     rows = []
-    for k in range(lo, hi + 1):
-        tallies = [_tally(mat.m, *batch) for batch in trial_outcomes(cfg, mat, k)]
+    for k, outcomes in itertools.groupby(trial_outcomes(cfg, mat), key=lambda outcome: outcome[0]):
+        tallies = [_tally(mat.m, *outcome[1:]) for outcome in outcomes]
         first_hits, exact_hits, iteration_sum = map(sum, zip(*tallies))
         rows.append(
             ExperimentRow(

@@ -318,6 +318,11 @@ class BatchPursuit(NamedTuple):
         norm, converged = float(self.residual_norms[t]), bool(self.converged[t])
         return RecoveryResult(support, self.values[t, :k], norm, k, converged, trace)
 
+    def rows(self, start: int, stop: int) -> "BatchPursuit":
+        """Trials start to stop as a BatchPursuit of their own: views of these rows, errors keyed from 0."""
+        errors = {t - start: error for t, error in self.errors.items() if start <= t < stop}
+        return BatchPursuit(*(array[start:stop] for array in self[:-1]), errors)
+
 
 def pursue_batch(
     a: matrices.MeasurementMatrix,
@@ -352,10 +357,10 @@ def pursue_batch(
       iteration, and no Gram is built.
 
     Every product is taken row by row, so a trial computes the same numbers
-    in any batch as alone. Each step taken adds a basis vector and a column
-    of R (m values each) per trial; the room for steps doubles when it runs
-    out. A trial that ends is recorded at that step and keeps its row,
-    unread, until the whole batch ends.
+    in any batch as alone. Each step taken adds, per trial, a basis vector
+    (m values) and a column of R, as wide as the room for steps; the room
+    doubles when it runs out, up to max_iter. A trial that ends is recorded
+    at that step and keeps its row, unread, until the whole batch ends.
     """
     stack = numerics.as_matrix(ys)
     if stack.shape[1] != a.m:
@@ -374,7 +379,8 @@ class _Live:
     orthonormal basis vector of trial t's selected span, r[j, t] holds column
     j of trial t's R (A_S = Q R), z[i, t] = q[i, t]^H y and x[i, t] the i-th
     fitted value, written when the trial ends. Their room for steps doubles
-    when it runs out.
+    when it runs out. R's columns are as wide as that room: column j has
+    j + 1 entries, and the zeros below them are those r is made with.
     """
 
     def __init__(self, a: matrices.MeasurementMatrix, ys, y_norms, thresholds):
@@ -389,18 +395,21 @@ class _Live:
         self.errors: dict[int, RankDeficientError] = {}
         self.picks = np.empty((1, t), dtype=np.intp)
         self.q = np.empty((1, t, a.m), dtype=np.complex128)
-        self.r = np.empty((1, t, a.m), dtype=np.complex128)
+        self.r = np.zeros((1, t, 1), dtype=np.complex128)
         self.z = np.empty((1, t), dtype=np.complex128)
         self.x = np.empty((1, t), dtype=np.complex128)
         self.trace = np.empty((1, t))
 
     def resize(self, room: int, taken: int) -> None:
-        """Give the step arrays room for room steps, keeping the taken ones."""
-        for name in ("picks", "q", "r", "z", "x", "trace"):
+        """Give the step arrays room for room steps, keeping the taken ones; R also grows room wide."""
+        for name in ("picks", "q", "z", "x", "trace"):
             value = getattr(self, name)
             new = np.empty((room,) + value.shape[1:], dtype=value.dtype)
             new[:taken] = value[:taken]
             setattr(self, name, new)
+        r = np.zeros((room, self.r.shape[1], room), dtype=np.complex128)
+        r[:taken, :, :taken] = self.r[:taken, :, :taken]
+        self.r = r
 
 
 def _pursue(a: matrices.MeasurementMatrix, ys, y_norms, thresholds, max_iter: int) -> BatchPursuit:
@@ -443,7 +452,6 @@ def _pursue(a: matrices.MeasurementMatrix, ys, y_norms, thresholds, max_iter: in
         r_jj[live.dependent] = 1.0  # those trials end at the next step; this keeps their rows finite
         live.r[j, :, :j] = c
         live.r[j, :, j] = r_jj
-        live.r[j, :, j + 1 :] = 0.0
         live.picks[j] = pick
         np.divide(v, r_jj[:, None], out=live.q[j])
         live.z[j] = z_j = (live.q[j].conj() * live.residual).sum(axis=1)

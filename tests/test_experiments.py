@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import math
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csense import _stream, experiments, matrices, numerics, recovery
+from csense import _stream, cli, experiments, matrices, numerics, recovery
 from csense.errors import RankDeficientError
 from csense.serialization import to_dict
 from test_golden import golden_configs
@@ -342,11 +343,11 @@ def tally_by_trial(cfg):
     """run_experiment's rows counted one trial at a time: the reference for the batch tally."""
     mat = matrices.from_spec(**cfg.matrix)
     rows = []
-    for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
+    for k, slices in itertools.groupby(experiments.trial_outcomes(cfg, mat), key=lambda outcome: outcome[0]):
         first_hits = 0
         exact_hits = 0
         iteration_sum = 0
-        for supports, values, pursuit in experiments.trial_outcomes(cfg, mat, k):
+        for _, supports, values, pursuit in slices:
             for support, x_values, first, result in zip(
                 supports.tolist(), values, pursuit.first_picks.tolist(), outcomes(pursuit)
             ):
@@ -413,10 +414,15 @@ def test_report_does_not_depend_on_the_batch_size(batch_bytes):
         assert experiments.run_experiment(cfg).rows == expected
 
 
+FIG3_SPEC = {"family": "partial-dft", "n": 16, "rows": list(cli.figure_scenario("fig3")[0].meta["rows"])}
+
+
 @pytest.mark.parametrize(
     "cfg, sizes",
     [
-        # the 500-trial 15x30 guarantee suite: 273 trials fit a batch (136 in 128 KiB)
+        # the benchmark's montecarlo configs: no two of their slices fit one batch,
+        # so each batch is one slice. The 500-trial 15x30 guarantee suite: 273
+        # trials fit a batch (136 in 128 KiB)
         (
             experiments.ExperimentConfig(
                 matrix={"family": "etf", "m": 15, "n": 30},
@@ -427,7 +433,21 @@ def test_report_does_not_depend_on_the_batch_size(batch_bytes):
             ),
             [273, 227] * 3,
         ),
-        # the benchmark's long pursuits: 10 trials fit a batch, so 4 take one per k
+        # the 7x14 guarantee suite: 585 trials fit a batch, so each k is one
+        (etf14_config(trials=500, seed=20260810), [500] * 2),
+        # fig3's 12x16 partial DFT: 409 trials fit a batch
+        (
+            experiments.ExperimentConfig(
+                matrix=FIG3_SPEC,
+                k_range=(1, 2),
+                trials=500,
+                amplitude_model=experiments.AMPLITUDE_RANDOM,
+                seed=20260810,
+            ),
+            [409, 91] * 2,
+        ),
+        # the benchmark's long pursuits: 10 trials fit a batch, so the 4-trial
+        # slices of two k share one
         (
             experiments.ExperimentConfig(
                 matrix={"family": "partial-dft", "m": 256, "n": 1024, "seed": 0},
@@ -435,13 +455,64 @@ def test_report_does_not_depend_on_the_batch_size(batch_bytes):
                 trials=4,
                 amplitude_model=experiments.AMPLITUDE_RANDOM,
             ),
-            [4] * 25,
+            [8] * 12 + [4],
         ),
     ],
-    ids=["etf30_guarantee", "dft1024"],
+    ids=["etf30_guarantee", "etf14_guarantee", "fig3_guarantee", "dft1024"],
 )
 def test_batches_per_k_follow_the_batch_budget(cfg, sizes):
     with mock.patch.object(recovery, "pursue_batch", wraps=recovery.pursue_batch) as spy:
         report = experiments.run_experiment(cfg)
     assert [len(call.args[1]) for call in spy.call_args_list] == sizes
     assert report.rows == experiments.run_experiment(cfg).rows
+
+
+SHARED_BATCH_MATRICES = {
+    "etf14": etf14_config().matrix,
+    "fig3": FIG3_SPEC,
+    "duplicate_columns": duplicate_columns_config().matrix,
+}
+
+
+@st.composite
+def shared_batch_cases(draw):
+    """A config on a SHARED_BATCH_MATRICES entry and a per_batch that fits 1 to 3 of its slices."""
+    spec = SHARED_BATCH_MATRICES[draw(st.sampled_from(sorted(SHARED_BATCH_MATRICES)))]
+    m = matrices.from_spec(**spec).m
+    lo = draw(st.integers(1, m))
+    trials = draw(st.integers(1, 12))
+    cfg = experiments.ExperimentConfig(
+        matrix=spec,
+        k_range=(lo, draw(st.integers(lo, m))),
+        trials=trials,
+        amplitude_model=draw(st.sampled_from(experiments.AMPLITUDE_MODELS)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    # below trials, each k takes two slices or more and no batch holds two k;
+    # from trials * s on, each k is one slice and s of them share a batch
+    return cfg, draw(st.integers(1, 4 * trials - 1)), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_batch_cases())
+@example((etf14_config(k_range=(1, 7), trials=6), 14, True))
+@example((dataclasses.replace(duplicate_columns_config(), k_range=(1, 8), trials=12), 36, False))
+def test_batches_shared_across_k_tally_as_each_trial_alone(case):
+    # strict: a rank tolerance of 0.7 sigma_max makes the trials whose picks
+    # are far from orthogonal raise, so a shared batch holds trials that raise
+    # beside trials that return, in slices of several k
+    cfg, per_batch, strict = case
+    mat = matrices.from_spec(**cfg.matrix)
+    tolerance = mock.patch.object(numerics, "rank_tolerance", side_effect=lambda shape, s_max: 0.7 * s_max)
+    with tolerance if strict else contextlib.nullcontext():
+        with mock.patch.object(experiments, "BATCH_BYTES", 1):  # every trial a batch of its own
+            expected = tally_by_trial(cfg)
+        batch_bytes = per_batch * (2 * mat.m + mat.n) * mat.data.itemsize
+        with mock.patch.object(experiments, "BATCH_BYTES", batch_bytes):
+            with mock.patch.object(recovery, "pursue_batch", wraps=recovery.pursue_batch) as spy:
+                assert experiments.run_experiment(cfg).rows == expected
+    sizes = [len(call.args[1]) for call in spy.call_args_list]
+    lo, hi = cfg.k_range
+    assert sum(sizes) == cfg.trials * (hi - lo + 1) and max(sizes) <= per_batch
+    # one k holds cfg.trials rows, so a larger batch holds two k
+    assert (max(sizes) > cfg.trials) == (hi > lo and per_batch >= 2 * cfg.trials)

@@ -70,24 +70,23 @@ def selection_order(cfg: experiments.ExperimentConfig, batched: bool = False) ->
 
     batched=False runs matching_pursuit on each trial alone; batched=True
     reads the arrays run_experiment tallies, from the BatchPursuit of each
-    batch of experiments.trial_outcomes: picks[t] up to iterations[t], or
-    the trial's entry in errors.
+    slice of experiments.trial_outcomes, grouped on k: picks[t] up to
+    iterations[t], or the trial's entry in errors.
     """
     mat = matrices.from_spec(**cfg.matrix)
-    out = {}
-    for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
-        orders = out[str(k)] = []
-        if batched:
-            for _, _, pursuit in experiments.trial_outcomes(cfg, mat, k):
-                for t, steps in enumerate(pursuit.iterations.tolist()):
-                    orders.append("rank-deficient" if t in pursuit.errors else pursuit.picks[t, :steps].tolist())
-        else:
-            for trial in range(cfg.trials):
-                y = recovery.measure(mat, lone_signal(cfg, mat, k, trial))
-                try:
-                    orders.append(list(recovery.matching_pursuit(mat, y, epsilon=cfg.epsilon).support))
-                except RankDeficientError:
-                    orders.append("rank-deficient")
+    out = {str(k): [] for k in range(cfg.k_range[0], cfg.k_range[1] + 1)}
+    if batched:
+        for k, _, _, pursuit in experiments.trial_outcomes(cfg, mat):
+            for t, steps in enumerate(pursuit.iterations.tolist()):
+                out[str(k)].append("rank-deficient" if t in pursuit.errors else pursuit.picks[t, :steps].tolist())
+        return out
+    for k, orders in out.items():
+        for trial in range(cfg.trials):
+            y = recovery.measure(mat, lone_signal(cfg, mat, int(k), trial))
+            try:
+                orders.append(list(recovery.matching_pursuit(mat, y, epsilon=cfg.epsilon).support))
+            except RankDeficientError:
+                orders.append("rank-deficient")
     return out
 
 

@@ -10,6 +10,7 @@ whose correlations come from one FFT per step, every run must equal bit for
 bit the run of a custom copy, whose correlations come from A.
 """
 import dataclasses
+import itertools
 import json
 import math
 from unittest import mock
@@ -382,18 +383,24 @@ def test_batch_matches_each_trial_alone(case, epsilon):
 
 
 def test_trial_outcomes_match_each_trial_alone_in_any_batch_size():
-    # run_experiment's batches: one trial each, three each (a last batch of
-    # one) and the shipped size, on a config whose trials stop at different steps
+    # run_experiment's batches: one trial each, three each (a last slice of
+    # one per k) and the shipped size, where the 40-trial slices of all three
+    # k share one batch, on a config whose trials stop at different steps
     cfg = early_stop_config()
     mat = matrices.from_spec(**cfg.matrix)
     lengths = set()
+    expected = {}
     for k in range(3, 6):
         signals = [lone_signal(cfg, mat, k, t) for t in range(cfg.trials)]
-        expected = [alone(mat, recovery.measure(mat, x), cfg.epsilon) for x in signals]
-        lengths |= {(k, r.iterations) for r in expected if not isinstance(r, Exception)}
-        for batch_bytes in (1, 3 * (2 * mat.m + mat.n) * 16, experiments.BATCH_BYTES):
-            with mock.patch.object(experiments, "BATCH_BYTES", batch_bytes):
-                batches = list(experiments.trial_outcomes(cfg, mat, k))
+        expected[k] = signals, [alone(mat, recovery.measure(mat, x), cfg.epsilon) for x in signals]
+        lengths |= {(k, r.iterations) for r in expected[k][1] if not isinstance(r, Exception)}
+    for batch_bytes in (1, 3 * (2 * mat.m + mat.n) * 16, experiments.BATCH_BYTES):
+        with mock.patch.object(experiments, "BATCH_BYTES", batch_bytes):
+            outcomes_by_k = itertools.groupby(experiments.trial_outcomes(cfg, mat), key=lambda outcome: outcome[0])
+            slices_by_k = {k: [outcome[1:] for outcome in slices] for k, slices in outcomes_by_k}
+        assert list(slices_by_k) == list(expected)
+        for k, batches in slices_by_k.items():
+            signals, lone_results = expected[k]
             supports = np.concatenate([supports for supports, _, _ in batches])
             values = np.concatenate([values for _, values, _ in batches])
             first_picks = np.concatenate([pursuit.first_picks for _, _, pursuit in batches]).tolist()
@@ -401,7 +408,7 @@ def test_trial_outcomes_match_each_trial_alone_in_any_batch_size():
             assert [tuple(s) for s in supports.tolist()] == [x.support for x in signals]
             assert values.tobytes() == np.array([x.values for x in signals]).tobytes()
             assert len(first_picks) == len(results) == cfg.trials
-            for first, result, lone in zip(first_picks, results, expected):
+            for first, result, lone in zip(first_picks, results, lone_results):
                 assert_same_outcome(result, lone)
                 if not isinstance(lone, Exception):
                     assert first == lone.support[0]
@@ -429,6 +436,41 @@ def test_batch_retires_trials_at_every_step():
     assert batch.result(-1).iterations == 0  # a negative row counts from the end, as in the arrays
     with pytest.raises(RankDeficientError):
         batch.result(-5)
+
+
+def test_batch_matches_each_trial_alone_across_every_resize():
+    # the room for steps doubles at 1, 2, 4, 8 and 16 steps, and R's columns
+    # grow with it: trials that stop on each side of every resize. Halving
+    # magnitudes make the pursuit pick the support in order, one step each
+    mat = matrices.from_spec(family="gaussian", m=48, n=96, seed=5)
+    rng = np.random.default_rng(7)
+    steps = [1, 2, 3, 4, 5, 8, 9, 16, 17]
+    ys = np.zeros((len(steps), mat.m), dtype=np.complex128)
+    for y, s in zip(ys, steps):
+        x = np.zeros(mat.n, dtype=np.complex128)
+        x[rng.choice(mat.n, size=s, replace=False)] = 2.0 ** -np.arange(s) * np.exp(2j * np.pi * rng.random(s))
+        y[:] = mat.data @ x
+    batch = assert_batch_matches_each_trial_alone(mat, ys)
+    assert batch.iterations.tolist() == steps
+    assert batch.converged.all() and not batch.errors
+
+
+def test_batch_memory_grows_r_with_the_steps_taken():
+    # pursuit_large's largest batch: 10 trials at k = 40 on its 256x1024
+    # partial DFT. With R as wide as the room for steps it peaks at about
+    # 5.3 MB; with R m wide it peaked at 8.4 MB
+    cfg = experiments.ExperimentConfig(
+        matrix={"family": "partial-dft", "m": 256, "n": 1024, "seed": 0},
+        k_range=(40, 40),
+        trials=10,
+        amplitude_model=experiments.AMPLITUDE_RANDOM,
+    )
+    mat = matrices.from_spec(**cfg.matrix)
+    supports, values = experiments.draw_trials(cfg, mat.n, 40, range(cfg.trials))
+    ys = experiments.measure_trials(mat, supports, values)
+    batch, peak = traced_peak(recovery.pursue_batch, mat, ys)
+    assert batch.iterations.tolist() == [40] * cfg.trials
+    assert peak <= 6.5e6
 
 
 def test_pursue_batch_checks_its_input(etf14):
