@@ -21,6 +21,9 @@ those bounds cannot place, so its report is the SVD's, bit for bit, on
 every shape: SubsetScan.chunks keeps each chunk's blocks in half a chunk.
 On partial DFTs and Paley ETFs a complete scan screens one block per
 translation orbit (_orbit_chunks), widened by the measured translation_gap.
+The l0 oracle (recovery.exhaustive_l0_search) needs only a floor under each
+block's smallest eigenvalue, and gershgorin_floor reads one from the
+block's entries, Gershgorin's theorem, with no eigensolver.
 """
 from __future__ import annotations
 
@@ -165,6 +168,31 @@ def block_spectra(g: np.ndarray, m: int) -> tuple[np.ndarray, float]:
     return np.linalg.eigvalsh(g), e
 
 
+def gershgorin_floor(g: np.ndarray, m: int) -> np.ndarray:
+    """lam: for each (s, s) block of g, a lower bound on the smallest eigenvalue of the exact Gram it was computed from.
+
+    Each block is a Gram from numerics.gram_blocks of s columns of length m
+    with norms at most rho = 1 + COLUMN_NORM_TOL. Gershgorin's theorem, the
+    paper's bound of a Gram from its entries, gives lambda_min(G) >= min_k
+    (G_kk - sum_{l != k} |G_kl|) for the exact Gram G, and lam is that bound
+    on the computed block less an allowance a:
+    - each computed entry lies within gamma rho^2 of G's (gamma), so each
+      row's bound moves by at most s gamma rho^2;
+    - a computed magnitude is within 2u of the exact one, relative, and the
+      sum of the s - 1 of them within (s + 2)u of its exact value, relative,
+      each magnitude being at most 2 rho^2, so the row sum moves by at most
+      2 (s + 2) s u rho^2, and the difference's rounding adds u 2 s rho^2;
+    - a is twice their sum, which covers the roundings of a itself and of
+      lam = min_k(...) - a.
+    """
+    g_num, g_den = gamma(m)
+    s, rho_sq = g.shape[-1], frobenius_sq(1)
+    a = 2.0 * s * rho_sq * (g_num / g_den + 2.0 * (s + 3) * numerics.UNIT_ROUNDOFF)
+    mags = np.abs(g)
+    mags[:, range(s), range(s)] = 0.0
+    return np.min(np.diagonal(g, axis1=1, axis2=2).real - mags.sum(axis=-1), axis=-1) - a
+
+
 def coherence_upper_bound(m: int, off_max: float, norm_sq_min: float) -> float:
     """An upper bound in [0, 1] on the exact coherence of the stored columns, each scaled to unit norm.
 
@@ -209,12 +237,12 @@ def coherence_index(a: matrices.MeasurementMatrix) -> CoherenceReport:
     )
 
 
-def _chunk_length(size: int, column_bytes: int, gram_border: int | None = None) -> int:
-    """Subsets per chunk: their size columns of column_bytes fit SCAN_CHUNK_BYTES and, given a
-    gram_border, their complex Gram blocks of side size + gram_border fit half of it."""
+def _chunk_length(size: int, column_bytes: int, gram_blocks: bool = False) -> int:
+    """Subsets per chunk: their size columns of column_bytes fit SCAN_CHUNK_BYTES and, with
+    gram_blocks, their complex (size, size) Gram blocks fit half of it."""
     per_subset = size * column_bytes
-    if gram_border is not None:  # on near-square sub-matrices the blocks set the cap
-        per_subset = max(per_subset, 2 * (size + gram_border) ** 2 * np.dtype(np.complex128).itemsize)
+    if gram_blocks:  # on near-square sub-matrices the blocks set the cap
+        per_subset = max(per_subset, 2 * size**2 * np.dtype(np.complex128).itemsize)
     return max(1, SCAN_CHUNK_BYTES // per_subset)
 
 
@@ -231,10 +259,10 @@ class SubsetScan:
     def complete(self) -> bool:
         return self.scanned == self.total
 
-    def chunks(self, column_bytes: int, gram_border: int | None = None):
-        """Yield (c, size) index arrays, c at most _chunk_length(size, column_bytes, gram_border)."""
+    def chunks(self, column_bytes: int, gram_blocks: bool = False):
+        """Yield (c, size) index arrays, c at most _chunk_length(size, column_bytes, gram_blocks)."""
         for size in self.sizes:
-            per_chunk = _chunk_length(size, column_bytes, gram_border)
+            per_chunk = _chunk_length(size, column_bytes, gram_blocks)
             subsets = _Lex(self.n, size)
             while self.scanned < self.max_subsets:
                 idx = subsets.take(min(per_chunk, self.max_subsets - self.scanned))
@@ -323,7 +351,7 @@ def uniqueness_rank_scan(
     scan = SubsetScan(a.n, (2 * k,), max_subsets)
     group = translation_group(a) if max_subsets >= scan.total else None
     orbits = group is not None and (eta := translation_gap(a, *group)) < 0.5
-    batches = _orbit_chunks(a, 2 * k, *group, eta) if orbits else scan.chunks(a.m * a.data.itemsize, gram_border=0)
+    batches = _orbit_chunks(a, 2 * k, *group, eta) if orbits else scan.chunks(a.m * a.data.itemsize, gram_blocks=True)
     witness = None
     min_cond = math.inf
     max_cond = 0.0
@@ -480,7 +508,7 @@ def _orbit_chunks(a: matrices.MeasurementMatrix, s: int, o: int, q: int, eta: fl
     """
     g_num, g_den = gamma(a.m)
     extra = 2.0 * s * (eta + 2.0 * g_num / g_den * frobenius_sq(1)) * (1.0 + numerics.UNIT_ROUNDOFF)
-    per_chunk = _chunk_length(s, a.m * a.data.itemsize, 0)
+    per_chunk = _chunk_length(s, a.m * a.data.itemsize, gram_blocks=True)
     # a subset that translation b fixes is a union of cosets of the q / b translations b generates: q / b <= s
     periods = [b for b in range(q - 1, 0, -1) if q % b == 0 and q // b <= s]
     bounds = (0.0, math.inf)

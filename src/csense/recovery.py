@@ -519,9 +519,12 @@ def exhaustive_l0_search(
     supports are fitted, and complete says whether that was all of them.
 
     Every solution comes from _fit, on a stack of the supports that need it.
-    A bordered Gram block per support, from one A^H y per search, first
-    clears the supports that _fit would surely reject (_fits_out); they are
-    not fitted.
+    The Gram block of each support's columns and the squared magnitudes of
+    A^H v, v = y / ||y||, from one product per search, first clear the
+    supports that _fit would surely reject (_fits_out): Gershgorin's bound
+    on the block and a Schur complement bound, with no eigensolver. Those
+    supports are not fitted. A chunk's sub-matrices and the U factors _fit
+    makes of them fit SCAN_CHUNK_BYTES together, so they get half of it.
     """
     vec = _measurements(a, y)
     k_max = matrices.check_int(k_max, "k_max", 1, a.m)
@@ -529,11 +532,12 @@ def exhaustive_l0_search(
     scan = coherence.SubsetScan(a.n, range(1, k_max + 1), max_subsets)
     y_norm = float(np.linalg.norm(vec))
     solutions = [L0Solution((), np.zeros(0, dtype=np.complex128), y_norm)] if y_norm <= epsilon * y_norm else []
-    border = None  # (A^H v, v^H v) for v = y / ||y||: one product per search
+    border = None  # (|A^H v|^2 entrywise, v^H v) for v = y / ||y||: one product per search
     if y_norm:
         v = vec / y_norm
-        border = (_correlate(a, v[None])[0], float(np.vdot(v, v).real))
-    for idx in scan.chunks(a.m * a.data.itemsize, gram_border=None if border is None else 1):
+        b = _correlate(a, v[None])[0]
+        border = (b.real**2 + b.imag**2, float(np.vdot(v, v).real))
+    for idx in scan.chunks(2 * a.m * a.data.itemsize, gram_blocks=border is not None):
         idx, vals, residual = _fit_chunk(a, idx, vec, border, epsilon)
         consistent = (residual <= epsilon * y_norm) & (np.min(np.abs(vals), axis=1) > numerics.ZERO_TOL * y_norm)
         for i in np.flatnonzero(consistent):
@@ -544,28 +548,42 @@ def exhaustive_l0_search(
 def _fit_chunk(a: matrices.MeasurementMatrix, idx: np.ndarray, vec, border, epsilon: float):
     """One chunk of the l0 search: the full-rank supports _fit took, with their values and residuals.
 
-    border is (A^H v, v^H v) for v = y / ||y||, or None for y = 0. Unless
-    y = 0, _fits_out first clears the supports _fit would surely reject.
-    The chunk's arrays go when it returns.
+    border is (|A^H v|^2 entrywise, v^H v) for v = y / ||y||, or None for
+    y = 0. Unless y = 0, _fits_out first clears the supports _fit would
+    surely reject. The chunk's arrays go when it returns.
     """
     rows = a.data.T[idx]  # rows[i] holds the columns of support i as its rows
     if border is not None:
-        keep = ~_fits_out(rows, border[0][idx], border[1], a.m, epsilon)
+        keep = ~_fits_out(rows, border[0][idx].sum(axis=1), border[1], a.m, epsilon)
         if not keep.all():
             idx, rows = idx[keep], rows[keep]
     full, vals, residual = _fit(rows.transpose(0, 2, 1), vec)  # a (c, m, size) stack
     return idx[full], vals, residual
 
 
-def _fits_out(rows, border, corner: float, m: int, epsilon: float) -> np.ndarray:
-    """Mask of the supports S whose _fit surely fails the residual test, from the Gram of [A_S, v].
+def _fits_out(rows, b_sq, corner: float, m: int, epsilon: float) -> np.ndarray:
+    """Mask of the supports S whose _fit surely fails the residual test, from the Gram block of A_S and ||A_S^H v||^2.
 
-    v is y / ||y|| as computed, border holds A_S^H v and corner v^H v. The
-    bordered block is the Gram of s + 1 columns, each entry within gamma of
-    the exact one (coherence.gamma), so coherence.block_spectra bounds its
-    smallest eigenvalue: sigma^2 <= lambda_min, sigma >= 0. Then:
-    - the distance of v from the span of A_S is at least sigma, and, by
-      interlacing, sigma_min(A_S) >= sigma;
+    v is y / ||y|| as computed, b_sq holds ||b^||^2 for the computed b^ =
+    A_S^H v, summed from its squared magnitudes, and corner is v^H v as
+    computed. v's norm is within (m + 4)u of 1, below COLUMN_NORM_TOL for
+    any m under 10^5, so it is at most rho = 1 + COLUMN_NORM_TOL like a
+    column's, and each entry of b^ and the corner lie within gamma rho^2 of
+    the exact b = A_S^H v and c = v^H v (coherence.gamma).
+    sigma^2 = min(lam, dist^2), sigma >= 0, bounds sigma_min(A_S)^2 and the
+    squared distance of v from the span of A_S from below:
+    - lam = coherence.gershgorin_floor of the Gram block G_S is at most
+      lambda_min(G_S) = sigma_min(A_S)^2;
+    - when lam > 0 that distance squared is the Schur complement
+      c - b^H G_S^-1 b >= c - ||b||^2 / lam. With ||b|| <= ||b^|| + sqrt(s)
+      gamma rho^2 and ||b^|| <= sqrt(s) (1 + gamma) rho^2 it is at least
+      dist^2 = corner - (b_sq + 3 s gamma rho^4) / lam - gamma rho^2
+      - 2 (s + 10) u rho^2. The last term covers the roundings of b_sq
+      (each square within 3u, relative, their sum within (s - 1)u more), of
+      the quotient and of the differences, which the quotient, below
+      corner < 2 rho^2 wherever dist^2 > 0, keeps under 2 (s + 8) u rho^2,
+      and of the square root of sigma^2.
+    Then:
     - v is y / ||y|| within u ||v||, so the exact residual r of y is at
       least ||y|| (sigma - 2u);
     - the SVD in _fit returns sigma_min(A_S) within d
@@ -578,15 +596,14 @@ def _fits_out(rows, border, corner: float, m: int, epsilon: float) -> np.ndarray
       epsilon and the spare 4u cover the roundings of the test. Whatever
       the rank test then says, the support is rejected.
     """
-    c, s, _ = rows.shape
-    g = np.empty((c, s + 1, s + 1), dtype=np.complex128)
-    numerics.gram_blocks(rows, out=g[:, :s, :s])
-    g[:, :s, s], g[:, s, :s], g[:, s, s] = border, border.conj(), corner
-    w, e = coherence.block_spectra(g, m)
-    sigma = np.sqrt(np.maximum(w[:, 0] - e, 0.0))
+    s = rows.shape[1]
+    lam = coherence.gershgorin_floor(numerics.gram_blocks(rows), m)
     g_num, g_den = coherence.gamma(m)
-    slack = 10.0 * g_num / g_den * math.sqrt(coherence.frobenius_sq(s))
-    u = numerics.UNIT_ROUNDOFF
+    gam, rho_sq, u = g_num / g_den, coherence.frobenius_sq(1), numerics.UNIT_ROUNDOFF
+    with np.errstate(divide="ignore"):  # lam = 0 gives dist^2 = -inf; lam < 0 leaves sigma = 0 anyway
+        dist_sq = corner - (b_sq + 3.0 * s * gam * rho_sq**2) / lam - rho_sq * (gam + 2.0 * (s + 10) * u)
+    sigma = np.sqrt(np.maximum(np.minimum(lam, dist_sq), 0.0))
+    slack = 10.0 * gam * math.sqrt(coherence.frobenius_sq(s))
     return (sigma >= 2.0 * coherence.singular_value_allowance(m, s)) & (sigma * (sigma - 2.0 * epsilon - 8.0 * u) > slack)
 
 

@@ -2,6 +2,8 @@ import base64
 import csv
 import json
 import math
+import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -863,3 +865,55 @@ def test_the_package_binds_only_its_modules_and_version():
     assert out["loaded"] == ["csense"] + [f"csense.{name}" for name in library]
     assert out["public"] == {name: f"csense.{name}" for name in library if not name.startswith("_")}
     assert out["version"]
+
+
+# --------------------------------------------------------------- README
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quick_tour():
+    """The commands of README's "CLI quick tour" block, in order, as shell text: comments dropped, quoted newlines kept."""
+    block = README.read_text(encoding="utf-8").split("## CLI quick tour", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    commands, pending = [], ""
+    for line in block.splitlines():
+        if not pending and (not line.strip() or line.lstrip().startswith("#")):
+            continue
+        pending += line
+        try:
+            shlex.split(pending)
+        except ValueError:  # a quote is still open, so the command goes on on the next line
+            pending += "\n"
+            continue
+        commands.append(pending)
+        pending = ""
+    assert not pending, pending
+    return commands
+
+
+def test_the_readme_quick_tour_runs(tmp_path, monkeypatch, capsys):
+    """Every line of the tour runs in a fresh directory and exits 0, the code README gives success.
+
+    csense lines run through cli.main; the python -c and echo steps run as
+    written, python as this interpreter with the csense it imports on its path.
+    """
+    assert "Exit codes: `0` success" in README.read_text(encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    package_dir = str(Path(csense.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (package_dir, os.environ.get("PYTHONPATH"))))}
+    programs = []
+    for command in quick_tour():
+        argv = shlex.split(command)
+        programs.append(argv[1] if argv[0] == "csense" else argv[0])
+        if argv[0] == "csense":
+            code = main(argv[1:])
+        elif argv[0] == "python":
+            code = subprocess.run([sys.executable, *argv[1:]], env=env).returncode
+        else:
+            code = subprocess.run(["sh", "-c", command]).returncode
+        capsys.readouterr()
+        assert code == 0, command
+    assert set(programs) == {"gen-matrix", "coherence", "recover", "figure", "experiment", "python", "echo"}
+    for name in ("etf14.json", "even.json", "dft.json", "gauss.json", "sub.json", "y.json", "config.json", "report.json"):
+        assert (tmp_path / name).is_file(), name
+    assert any((tmp_path / "out").iterdir())

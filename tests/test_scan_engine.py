@@ -249,18 +249,16 @@ def test_subset_scan_enumerates_in_order_and_stops_at_budget():
     assert scan.complete
 
 
-@pytest.mark.parametrize("gram_border", [0, 1])
-def test_gram_blocks_cap_a_chunk_only_where_they_outweigh_half_its_columns(gram_border):
+def test_gram_blocks_cap_a_chunk_only_where_they_outweigh_half_its_columns():
     for m, size in itertools.product(range(1, 13), range(1, 7)):
         plain, capped = (coherence.SubsetScan(9, (size,), 5000) for _ in range(2))
         with mock.patch.object(coherence, "SCAN_CHUNK_BYTES", 4096):
             lengths = [len(c) for c in plain.chunks(m * 16)]
-            capped_lengths = [len(c) for c in capped.chunks(m * 16, gram_border)]
-        side = size + gram_border
-        if 2 * side * side <= size * m:
+            capped_lengths = [len(c) for c in capped.chunks(m * 16, gram_blocks=True)]
+        if 2 * size * size <= size * m:
             assert capped_lengths == lengths
         else:
-            per, total = min(lengths[0], max(1, 4096 // (2 * side * side * 16))), math.comb(9, size)
+            per, total = min(lengths[0], max(1, 4096 // (2 * size * size * 16))), math.comb(9, size)
             assert capped_lengths == [per] * (total // per) + [total % per] * (total % per > 0)
 
 
@@ -408,7 +406,7 @@ def test_screened_scans_match_the_loops(seed, m, data):
     with mock.patch.object(coherence, "SCAN_CHUNK_BYTES", chunk):
         rep = coherence.uniqueness_rank_scan(mat, k, max_subsets=budget)
     assert (rep.witness, rep.scanned, rep.min_cond, rep.max_cond) == uniqueness_by_loop(mat, k, budget)
-    k_max = data.draw(st.integers(1, min(4, m)))  # at k_max = m the bordered block is wider than tall
+    k_max = data.draw(st.integers(1, min(4, m)))  # supports up to square
     support = tuple(sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=k_max, unique=True))))
     y = recovery.measure(mat, recovery.SparseSignal(n, support, np.exp(1j * np.arange(1.0, len(support) + 1))))
     epsilon = data.draw(st.sampled_from([1e-12, 1e-8, 1e-3, 0.5]))
@@ -435,6 +433,71 @@ def test_singular_values_lie_within_the_block_allowances(seed, m, data):
         assert np.all(sigma <= np.sqrt(np.maximum(lam + e, 0.0)) + d)
 
 
+@st.composite
+def screen_frames(draw):
+    """A Gaussian, partial DFT, near-duplicate or rank-deficient frame of at most 12 rows."""
+    kind = draw(st.sampled_from(["gaussian", "partial-dft", "near-duplicate", "rank-deficient"]))
+    seed, m = draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 12))
+    n = draw(st.integers(m, 16))
+    if kind == "gaussian":
+        return random_matrix(seed, m, n)
+    if kind == "partial-dft":
+        return matrices.build_partial_dft(n, sorted(draw(st.sets(st.integers(0, n - 1), min_size=m, max_size=m))))
+    if kind == "near-duplicate":
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        return near_duplicate_matrix(seed, m, n, [(i, j)], draw(st.sampled_from([0.0, 1e-12, 1e-7, 1e-3, 0.1])))
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0][:, : draw(st.integers(1, m - 1))]
+    data = basis @ (rng.standard_normal((basis.shape[1], n)) + 1j * rng.standard_normal((basis.shape[1], n)))
+    return matrices.MeasurementMatrix(data / np.linalg.norm(data, axis=0), "custom")
+
+
+@settings(max_examples=100, deadline=None)
+@given(screen_frames(), st.data())
+def test_the_oracle_screen_clears_only_supports_the_fit_rejects(mat, data):
+    # y lies near the span of a drawn support, at a drawn distance, and the supports that hold it are screened too,
+    # so some supports fit within epsilon and some only just miss; every support _fits_out clears must fail
+    # _fit's residual test on its own
+    n, m = mat.n, mat.m
+    size = data.draw(st.integers(1, min(m, 5)))
+    near = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=size))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    y = mat.data[:, sorted(near)] @ (rng.standard_normal(len(near)) + 1j * rng.standard_normal(len(near)))
+    noise = data.draw(st.one_of(st.just(0.0), st.sampled_from([1e-9, 1e-3, 0.1, 0.3, 1.0])))
+    y += noise * np.linalg.norm(y) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    epsilon = data.draw(st.one_of(st.sampled_from([1e-12, 1e-8, 1e-3, 0.3]), st.floats(1e-12, 0.3)))
+    supports = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=size, max_size=size), min_size=1, max_size=40))
+    holding = [near | set(rng.permutation(sorted(set(range(n)) - near))[: size - len(near)].tolist()) for _ in range(5)]
+    idx = np.array(sorted(set(tuple(sorted(support)) for support in supports + holding)))
+    y_norm = float(np.linalg.norm(y))
+    v = y / y_norm
+    b = recovery._correlate(mat, v[None])[0]
+    rows = mat.data.T[idx]
+    cleared = recovery._fits_out(rows, (b.real**2 + b.imag**2)[idx].sum(axis=1), float(np.vdot(v, v).real), m, epsilon)
+    for support in idx[cleared].tolist():
+        full, _, residual = recovery._fit(mat.data[:, support][None], y)
+        assert not full[0] or residual[0] > epsilon * y_norm, support
+    g = numerics.gram_blocks(rows)
+    w, e = coherence.block_spectra(g, m)
+    assert np.all(coherence.gershgorin_floor(g, m) <= w[:, 0] + e)
+
+
+def test_the_oracle_on_the_scan_workloads_frame_needs_no_eigensolver(etf30):
+    # the 15x30 ETF with a 3-sparse y drawn as the benchmark's scan workload draws it (seed 0): the Gershgorin and
+    # Schur bounds clear all but a few hundred of the 4525 supports, and no block goes to an eigensolver
+    rng = np.random.default_rng(0)
+    support = matrices.draw_without_replacement(rng, etf30.n, 3)
+    mags = np.exp(rng.uniform(math.log(0.5), math.log(2.0), size=3))
+    y = recovery.measure(etf30, recovery.SparseSignal(etf30.n, support, mags * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=3))))
+    with mock.patch.object(recovery, "_fit", wraps=recovery._fit) as fit, \
+            mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        rep = recovery.exhaustive_l0_search(etf30, y, 3)
+    assert eigvalsh.call_count == 0
+    assert sum(len(call.args[0]) for call in fit.call_args_list) <= 600 and rep.scanned == rep.total == 4525
+    assert [s.support for s in rep.solutions] == [support]
+    assert_l0_matches_fit_alone(etf30, y, 3, recovery.DEFAULT_RELATIVE_EPSILON)
+
+
 def test_gram_blocks_are_the_gram_of_each_subset(etf30):
     idx = np.array(list(itertools.combinations(range(8), 3)))
     blocks = numerics.gram_blocks(etf30.data.T[idx])
@@ -443,7 +506,7 @@ def test_gram_blocks_are_the_gram_of_each_subset(etf30):
 
 
 def test_l0_memory_is_bounded_by_the_chunk(etf30):
-    # the Gaussians' supports are near square: their bordered Gram blocks outweigh their columns
+    # the Gaussians' supports are near square: their Gram blocks and the fit's factors outweigh their columns
     cases = [
         (etf30, (2, 5, 19)),
         (matrices.build_gaussian(4, 300, seed=2), (7, 150)),
