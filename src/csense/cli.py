@@ -13,6 +13,7 @@ printed), 5 pursuit did not converge.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -154,6 +155,7 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="csense", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

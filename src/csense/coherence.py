@@ -15,7 +15,7 @@ rounding cannot certify a K the exact frame does not have.
 The paper's own move, bounding a subset's Gram from its entries, also
 screens the scans: block_spectra bounds the singular values of each
 subset's columns from the eigenvalues of its Gram block, with an allowance
-for every rounding (gamma for the block's entries, _factor_allowance for
+for every rounding (gamma for the block's entries, factor_allowance for
 the eigensolver and the SVD). uniqueness_rank_scan factors only the subsets
 those bounds cannot place, so its report is the SVD's, bit for bit, on
 every shape: SubsetScan.chunks keeps each chunk's blocks in half a chunk.
@@ -125,7 +125,7 @@ def frobenius_sq(cols: int) -> float:
     return cols * (1.0 + matrices.COLUMN_NORM_TOL) ** 2
 
 
-def _factor_allowance(rows: int, cols: int) -> float:
+def factor_allowance(rows: int, cols: int) -> float:
     """(rows + cols)^2 u: the backward error allowed a LAPACK SVD or Hermitian eigensolver of a rows x cols input.
 
     Both reduce their input by Householder reflections and then iterate on a
@@ -141,9 +141,9 @@ def _factor_allowance(rows: int, cols: int) -> float:
 def singular_value_allowance(m: int, cols: int) -> float:
     """d: the SVD of m x cols columns of a MeasurementMatrix returns each singular value within d of the exact one.
 
-    d = _factor_allowance(m, cols) ||A_S||_2, with ||A_S||_2^2 <= frobenius_sq(cols).
+    d = factor_allowance(m, cols) ||A_S||_2, with ||A_S||_2^2 <= frobenius_sq(cols).
     """
-    return _factor_allowance(m, cols) * math.sqrt(frobenius_sq(cols))
+    return factor_allowance(m, cols) * math.sqrt(frobenius_sq(cols))
 
 
 def block_spectra(g: np.ndarray, m: int) -> tuple[np.ndarray, float]:
@@ -157,14 +157,14 @@ def block_spectra(g: np.ndarray, m: int) -> tuple[np.ndarray, float]:
       eigvalsh reads the lower triangle, so it factors G + E with E
       Hermitian and ||E||_2 <= ||E||_F <= gamma t;
     - eigvalsh returns the exact eigenvalues of that input plus a
-      perturbation of 2-norm at most _factor_allowance(s, s) (1 + gamma) t;
+      perturbation of 2-norm at most factor_allowance(s, s) (1 + gamma) t;
     - by Weyl's theorem no eigenvalue moves by more than the sum, and e is
       twice it, which covers the few roundings (each at most u, relative) of
       the interval arithmetic the scans do with w and e.
     """
     g_num, g_den = gamma(m)
     gam, s = g_num / g_den, g.shape[-1]
-    e = 2.0 * frobenius_sq(s) * (gam + _factor_allowance(s, s) * (1.0 + gam))
+    e = 2.0 * frobenius_sq(s) * (gam + factor_allowance(s, s) * (1.0 + gam))
     return np.linalg.eigvalsh(g), e
 
 

@@ -340,7 +340,10 @@ def pursue_batch(
     The refit is incremental: each new column is orthogonalized against the
     earlier ones (Gram-Schmidt, applied twice), which extends a QR
     factorization A_S = Q R; the values come from one solve with the
-    triangular R at the end.
+    triangular R at the end. The shared rank test on R's singular values
+    runs then too: a floor read off R's entries, |det R| = prod r_jj
+    bounded by the AM-GM inequality, clears almost every R, and only the
+    others go to an SVD, which decides exactly as it would for every R.
 
     The correlations A^H r only choose the picks: the refit, the residuals,
     the rank tests and the values all come from the stored columns, so two
@@ -465,7 +468,14 @@ def _pursue(a: matrices.MeasurementMatrix, ys, y_norms, thresholds, max_iter: in
 
 
 def _finish(a, live: _Live, k: int, ended) -> None:
-    """Record the trials that end with k picks."""
+    """Record the trials that end with k picks.
+
+    The rank test of a trial's k x k factor R is the shared one on its SVD.
+    _surely_full_rank first clears every R whose floor under sigma_min
+    passes that test for any SVD within the allowance, so the SVD runs only
+    on the others, and every decision, error and value is what the SVD of
+    every R gives.
+    """
     live.done |= ended
     live.iterations[ended] = k
     live.final_norm[ended] = live.norm[ended]
@@ -478,12 +488,79 @@ def _finish(a, live: _Live, k: int, ended) -> None:
     r = live.r[:k, rows, :k].transpose(1, 2, 0)  # r[t][i, j] = R_ij of trial t
     # sigma(R) = sigma(A_S), and adding columns never raises sigma_min, so
     # this one test fails in the same runs as a rank test after every refit
-    s = np.linalg.svd(r, compute_uv=False)
-    sound = s[:, -1] > numerics.rank_tolerance((a.m, k), s[:, 0])
+    sound = _surely_full_rank(r, a.m)
+    unsure = ~sound
+    if unsure.any():
+        s = np.linalg.svd(r[unsure], compute_uv=False)
+        sound[unsure] = s[:, -1] > numerics.rank_tolerance((a.m, k), s[:, 0])
     for t in rows[~sound].tolist():
         live.errors[t] = RankDeficientError(f"selected columns {picks[:, t].tolist()} have numerical rank below {k}")
     if sound.any():
         live.x[:k, rows[sound]] = np.linalg.solve(r[sound], live.z[:k, rows[sound]].T[:, :, None])[:, :, 0].T
+
+
+def _rank_bounds(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(floor, ceiling, delta): for each k x k upper-triangular R of a stack, with a real positive
+    diagonal, sigma_min(R) >= floor (1 - delta) and sigma_max(R) <= ||R||_F <= ceiling (1 + delta).
+
+    R is triangular, so the product of its singular values is |det R| =
+    prod_j r_jj. The other k - 1 squared singular values sum to at most
+    ||R||_F^2, so by the AM-GM inequality their product is at most
+    (||R||_F^2 / (k - 1))^(k - 1), and
+    sigma_min >= prod_j r_jj ((k - 1) / ||R||_F^2)^((k - 1) / 2)
+    = F prod_j (r_jj / F) (k - 1)^((k - 1) / 2), F = ||R||_F,
+    which for k = 1 is r_11 itself. floor is that value as computed, with the
+    ceiling F^ = sqrt(f^) for F. With u = 2^-53:
+    - f^ sums the k^2 values re^2 + im^2: each square within u, relative,
+      or, where it is subnormal, within u tiny (tiny = 2^-1022), absolute,
+      and the sum within (k^2 - 1)u. So where f^ >= tiny it lies within
+      (3k^2 + 2)u of ||R||_F^2, relative, and F^ within (2k^2 + 2)u of F;
+    - each ratio r_jj / F^ is at most 1 + delta, so a partial product of the
+      ratios below tiny, in any order, would leave their product p^ below
+      2 tiny. Where p^ >= 2 tiny none underflowed, and every rounding below
+      is within u, relative;
+    - (k - 1)^((k - 1) / 2) is the product of k - 1 copies of sqrt(k - 1),
+      with k - 1 roundings;
+    - F^ enters the floor to the power 1 - k, and the divisions, the products
+      and the two last multiplications make 3k roundings, so floor lies
+      within 2(k - 1)(2k^2 + 2)u + 4ku <= delta = 4(k + 1)^3 u of the exact
+      bound, relative.
+    The squares of the ratios sum to at most (1 + delta)^2, so the AM-GM
+    inequality again gives p^ <= k^(-k/2)(1 + delta)^(2k), below 2 tiny for
+    every k > 255, where the power of sqrt(k - 1) may overflow: there, and
+    wherever f^ < tiny or p^ < 2 tiny, floor is 0. delta stays under 1e-8
+    wherever floor is not 0.
+    """
+    k = r.shape[-1]
+    frob_sq = (r.real**2 + r.imag**2).sum(axis=(1, 2))
+    ceiling = np.sqrt(frob_sq)
+    p = (np.diagonal(r, axis1=1, axis2=2).real / ceiling[:, None]).prod(axis=1)
+    tiny = np.finfo(np.float64).tiny
+    normal = (p >= 2.0 * tiny) & (frob_sq >= tiny)
+    spread = math.prod([math.sqrt(k - 1)] * (k - 1))
+    floor = np.zeros_like(p)
+    np.multiply(ceiling * p, spread, out=floor, where=normal)
+    return floor, ceiling, 4.0 * (k + 1) ** 3 * numerics.UNIT_ROUNDOFF
+
+
+def _surely_full_rank(r: np.ndarray, m: int) -> np.ndarray:
+    """Mask of the k x k factors R of a stack (real positive diagonals) whose SVD surely passes the shared rank test.
+
+    The test passes when s_min > rank_tolerance((m, k), s_max) for the
+    computed singular values s. The SVD returns each singular value within
+    a ||R||_2 <= a F of the exact one, a = coherence.factor_allowance(k, k)
+    (F = ||R||_F), so s_max <= (1 + a) F and s_min >= sigma_min - a F, and
+    the tolerance, M eps s_max with M = max(m, k) and one rounding, is at
+    most M eps (1 + a)(1 + u) F. By _rank_bounds the test then passes when
+    floor (1 - delta) > (1 + delta) ceiling (a + M eps (1 + a)(1 + u)). As
+    a <= delta / 2 and u <= delta / 16, that holds when
+    floor > ceiling (a + M eps)(1 + 4 delta), with room for the roundings
+    of this product.
+    """
+    k = r.shape[-1]
+    floor, ceiling, delta = _rank_bounds(r)
+    edge = (coherence.factor_allowance(k, k) + numerics.rank_tolerance((m, k), 1.0)) * (1.0 + 4.0 * delta)
+    return floor > ceiling * edge
 
 
 def _rows_times(x, y):

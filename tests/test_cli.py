@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import csense
-from csense import matrices, numerics, recovery
+from csense import cli, matrices, numerics, recovery
 from csense.cli import figure_scenario, main
 from csense.coherence import coherence_index
 from csense.experiments import sweep_partial_dft_subsets
@@ -132,6 +132,19 @@ def test_gen_matrix_unknown_family_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["gen-matrix", "--family", "nope", "--n", "8", "--out", str(tmp_path / "x.json")])
     assert exc.value.code == 2
+
+
+def test_one_parser_serves_every_call_and_a_usage_error_leaves_it_as_it_was(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    out = tmp_path / "etf.json"
+    assert run(capsys, "gen-matrix", "--family", "etf", "--m", "7", "--n", "14", "--out", str(out))[0] == 0
+    first = run(capsys, "coherence", "--matrix", str(out), "--uniqueness-k", "2")
+    for argv in (["coherence", "--matrix"], ["coherence", "--matrix", str(out), "--uniqueness-k", "two"], ["nope"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
+    assert run(capsys, "coherence", "--matrix", str(out), "--uniqueness-k", "2") == first
 
 
 def test_printed_mu_round_trips_through_coherence(tmp_path, capsys):

@@ -17,14 +17,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from csense import cli, experiments, matrices, numerics, recovery
+from csense import cli, coherence, experiments, matrices, numerics, recovery
 from csense.errors import DimensionMismatchError, RankDeficientError
 from conftest import traced_peak
 from test_experiments import early_stop_config, outcomes
-from test_golden import lone_signal
+from test_golden import golden_configs, lone_signal
 
 VALUE_TOL = 1e-8
 # A correlation this close (relative to ||y||) to the edge of the tie set may
@@ -212,18 +212,25 @@ def test_pursuit_rank_test_window(factor, message):
         assert recovery.matching_pursuit(mat, y).support == expected.support == (1, 2, 0)
         return
     assert expected is RankDeficientError
-    with pytest.raises(RankDeficientError, match=message):
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
+            pytest.raises(RankDeficientError, match=message):
         recovery.matching_pursuit(mat, y)
+    # the floor under sigma_min cannot clear a factor that fails the rank test: the SVD decides it
+    assert svd.call_count == (message == "numerical rank below 3")
+
+
+def near_parallel_frame(rng):
+    """An 8x12 frame of columns within 1e-4 of one common direction (condition numbers near 1e5)."""
+    u = rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))
+    return unit_columns(u + 1e-4 * (rng.standard_normal((8, 12)) + 1j * rng.standard_normal((8, 12))))
 
 
 def test_pursuit_keeps_accuracy_on_near_parallel_columns():
-    # columns within 1e-4 of one common direction (condition numbers near 1e5):
     # Gram-Schmidt without its second pass loses orthogonality like cond^2 * eps
     # and drifts from the refit by 1e-9 and more; with it, both agree to cond * eps
     for seed in range(6):
         rng = np.random.default_rng(seed)
-        u = rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))
-        mat = unit_columns(u + 1e-4 * (rng.standard_normal((8, 12)) + 1j * rng.standard_normal((8, 12))))
+        mat = near_parallel_frame(rng)
         x = np.zeros(12, dtype=np.complex128)
         x[:5] = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         y = mat.data @ x
@@ -232,6 +239,80 @@ def test_pursuit_keeps_accuracy_on_near_parallel_columns():
         got = recovery.matching_pursuit(mat, y)
         assert got.support == expected.support
         assert np.max(np.abs(got.values - expected.values)) <= 1e-10 * np.linalg.norm(expected.values)
+
+
+# ------------------------------------------------------ closing rank screen
+
+
+def near_dependent_case(factor):
+    """near_dependent_third_pick with its pivot factor * m * eps, y as a stack of one."""
+    mat, y = near_dependent_third_pick(factor * 64 * np.finfo(np.float64).eps)
+    return mat, y[None]
+
+
+@st.composite
+def rank_screen_cases(draw):
+    """(matrix, measurement stack) whose pursuits end with factors R of every kind the screen meets.
+
+    Gaussian and partial DFT frames, near-parallel frames (R far from
+    orthogonal, cond near 1e5) and near_dependent_third_pick with its pivot
+    in the window where only the rank test catches it, or just above it.
+    """
+    kind = draw(st.sampled_from(["gaussian", "partial-dft", "near-parallel", "near-dependent"]))
+    if kind == "near-dependent":
+        return near_dependent_case(draw(st.floats(1.0, 4.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        m = draw(st.integers(1, 24))
+        mat = matrices.build_gaussian(m, draw(st.integers(m, 64)), seed=draw(st.integers(0, 2**32 - 1)))
+    elif kind == "partial-dft":
+        mat = draw(partial_dfts())
+    else:
+        mat = near_parallel_frame(rng)
+    return mat, dft_measurements(mat, rng, 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_screen_cases(), st.integers(-30, 30))
+@example(near_dependent_case(1.5), 0)
+def test_the_rank_screen_clears_only_factors_the_svd_passes(case, exponent):
+    # every factor R the pursuit ends with, as _finish hands it to the screen: each R the screen
+    # clears must pass the SVD's rank test, and the floor and the ceiling must bracket the SVD's
+    # smallest and largest singular values within its allowance. The test compares two singular
+    # values, so its answer does not change with R's scale, and the bounds must hold at any
+    # scale too: each R also goes in times 2^exponent, which rounds nothing
+    mat, ys = case
+    with mock.patch.object(recovery, "_surely_full_rank", wraps=recovery._surely_full_rank) as screen:
+        recovery.pursue_batch(mat, ys)
+    for call in screen.call_args_list:
+        r = call.args[0] * 2.0**exponent
+        k = r.shape[-1]
+        s = np.linalg.svd(r, compute_uv=False)
+        floor, ceiling, delta = recovery._rank_bounds(r)
+        allowance = coherence.factor_allowance(k, k) * ceiling * (1.0 + delta)
+        assert np.all(floor * (1.0 - delta) <= s[:, -1] + allowance)
+        assert np.all(s[:, 0] <= ceiling * (1.0 + delta) + allowance)
+        cleared = recovery._surely_full_rank(r, mat.m)
+        assert np.all(s[cleared, -1] > numerics.rank_tolerance((mat.m, k), s[cleared, 0]))
+
+
+def test_the_benchmark_pursuit_configs_factor_no_r():
+    # the four montecarlo configs, with their trial counts, and the pursuit_large config on a 256x1024
+    # partial DFT: the floor clears every factor R, so no trial's rank test needs an SVD
+    large = experiments.ExperimentConfig(
+        matrix={"family": "partial-dft", "m": 256, "n": 1024, "seed": 0},
+        k_range=(16, 40),
+        trials=4,
+        amplitude_model=experiments.AMPLITUDE_RANDOM,
+        seed=0,
+    )
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
+            mock.patch.object(recovery, "_surely_full_rank", wraps=recovery._surely_full_rank) as screen:
+        for cfg in (*golden_configs().values(), large):
+            experiments.run_experiment(cfg)
+    assert svd.call_count == 0
+    # every trial was screened once: 8 (config, k) rows of 500 trials, and 25 k of 4
+    assert sum(len(call.args[0]) for call in screen.call_args_list) == 8 * 500 + 25 * 4
 
 
 def test_pursuit_duplicated_column_is_never_reselected(even_rows_dft8):
