@@ -18,12 +18,14 @@ subset's columns from the eigenvalues of its Gram block, with an allowance
 for every rounding (gamma for the block's entries, factor_allowance for
 the eigensolver and the SVD). uniqueness_rank_scan factors only the subsets
 those bounds cannot place, so its report is the SVD's, bit for bit, on
-every shape: SubsetScan.chunks keeps each chunk's blocks in half a chunk.
+every shape. One chunk rule (_chunk_length) serves all three scans: a
+chunk's Gram blocks, the isometry scan's included, take half a chunk.
 On partial DFTs and Paley ETFs a complete scan screens one block per
 translation orbit (_orbit_chunks), widened by the measured translation_gap.
 The l0 oracle (recovery.exhaustive_l0_search) needs only a floor under each
 block's smallest eigenvalue, and gershgorin_floor reads one from the
-block's entries, Gershgorin's theorem, with no eigensolver.
+block's entries, Gershgorin's theorem, with no eigensolver; where ||y||
+computes to 0 it fits nothing.
 """
 from __future__ import annotations
 
@@ -237,38 +239,37 @@ def coherence_index(a: matrices.MeasurementMatrix) -> CoherenceReport:
     )
 
 
-def _chunk_length(size: int, column_bytes: int, gram_blocks: bool = False) -> int:
-    """Subsets per chunk: their size columns of column_bytes fit SCAN_CHUNK_BYTES and, with
-    gram_blocks, their complex (size, size) Gram blocks fit half of it."""
-    per_subset = size * column_bytes
-    if gram_blocks:  # on near-square sub-matrices the blocks set the cap
-        per_subset = max(per_subset, 2 * size**2 * np.dtype(np.complex128).itemsize)
+def _chunk_length(size: int, column_bytes: int) -> int:
+    """Subsets per chunk, for every scan: their size columns of column_bytes fit SCAN_CHUNK_BYTES,
+    and their complex (size, size) Gram blocks half of it, which on near-square sub-matrices sets the cap."""
+    per_subset = max(size * column_bytes, 2 * size**2 * np.dtype(np.complex128).itemsize)
     return max(1, SCAN_CHUNK_BYTES // per_subset)
 
 
 class SubsetScan:
-    """Subsets of range(n) by size, then lexicographically, cut off after max_subsets."""
+    """Subsets of range(n) by size, then lexicographically, cut off after max_subsets.
+
+    The budget fixes the counts before the first chunk: every route visits
+    scanned = min(total, max_subsets) subsets.
+    """
 
     def __init__(self, n: int, sizes, max_subsets: int):
         max_subsets = matrices.check_int(max_subsets, "the subset budget", 0)
-        self.n, self.sizes, self.max_subsets = n, tuple(sizes), max_subsets
+        self.n, self.sizes = n, tuple(sizes)
         self.total = sum(math.comb(n, size) for size in self.sizes)
-        self.scanned = 0
+        self.scanned = min(self.total, max_subsets)
 
     @property
     def complete(self) -> bool:
         return self.scanned == self.total
 
-    def chunks(self, column_bytes: int, gram_blocks: bool = False):
-        """Yield (c, size) index arrays, c at most _chunk_length(size, column_bytes, gram_blocks)."""
+    def chunks(self, column_bytes: int):
+        """Yield the first scanned subsets as (c, size) index arrays, c at most _chunk_length(size, column_bytes)."""
+        left = self.scanned
         for size in self.sizes:
-            per_chunk = _chunk_length(size, column_bytes, gram_blocks)
-            subsets = _Lex(self.n, size)
-            while self.scanned < self.max_subsets:
-                idx = subsets.take(min(per_chunk, self.max_subsets - self.scanned))
-                if not len(idx):
-                    break
-                self.scanned += len(idx)
+            per_chunk, subsets = _chunk_length(size, column_bytes), _Lex(self.n, size)
+            while left and len(idx := subsets.take(min(per_chunk, left))):
+                left -= len(idx)
                 yield idx
 
 
@@ -349,9 +350,9 @@ def uniqueness_rank_scan(
     """
     k = matrices.check_int(k, "sparsity k", 1, a.m // 2)  # 2k columns must fit in m rows
     scan = SubsetScan(a.n, (2 * k,), max_subsets)
-    group = translation_group(a) if max_subsets >= scan.total else None
+    group = translation_group(a) if scan.complete else None
     orbits = group is not None and (eta := translation_gap(a, *group)) < 0.5
-    batches = _orbit_chunks(a, 2 * k, *group, eta) if orbits else scan.chunks(a.m * a.data.itemsize, gram_blocks=True)
+    batches = _orbit_chunks(a, 2 * k, *group, eta) if orbits else scan.chunks(a.m * a.data.itemsize)
     witness = None
     min_cond = math.inf
     max_cond = 0.0
@@ -360,8 +361,6 @@ def uniqueness_rank_scan(
         first, low, high, bounds = _factor_chunk(a, idx, bounds, screen=not orbits)
         witness = min((w for w in (witness, first) if w is not None), default=None)
         min_cond, max_cond = min(min_cond, low), max(max_cond, high)
-    if orbits:
-        scan.scanned = scan.total  # every orbit is covered, so every subset is
     if max_cond == 0.0:  # no full-rank subset seen
         min_cond = max_cond = math.inf
     all_full_rank = False if witness is not None else (True if scan.complete else None)
@@ -508,7 +507,7 @@ def _orbit_chunks(a: matrices.MeasurementMatrix, s: int, o: int, q: int, eta: fl
     """
     g_num, g_den = gamma(a.m)
     extra = 2.0 * s * (eta + 2.0 * g_num / g_den * frobenius_sq(1)) * (1.0 + numerics.UNIT_ROUNDOFF)
-    per_chunk = _chunk_length(s, a.m * a.data.itemsize, gram_blocks=True)
+    per_chunk = _chunk_length(s, a.m * a.data.itemsize)
     # a subset that translation b fixes is a union of cosets of the q / b translations b generates: q / b <= s
     periods = [b for b in range(q - 1, 0, -1) if q % b == 0 and q // b <= s]
     bounds = (0.0, math.inf)
@@ -546,10 +545,8 @@ def rip_constant(
     """
     k = matrices.check_int(k, "sparsity k", 1, a.m)
     scan = SubsetScan(a.n, (k,), max_subsets)
-    delta, g = 0.0, None
+    delta, g = 0.0, numerics.gram(a.data) if scan.scanned else None  # a zero budget builds no Gram
     for idx in scan.chunks(k * a.data.itemsize):
-        if g is None:  # built once the first subset is visited, so a zero budget builds none
-            g = numerics.gram(a.data)
         w = np.linalg.eigvalsh(g[idx[:, :, None], idx[:, None, :]])
         delta = max(delta, float(w[:, -1].max()) - 1.0, 1.0 - float(w[:, 0].min()))
     return RipReport(k, delta, scan.scanned, scan.total, scan.complete)

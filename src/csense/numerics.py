@@ -177,15 +177,14 @@ def gram(a) -> np.ndarray:
     return g
 
 
-def gram_blocks(rows: np.ndarray, out=None) -> np.ndarray:
+def gram_blocks(rows: np.ndarray) -> np.ndarray:
     """The Gram of each entry of a (c, s, m) stack of rows: conj(rows[i]) rows[i]^T, a (c, s, s) stack.
 
     rows[i] holds the columns a_k of a sub-matrix A_S as its rows, so entry i is A_S^H A_S. Each of
     its entries is one conjugating dot product (np.vecdot), so no conjugate copy of the stack is made,
     and lies within gamma ||a_k|| ||a_l|| of the exact one, in any summation order (coherence.gamma).
-    With out, the blocks are written there.
     """
-    return np.vecdot(rows[:, :, None, :], rows[:, None, :, :], out=out)
+    return np.vecdot(rows[:, :, None, :], rows[:, None, :, :])
 
 
 def _strip_extremes(strip: np.ndarray) -> tuple[float, float, float]:

@@ -8,6 +8,7 @@ arithmetic that links coherence to a usable sparsity level.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -158,13 +159,13 @@ def _correlate(a: matrices.MeasurementMatrix, rows: np.ndarray) -> np.ndarray:
     return _rows_times(rows.conj(), a.data).conj()
 
 
-def _dft_correlate(spread: np.ndarray, rows: np.ndarray, residuals: np.ndarray, out=None) -> np.ndarray:
-    """A^H r for every row r of a stack, on the partial DFT with these rows: the FFT of r / sqrt(m) at its rows.
+def _dft_correlate(spread: np.ndarray, rows: np.ndarray, residuals: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A^H r for every row r of a stack, on the partial DFT with these rows: the FFT of r / sqrt(m) at its rows, written to out.
 
     Entry k of the n-point FFT of x is sum_j x_j exp(-2j pi j k / n), and
     column k of A holds exp(2j pi r k / n) / sqrt(m) at row r. spread is a
     zeroed (T, n) buffer; only the columns rows are written, so it stays
-    zero elsewhere from call to call. With out, the result is written there.
+    zero elsewhere from call to call.
     """
     spread[:, rows] = residuals / math.sqrt(residuals.shape[1])
     return np.fft.fft(spread, axis=1, out=out)
@@ -416,18 +417,19 @@ class _Live:
 
 
 def _pursue(a: matrices.MeasurementMatrix, ys, y_norms, thresholds, max_iter: int) -> BatchPursuit:
-    """Run every trial to its end, with the correlations from one FFT per step on a partial DFT, else from A."""
+    """Run every trial to its end, with the correlations from one source picked before the first step:
+    one FFT per step on a partial DFT, into one buffer every step overwrites, else A."""
     rows = a.dft_rows
     live = _Live(a, ys, y_norms, thresholds)
     # Unit columns give sigma_max(A_S) >= 1 and sigma_min(A_S) <= r_jj, so a
     # pivot r_jj at or below this already fails the shared rank test.
     step_tol = numerics.rank_tolerance((a.m,), 1.0)
     if rows is None:
-        correlations = _correlate(a, live.residual)
+        correlate = functools.partial(_correlate, a)
     else:
-        rows = np.array(rows)
         spread = np.zeros((len(ys), a.n), dtype=np.complex128)
-        correlations = _dft_correlate(spread, rows, live.residual)
+        correlate = functools.partial(_dft_correlate, spread, np.array(rows), out=np.empty_like(spread))
+    correlations = correlate(live.residual)
     for j in itertools.count():
         pick = select_column(correlations, live.y_norm)
         if j == 0:
@@ -459,10 +461,7 @@ def _pursue(a: matrices.MeasurementMatrix, ys, y_norms, thresholds, max_iter: in
         np.divide(v, r_jj[:, None], out=live.q[j])
         live.z[j] = z_j = (live.q[j].conj() * live.residual).sum(axis=1)
         live.residual -= z_j[:, None] * live.q[j]
-        if rows is None:
-            correlations = _correlate(a, live.residual)
-        else:
-            _dft_correlate(spread, rows, live.residual, out=correlations)
+        correlations = correlate(live.residual)
         live.norm = np.linalg.norm(live.residual, axis=1)
         live.trace[j] = live.norm
 
@@ -584,7 +583,9 @@ def exhaustive_l0_search(
 
     The empty support qualifies when ||y|| <= epsilon * ||y|| (y = 0, or
     epsilon >= 1), the rule by which the pursuit stops before its first pick;
-    it needs no fit and is not counted in scanned or total. Any other
+    it needs no fit and is not counted in scanned or total. Where ||y||
+    computes to 0 (y = 0, or ||y||^2 underflows) it is the only solution, as
+    the pursuit then picks nothing, and no support is fitted. Any other
     support qualifies when its full-rank least-squares fit leaves a residual
     of at most epsilon * ||y|| and every fitted value is above ZERO_TOL *
     ||y|| in magnitude (supports that fit only by zeroing entries belong to
@@ -601,20 +602,22 @@ def exhaustive_l0_search(
     supports that _fit would surely reject (_fits_out): Gershgorin's bound
     on the block and a Schur complement bound, with no eigensolver. Those
     supports are not fitted. A chunk's sub-matrices and the U factors _fit
-    makes of them fit SCAN_CHUNK_BYTES together, so they get half of it.
+    makes of them fit SCAN_CHUNK_BYTES together, so they get half of it, as
+    its Gram blocks do (coherence._chunk_length, every scan's chunk rule).
     """
     vec = _measurements(a, y)
     k_max = matrices.check_int(k_max, "k_max", 1, a.m)
     epsilon = matrices.check_positive(epsilon, "epsilon")
     scan = coherence.SubsetScan(a.n, range(1, k_max + 1), max_subsets)
     y_norm = float(np.linalg.norm(vec))
-    solutions = [L0Solution((), np.zeros(0, dtype=np.complex128), y_norm)] if y_norm <= epsilon * y_norm else []
-    border = None  # (|A^H v|^2 entrywise, v^H v) for v = y / ||y||: one product per search
-    if y_norm:
-        v = vec / y_norm
-        b = _correlate(a, v[None])[0]
-        border = (b.real**2 + b.imag**2, float(np.vdot(v, v).real))
-    for idx in scan.chunks(2 * a.m * a.data.itemsize, gram_blocks=border is not None):
+    empty = L0Solution((), np.zeros(0, dtype=np.complex128), y_norm)
+    if not y_norm:
+        return L0Report([empty], scan.scanned, scan.total, scan.complete)
+    solutions = [empty] if y_norm <= epsilon * y_norm else []
+    v = vec / y_norm
+    b = _correlate(a, v[None])[0]
+    border = (b.real**2 + b.imag**2, float(np.vdot(v, v).real))  # one product per search
+    for idx in scan.chunks(2 * a.m * a.data.itemsize):
         idx, vals, residual = _fit_chunk(a, idx, vec, border, epsilon)
         consistent = (residual <= epsilon * y_norm) & (np.min(np.abs(vals), axis=1) > numerics.ZERO_TOL * y_norm)
         for i in np.flatnonzero(consistent):
@@ -625,15 +628,14 @@ def exhaustive_l0_search(
 def _fit_chunk(a: matrices.MeasurementMatrix, idx: np.ndarray, vec, border, epsilon: float):
     """One chunk of the l0 search: the full-rank supports _fit took, with their values and residuals.
 
-    border is (|A^H v|^2 entrywise, v^H v) for v = y / ||y||, or None for
-    y = 0. Unless y = 0, _fits_out first clears the supports _fit would
-    surely reject. The chunk's arrays go when it returns.
+    border is (|A^H v|^2 entrywise, v^H v) for v = y / ||y||, ||y|| > 0, and
+    _fits_out first clears the supports _fit would surely reject. The
+    chunk's arrays go when it returns.
     """
     rows = a.data.T[idx]  # rows[i] holds the columns of support i as its rows
-    if border is not None:
-        keep = ~_fits_out(rows, border[0][idx].sum(axis=1), border[1], a.m, epsilon)
-        if not keep.all():
-            idx, rows = idx[keep], rows[keep]
+    keep = ~_fits_out(rows, border[0][idx].sum(axis=1), border[1], a.m, epsilon)
+    if not keep.all():
+        idx, rows = idx[keep], rows[keep]
     full, vals, residual = _fit(rows.transpose(0, 2, 1), vec)  # a (c, m, size) stack
     return idx[full], vals, residual
 

@@ -680,7 +680,7 @@ def test_fft_correlations_lie_within_the_allowance_of_the_dot_products(mat, seed
     rng = np.random.default_rng(seed)
     residuals = rng.standard_normal((4, mat.m)) + 1j * rng.standard_normal((4, mat.m))
     spread = np.zeros((4, mat.n), dtype=np.complex128)
-    fft = recovery._dft_correlate(spread, np.array(mat.dft_rows), residuals)
+    fft = recovery._dft_correlate(spread, np.array(mat.dft_rows), residuals, np.empty_like(spread))
     dot = recovery._correlate(mat, residuals)
     allowance = 2.0 * (mat.m + math.log2(2 * mat.n) * math.sqrt(mat.n / mat.m)) * numerics.UNIT_ROUNDOFF
     assert np.all(np.abs(fft - dot) <= allowance * np.linalg.norm(residuals, axis=1)[:, None])

@@ -237,12 +237,14 @@ def test_scan_memory_is_bounded_by_the_chunk(etf30):
 
 def test_subset_scan_enumerates_in_order_and_stops_at_budget():
     scan = coherence.SubsetScan(6, (1, 2), 12)
+    assert (scan.scanned, scan.total, scan.complete) == (12, 21, False)  # the budget sets them before any chunk
     rows = [tuple(r) for c in scan.chunks(16) for r in c.tolist()]
     expected = [(i,) for i in range(6)] + list(itertools.combinations(range(6), 2))
     assert rows == expected[:12]
     assert (scan.scanned, scan.total, scan.complete) == (12, 21, False)
     scan = coherence.SubsetScan(6, (2,), 100)
-    with mock.patch.object(coherence, "SCAN_CHUNK_BYTES", 3 * 2 * 16):
+    assert (scan.scanned, scan.complete) == (15, True)
+    with mock.patch.object(coherence, "SCAN_CHUNK_BYTES", 3 * 128):  # a pair's 2x2 complex Gram block, 64 bytes, in half a chunk
         chunks = list(scan.chunks(16))
     assert [len(c) for c in chunks] == [3, 3, 3, 3, 3]
     assert [tuple(r) for c in chunks for r in c.tolist()] == list(itertools.combinations(range(6), 2))
@@ -250,16 +252,15 @@ def test_subset_scan_enumerates_in_order_and_stops_at_budget():
 
 
 def test_gram_blocks_cap_a_chunk_only_where_they_outweigh_half_its_columns():
+    # one rule for every scan: a subset's columns fill a chunk and its complex Gram block half of one
     for m, size in itertools.product(range(1, 13), range(1, 7)):
-        plain, capped = (coherence.SubsetScan(9, (size,), 5000) for _ in range(2))
+        scan, total = coherence.SubsetScan(9, (size,), 5000), math.comb(9, size)
+        assert (scan.scanned, scan.complete) == (total, True)
         with mock.patch.object(coherence, "SCAN_CHUNK_BYTES", 4096):
-            lengths = [len(c) for c in plain.chunks(m * 16)]
-            capped_lengths = [len(c) for c in capped.chunks(m * 16, gram_blocks=True)]
-        if 2 * size * size <= size * m:
-            assert capped_lengths == lengths
-        else:
-            per, total = min(lengths[0], max(1, 4096 // (2 * size * size * 16))), math.comb(9, size)
-            assert capped_lengths == [per] * (total // per) + [total % per] * (total % per > 0)
+            chunks = list(scan.chunks(m * 16))
+        per = max(1, 4096 // max(size * m * 16, 2 * size * size * 16))
+        assert [len(c) for c in chunks] == [per] * (total // per) + [total % per] * (total % per > 0)
+        assert [tuple(r) for c in chunks for r in c.tolist()] == list(itertools.combinations(range(9), size))
 
 
 # ------------------------------------------- Gram-block screening of the scans
@@ -518,6 +519,35 @@ def test_l0_memory_is_bounded_by_the_chunk(etf30):
         rep, peak = traced_peak(recovery.exhaustive_l0_search, mat, y, len(support), 1e-10)
         assert [s.support for s in rep.solutions] == [support] and rep.complete
         assert peak <= 2 * coherence.SCAN_CHUNK_BYTES
+
+
+def test_rip_memory_is_bounded_by_the_chunk():
+    # beyond its n x n Gram, the isometry scan holds a chunk's Gram blocks, in half a chunk, and eigvalsh's work on them
+    for mat, k in [(matrices.build_gaussian(12, 60, seed=0), 4), (matrices.build_gaussian(8, 200, seed=0), 2)]:
+        coherence.rip_constant(mat, k)
+        rep, peak = traced_peak(coherence.rip_constant, mat, k)
+        assert rep.subsets_scanned == min(math.comb(mat.n, k), coherence.DEFAULT_MAX_SUBSETS)
+        assert peak - 16 * mat.n**2 <= 2 * coherence.SCAN_CHUNK_BYTES
+
+
+@pytest.mark.parametrize("budget", [0, 50, 105, 10**5])
+def test_a_zero_norm_y_gets_only_the_empty_support_and_no_fit(etf14, budget, tmp_path, capsys):
+    # y = 0, and a y whose squared norm underflows: the pursuit stops at the empty support, and the oracle, fitting
+    # nothing, finds only that one; a fit on the underflowing y would call almost every support an exact solution
+    mat_path = tmp_path / "etf14.json"
+    matrices.save_matrix(etf14, mat_path)
+    for y in (np.zeros(7), 1e-170 * etf14.data[:, 1]):
+        assert np.linalg.norm(y) == 0.0
+        with mock.patch.object(recovery, "_fit", wraps=recovery._fit) as fit:
+            rep = recovery.exhaustive_l0_search(etf14, y, 2, max_subsets=budget)
+        assert fit.call_count == 0
+        assert [s.support for s in rep.solutions] == [()]
+        assert (rep.scanned, rep.total, rep.complete) == (min(105, budget), 105, budget >= 105)
+        recovery.save_measurement(y, tmp_path / "y.json")
+        argv = ["recover", "--matrix", str(mat_path), "--measurements", str(tmp_path / "y.json"), "--oracle"]
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["recovery"]["support"] == [] and [s["support"] for s in payload["oracle"]["solutions"]] == [[]]
 
 
 def test_scan_memory_on_a_two_row_frame_is_bounded_by_the_chunk():
