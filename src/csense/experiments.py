@@ -30,17 +30,10 @@ AMPLITUDE_RANDOM = "random_magnitude_phase"
 AMPLITUDE_MODELS = (AMPLITUDE_UNIT_EQUAL, AMPLITUDE_RANDOM)
 
 VALUE_MATCH_RTOL = 1e-6
-# Bytes per trial of a batch, 2m + n complex values (recovery.pursue_batch):
-# the m terms are the basis vector and the column of R one pursuit step adds,
-# and the n term covers the trial's row of the (T, n) correlations A^H r and,
-# on a partial DFT, its row of the FFT buffer. R's column is only as wide as
-# the room for steps, which reaches m only when a pursuit runs past m / 2
-# steps, so the rule over-counts R; it is kept because it sets every batch
-# size. It caps the trials of one batch, which trial_outcomes fills with whole
-# slices of one k each.
-# Each batch pays a fixed cost (a seeded draw, about 40 numpy calls per pursuit
-# step, one refit stack), so a larger budget runs faster and peaks higher;
-# README's Monte Carlo paragraph gives the measured trade.
+# The memory one pursuit step of a batch may hold: trial_outcomes fills a batch
+# with at most BATCH_BYTES // recovery.step_bytes(mat) trials. A batch pays a fixed
+# cost (a seeded draw, about 40 numpy calls per step, one refit stack), so a larger
+# budget runs faster and peaks higher; README's Monte Carlo paragraph has the trade.
 BATCH_BYTES = 256 * 1024
 
 
@@ -155,34 +148,20 @@ def draw_trials(cfg: ExperimentConfig, n: int, k: int, trials: range) -> tuple[n
     return supports, mags * np.exp(1j * phases)
 
 
-def measure_trials(a: matrices.MeasurementMatrix, supports: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The (T, m) stack of y = A x, one row per trial of draw_trials.
-
-    The stacked product takes a.data @ x for each row on its own, the
-    matrix-vector product recovery.measure takes, so every row has the
-    bits of that trial's measure; one matrix product for the whole stack
-    would round differently.
-    """
-    dense = np.zeros((len(supports), a.n), dtype=np.complex128)
-    np.put_along_axis(dense, supports, values, axis=1)
-    return (a.data @ dense[:, :, None])[:, :, 0]
-
-
 def trial_outcomes(cfg: ExperimentConfig, mat: matrices.MeasurementMatrix):
     """(k, supports, values, pursuit) of each slice of trials, in k order and in trial order within k.
 
-    A slice is at most per_batch = BATCH_BYTES / (16 (2m + n)) consecutive
-    trials of one k (273 on the 15x30 ETF, 585 on the 7x14 and 10 on a
-    256x1024 partial DFT): supports and values are draw_trials' for it.
-    Consecutive slices, of one k or of several, share one
-    recovery.pursue_batch call while their trials together fit per_batch,
-    and pursuit is the slice's rows of that BatchPursuit. A slice is never
-    split to fill a batch: that would add draws, and steps for rows that
-    have already ended. The draw, the measurements and the engine give
-    every trial the numbers it gets alone, so neither the slices nor the
-    batches ever show in a report.
+    A slice is at most per_batch = BATCH_BYTES // recovery.step_bytes(mat)
+    consecutive trials of one k, drawn by draw_trials (273 on the 15x30 ETF,
+    585 on the 7x14, 10 on a 256x1024 partial DFT). Consecutive slices, of
+    one k or of several, share one recovery.pursue_batch call while their
+    trials together fit per_batch, and pursuit is the slice's rows of that
+    BatchPursuit. A slice is never split to fill a batch: that would add
+    draws, and steps for rows that have already ended. The draw, the
+    measurements and the engine give every trial the numbers it gets alone,
+    so neither the slices nor the batches ever show in a report.
     """
-    per_batch = max(1, BATCH_BYTES // ((2 * mat.m + mat.n) * mat.data.itemsize))
+    per_batch = max(1, BATCH_BYTES // recovery.step_bytes(mat))
     batches, filled = [], per_batch
     for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
         for start in range(0, cfg.trials, per_batch):
@@ -194,7 +173,7 @@ def trial_outcomes(cfg: ExperimentConfig, mat: matrices.MeasurementMatrix):
             filled += len(trials)
     for batch in batches:
         draws = [(k, *draw_trials(cfg, mat.n, k, trials)) for k, trials in batch]
-        ys = np.concatenate([measure_trials(mat, supports, values) for _, supports, values in draws])
+        ys = np.concatenate([recovery.measure_batch(mat, supports, values) for _, supports, values in draws])
         pursuit = recovery.pursue_batch(mat, ys, epsilon=cfg.epsilon)
         start = 0
         for k, supports, values in draws:

@@ -141,9 +141,21 @@ def _check_signal_length(a: matrices.MeasurementMatrix, x: SparseSignal) -> None
 
 
 def measure(a: matrices.MeasurementMatrix, x: SparseSignal) -> np.ndarray:
-    """y = A X for the dense expansion of the sparse signal."""
+    """y = A x: measure_batch on a stack of one signal."""
     _check_signal_length(a, x)
-    return a.data @ x.dense()
+    return measure_batch(a, np.array([x.support]), x.values[None])[0]
+
+
+def measure_batch(a: matrices.MeasurementMatrix, supports: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The (T, m) stack of y = A x, row t for the signal with values[t] at the columns supports[t].
+
+    Each row is a.data @ x for that signal's dense x, a matrix-vector product
+    of its own, so a signal measured in any stack gets the bits it gets
+    alone; one matrix product for the whole stack would round differently.
+    """
+    dense = np.zeros((len(supports), a.n), dtype=np.complex128)
+    np.put_along_axis(dense, supports, values, axis=1)
+    return (a.data @ dense[:, :, None])[:, :, 0]
 
 
 def back_project(a: matrices.MeasurementMatrix, y) -> np.ndarray:
@@ -361,10 +373,7 @@ def pursue_batch(
       iteration, and no Gram is built.
 
     Every product is taken row by row, so a trial computes the same numbers
-    in any batch as alone. Each step taken adds, per trial, a basis vector
-    (m values) and a column of R, as wide as the room for steps; the room
-    doubles when it runs out, up to max_iter. A trial that ends is recorded
-    at that step and keeps its row, unread, until the whole batch ends.
+    in any batch as alone. A step holds at most step_bytes(a) per trial.
     """
     stack = numerics.as_matrix(ys)
     if stack.shape[1] != a.m:
@@ -373,6 +382,18 @@ def pursue_batch(
     thresholds = matrices.check_positive(epsilon, "epsilon") * y_norms
     max_iter = a.m if max_iter is None else matrices.check_int(max_iter, "max_iter", 1, a.m)
     return _pursue(a, stack, y_norms, thresholds, max_iter)
+
+
+def step_bytes(a: matrices.MeasurementMatrix) -> int:
+    """The most one pursue_batch step holds per trial: 2m + n complex values.
+
+    m for the basis vector the step adds and m for its column of R, which is
+    only as wide as the room for steps (doubled when it runs out, up to
+    max_iter), so the rule over-counts R before m / 2 steps; n for the
+    trial's row of the correlations A^H r and, on a partial DFT, of the FFT
+    buffer. A trial that ends keeps its row, unread, until the batch ends.
+    """
+    return (2 * a.m + a.n) * a.data.itemsize
 
 
 class _Live:

@@ -76,6 +76,15 @@ def test_gen_matrix_fallback_failure_exits_3(tmp_path, capsys):
     assert all(route in err for route in ("orthonormal", "harmonic", "paley-conference"))
 
 
+def test_gen_matrix_exits_3_when_the_frame_fails_the_equiangular_check(tmp_path, capsys):
+    out = tmp_path / "etf.json"
+    with mock.patch.object(matrices, "_harmonic_rows", return_value=(0, 1, 2, 3, 4)):
+        code, _, err = run(capsys, "gen-matrix", "--family", "etf", "--m", "5", "--n", "11", "--out", str(out))
+    assert code == 3
+    assert "deviate from the Welch bound" in err
+    assert not out.exists()
+
+
 def test_gen_matrix_harmonic_etf(tmp_path, capsys):
     out = tmp_path / "etf.json"
     code, stdout, _ = run(capsys, "gen-matrix", "--family", "etf", "--m", "5", "--n", "11", "--out", str(out))

@@ -272,7 +272,7 @@ def test_batch_draw_is_the_stream_of_each_trial_alone(case):
     # a numpy whose uniform fuses low + range * u into one rounding fails here
     mat, cfg, k, trials = case
     supports, values = experiments.draw_trials(cfg, mat.n, k, trials)
-    ys = experiments.measure_trials(mat, supports, values)
+    ys = recovery.measure_batch(mat, supports, values)
     assert supports.shape == values.shape == (len(trials), k)
     assert ys.shape == (len(trials), mat.m)
     for row, trial in enumerate(trials):
@@ -280,6 +280,21 @@ def test_batch_draw_is_the_stream_of_each_trial_alone(case):
         assert tuple(supports[row].tolist()) == x.support
         assert values[row].tobytes() == x.values.tobytes()
         assert ys[row].tobytes() == (mat.data @ x.dense()).tobytes()
+
+
+def test_unit_amplitude_draws_on_the_7x14_etf_tie_at_the_top():
+    # README's "Ties" bullet: on criterion 12's draws the two largest first-pick
+    # correlations of 306 trials differ by rounding alone, well inside TIE_TOL ||y||,
+    # so the tie rule, not the evaluation order, picks among them
+    cfg = golden_configs()["criterion12_etf14_k3"]
+    mat = matrices.from_spec(**cfg.matrix)
+    supports, values = experiments.draw_trials(cfg, mat.n, 3, range(cfg.trials))
+    ys = recovery.measure_batch(mat, supports, values)
+    top = np.sort(np.abs([recovery.back_project(mat, y) for y in ys]), axis=1)[:, -2:]
+    gaps = top[:, 1] - top[:, 0]
+    tied = gaps <= recovery.TIE_TOL * np.linalg.norm(ys, axis=1)
+    assert int(tied.sum()) == 306
+    assert gaps[tied].max() <= 1e-14 and gaps[~tied].min() > 0.5
 
 
 # bounds 2**31 + 1 and 3 * 2**30 reject about half and a quarter of first draws,
@@ -406,7 +421,9 @@ def test_batch_tally_matches_the_per_trial_tally(name, rank_deficient):
         assert experiments.run_experiment(cfg).rows == tally_by_trial(cfg)
 
 
-@pytest.mark.parametrize("batch_bytes", [1, 3 * (2 * 15 + 30) * 16, experiments.BATCH_BYTES])
+@pytest.mark.parametrize(
+    "batch_bytes", [1, 3 * recovery.step_bytes(matrices.from_spec(**early_stop_config().matrix)), experiments.BATCH_BYTES]
+)
 def test_report_does_not_depend_on_the_batch_size(batch_bytes):
     cfg = early_stop_config()
     expected = tally_by_trial(cfg)
@@ -507,7 +524,7 @@ def test_batches_shared_across_k_tally_as_each_trial_alone(case):
     with tolerance if strict else contextlib.nullcontext():
         with mock.patch.object(experiments, "BATCH_BYTES", 1):  # every trial a batch of its own
             expected = tally_by_trial(cfg)
-        batch_bytes = per_batch * (2 * mat.m + mat.n) * mat.data.itemsize
+        batch_bytes = per_batch * recovery.step_bytes(mat)
         with mock.patch.object(experiments, "BATCH_BYTES", batch_bytes):
             with mock.patch.object(recovery, "pursue_batch", wraps=recovery.pursue_batch) as spy:
                 assert experiments.run_experiment(cfg).rows == expected

@@ -288,6 +288,13 @@ def test_etf_fallback_infeasible_size():
         matrices.build_etf(2, 5)
 
 
+def test_a_route_whose_frame_is_not_equiangular_is_rejected():
+    # rows 0-4 of the 11-point DFT are no difference set, so the check after the route refuses them
+    with mock.patch.object(matrices, "_harmonic_rows", return_value=(0, 1, 2, 3, 4)):
+        with pytest.raises(UnsupportedSizeError, match=r"deviate from the Welch bound by \d\.\d{3}e[-+]\d+ \(tolerance"):
+            matrices.build_etf(5, 11)
+
+
 # the sizes each route covers, written out: primes p = 3 (mod 4) and Paley conference orders up to 40
 PRIMES_3_MOD_4 = (3, 7, 11, 19, 23, 31)
 PALEY_ORDERS = (6, 14, 18, 30, 38)

@@ -401,6 +401,11 @@ def test_least_squares_underdetermined_rejected():
         numerics.solve_least_squares(np.ones((1, 2)), [1.0])
 
 
+def test_least_squares_right_hand_side_length_checked():
+    with pytest.raises(ValueError, match="right-hand side has length 2, expected 3"):
+        numerics.solve_least_squares(np.ones((3, 1)), [1.0, 2.0])
+
+
 def test_least_squares_residual_orthogonality(rng):
     for _ in range(20):
         a = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))

@@ -475,7 +475,7 @@ def test_trial_outcomes_match_each_trial_alone_in_any_batch_size():
         signals = [lone_signal(cfg, mat, k, t) for t in range(cfg.trials)]
         expected[k] = signals, [alone(mat, recovery.measure(mat, x), cfg.epsilon) for x in signals]
         lengths |= {(k, r.iterations) for r in expected[k][1] if not isinstance(r, Exception)}
-    for batch_bytes in (1, 3 * (2 * mat.m + mat.n) * 16, experiments.BATCH_BYTES):
+    for batch_bytes in (1, 3 * recovery.step_bytes(mat), experiments.BATCH_BYTES):
         with mock.patch.object(experiments, "BATCH_BYTES", batch_bytes):
             outcomes_by_k = itertools.groupby(experiments.trial_outcomes(cfg, mat), key=lambda outcome: outcome[0])
             slices_by_k = {k: [outcome[1:] for outcome in slices] for k, slices in outcomes_by_k}
@@ -548,7 +548,7 @@ def test_batch_memory_grows_r_with_the_steps_taken():
     )
     mat = matrices.from_spec(**cfg.matrix)
     supports, values = experiments.draw_trials(cfg, mat.n, 40, range(cfg.trials))
-    ys = experiments.measure_trials(mat, supports, values)
+    ys = recovery.measure_batch(mat, supports, values)
     batch, peak = traced_peak(recovery.pursue_batch, mat, ys)
     assert batch.iterations.tolist() == [40] * cfg.trials
     assert peak <= 6.5e6
@@ -666,7 +666,7 @@ def test_fft_route_matches_the_gram_route_on_fig3(fig3_dft, rng):
         cfg = experiments.ExperimentConfig(matrix=spec, k_range=(1, 8), trials=100, amplitude_model=model)
         for k in range(1, 9):
             supports, values = experiments.draw_trials(cfg, fig3_dft.n, k, range(cfg.trials))
-            fft_route_matches_a_route(fig3_dft, experiments.measure_trials(fig3_dft, supports, values))
+            fft_route_matches_a_route(fig3_dft, recovery.measure_batch(fig3_dft, supports, values))
 
 
 @settings(max_examples=150, deadline=None)
