@@ -199,8 +199,10 @@ def coherence_upper_bound(m: int, off_max: float, norm_sq_min: float) -> float:
     """An upper bound in [0, 1] on the exact coherence of the stored columns, each scaled to unit norm.
 
     off_max is the largest computed off-diagonal Gram magnitude, norm_sq_min the
-    smallest computed diagonal entry (a squared column norm). A computed entry
-    lies within gamma ||a_k|| ||a_l|| of the exact one (gamma). The bound
+    smallest computed diagonal entry (a squared column norm) of a complex walk
+    or, on a real frame, of a real one (_gram_extremes). A computed entry lies
+    within gamma ||a_k|| ||a_l|| of the exact one, in either arithmetic and any
+    summation order (gamma), so the two norm_sq_min are both covered. The bound
     off_max (1 + gamma) / norm_sq_min + gamma is evaluated on the rational
     values of the doubles, num / den in integers, and rounded up.
     """
@@ -219,10 +221,11 @@ def coherence_index(a: matrices.MeasurementMatrix) -> CoherenceReport:
 
     Off-diagonal mass below the numerical noise floor n*eps counts as zero,
     so orthonormal columns report mu = 0 (unbounded sparsity) instead of
-    rounding dust. One pass over the Gram in strips, and no n x n Gram is
-    built.
+    rounding dust. The Gram is walked in strips and no n x n Gram is built:
+    one complex pass, except on a real frame of two strips or more, where a
+    real pass picks the strips the complex pass computes (_gram_extremes).
     """
-    off_max, off_min, norm_sq_min = numerics.gram_extremes(a.data)
+    off_max, off_min, norm_sq_min = _gram_extremes(a)
     if off_max <= a.n * np.finfo(np.float64).eps:
         mu = mu_hi = 0.0
     else:
@@ -237,6 +240,52 @@ def coherence_index(a: matrices.MeasurementMatrix) -> CoherenceReport:
         gram_offdiag_max=off_max,
         gram_offdiag_min=off_min,
     )
+
+
+def _gram_extremes(a: matrices.MeasurementMatrix) -> tuple[float, float, float]:
+    """numerics.gram_extremes(a.data), the off-diagonal extremes bit for bit; the smallest diagonal may be a real walk's.
+
+    A complex frame, or one of a single strip (n <= STRIP_ROWS + 1), takes
+    numerics.gram_extremes. A real frame (a.is_real) of two strips or more is
+    walked first as a real product (numerics.strip_extremes with real), and
+    then only the strips that _strips_to_walk keeps are computed, each by the
+    complex product gram_extremes computes it with. They hold both extremes,
+    so those carry the complex walk's bits. The smallest diagonal entry is the
+    real walk's, which coherence_upper_bound covers as it does the complex one.
+    """
+    if a.n <= numerics.STRIP_ROWS + 1 or not a.is_real:  # a single strip reads no predicate
+        return numerics.gram_extremes(a.data)
+    real = numerics.strip_extremes(a.data, real=True)
+    maxes, mins, _ = zip(*numerics.strip_extremes(a.data, _strips_to_walk(real, a.m)))
+    return max(maxes), min(mins), min(diagonal for _, _, diagonal in real)
+
+
+def _strips_to_walk(real, m: int) -> list[int]:
+    """The strips, in order, whose complex product can hold the largest or the smallest off-diagonal magnitude.
+
+    real holds each strip's (largest, smallest, diagonal) from the real walk
+    of columns of length m. A strip is kept when its real largest lies within
+    t = 5 gamma rho^2 of the real walk's largest, or its real smallest within t
+    of the real walk's smallest (rho^2 = frobenius_sq(1)):
+    - a computed magnitude lies within gamma rho^2 of the exact one, complex
+      (gamma) or real (gamma_m < gamma, and its magnitude is exact), and
+      every value the real walk reads for a strip is a computed product of
+      one of its pairs, so the two walks' largest of one strip lie within
+      2 gamma rho^2 of each other;
+    - the strip S that holds the complex largest C has a real largest of at
+      least C - 2 gamma rho^2, and C is at least the complex largest of the
+      strip that holds the real largest R, itself at least R - 2 gamma rho^2:
+      S's real largest is at least R - 4 gamma rho^2, and the smallest
+      mirrors it;
+    - the fifth gamma rho^2 exceeds 5 u rho^2 (m >= 1), which covers the few
+      roundings of t and of R - t, each at most u times about rho^2.
+    So every strip that holds an extreme of the complex walk is kept. When
+    every strip ties, as on an ETF, all are kept and the real walk is spent.
+    """
+    g_num, g_den = gamma(m)
+    t = 5.0 * g_num / g_den * frobenius_sq(1)
+    maxes, mins = np.array([strip[:2] for strip in real]).T
+    return np.flatnonzero((maxes >= maxes.max() - t) | (mins <= mins.min() + t)).tolist()
 
 
 def _chunk_length(size: int, column_bytes: int) -> int:

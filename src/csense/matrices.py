@@ -89,9 +89,9 @@ class MeasurementMatrix:
 
     The record is frozen, data is read-only and shares no memory a caller
     can write (a private copy, or a view of immutable bytes as load_matrix
-    decodes them) and meta is a deep, read-only copy, so dft_rows, decided
-    when a caller first reads it and then kept, can never go stale. It holds
-    no Gram: whoever needs one builds it (numerics).
+    decodes them) and meta is a deep, read-only copy, so dft_rows and is_real,
+    each decided when a caller first reads it and then kept, can never go
+    stale. It holds no Gram: whoever needs one builds it (numerics).
     """
 
     data: np.ndarray
@@ -134,6 +134,14 @@ class MeasurementMatrix:
             if not np.array_equal(self.data[i], _dft_entries(roots, rows[i : i + 1], self.m)[0]):
                 return None
         return rows
+
+    @cached_property
+    def is_real(self) -> bool:
+        """Whether data's imaginary parts are all exactly zero, as a Gaussian's and a Paley ETF's are.
+
+        Then coherence_index screens the Gram strips by a real walk first.
+        """
+        return not self.data.imag.any()
 
 
 def _roots_of_unity(n: int) -> np.ndarray:

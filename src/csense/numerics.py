@@ -17,6 +17,9 @@ on the number of workers. gram fills the n x n Gram for its one whole reader,
 rip_constant, once it visits a subset; no matrix keeps one, and the pursuit
 reads A or its FFT instead. gram_extremes reduces the strips to the
 coherence's needs in O(GRAM_BLOCK n) memory: mu makes no n x n array.
+strip_extremes gives the same reduction strip by strip, for chosen strips,
+or in real arithmetic over a real copy of A, from which coherence_index picks
+the strips of a real frame that it computes in complex.
 gram_blocks gives the scans the Gram of each subset's columns, one block per
 subset, from the columns they gather. The batched scans, the least-squares
 fits and the pursuit factor their own stacks, so solve_least_squares,
@@ -148,9 +151,18 @@ def gram_strips(a, reduce, out=None) -> list:
     written to out[i:j, i:] when out is given, else to its worker's buffer, which is valid
     only until reduce returns.
     """
-    arr = as_matrix(a)
+    return _strips(as_matrix(a), reduce, out)
+
+
+def _strips(arr: np.ndarray, reduce, out=None, only=None) -> list:
+    """gram_strips of a complex or real 2-D array, or of only the strips numbered in only, in that order.
+
+    A real arr is walked as a real product: conj() of it is itself.
+    """
     n = arr.shape[1]
     rows = _strip_rows(n)
+    if only is not None:
+        rows = [rows[k] for k in only]
     size = max((j - i) * (n - i) for i, j in rows)
 
     def strip(buffer, k):
@@ -158,7 +170,7 @@ def gram_strips(a, reduce, out=None) -> list:
         dest = out[i:j, i:] if out is not None else buffer[: (j - i) * (n - i)].reshape(j - i, n - i)
         return reduce(np.matmul(arr[:, i:j].conj().T, arr[:, i:], out=dest))
 
-    return _walk(len(rows), strip, lambda: None if out is not None else np.empty(size, dtype=np.complex128))
+    return _walk(len(rows), strip, lambda: None if out is not None else np.empty(size, dtype=arr.dtype))
 
 
 def gram(a) -> np.ndarray:
@@ -201,6 +213,35 @@ def _strip_extremes(strip: np.ndarray) -> tuple[float, float, float]:
         float(min(right.min(initial=math.inf), block.min(initial=math.inf))),
         float(strip.diagonal().real.min()),
     )
+
+
+def _real_strip_extremes(strip: np.ndarray) -> tuple[float, float, float]:
+    """_strip_extremes of a real strip, its off-diagonal magnitudes read over the whole strip, which they overwrite.
+
+    Left of the diagonal lie products of the same pairs as above it, only
+    rounded apart, so every magnitude read is a computed product of one of the
+    strip's pairs, and no mask or copy is made.
+    """
+    smallest_diagonal = float(strip.diagonal().min())
+    np.abs(strip, out=strip)
+    np.fill_diagonal(strip, 0.0)
+    largest = float(strip.max())
+    np.fill_diagonal(strip, math.inf)
+    return largest, float(strip.min()), smallest_diagonal
+
+
+def strip_extremes(a, only=None, real: bool = False) -> list[tuple[float, float, float]]:
+    """_strip_extremes of each gram_strips strip in order, or of the strips numbered in only, in that order.
+
+    real walks a contiguous copy of a's real parts instead, one real product per
+    strip, reduced by _real_strip_extremes: the walk of A^H A when a's
+    imaginary parts are zero, at about a quarter of the multiplications, its
+    entries rounded apart from the complex walk's.
+    """
+    arr = as_matrix(a)
+    if real:
+        return _strips(np.ascontiguousarray(arr.real), _real_strip_extremes, only=only)
+    return _strips(arr, _strip_extremes, only=only)
 
 
 def gram_extremes(a) -> tuple[float, float, float]:

@@ -37,6 +37,12 @@ SCAN_TESTS = (
     "tests/test_acceptance.py",
 )
 SCREEN_PROPERTY = ("tests/test_scan_engine.py::test_the_oracle_screen_clears_only_supports_the_fit_rejects",)
+SQUARE_SUPPORT = "tests/test_scan_engine.py::test_the_oracle_screen_keeps_a_square_support_that_spans_y"
+STRIP_SCREEN_TESTS = (
+    "tests/test_numerics.py::test_the_strip_screen_keeps_extremes_within_its_allowance",
+    "tests/test_numerics.py::test_a_real_walk_summed_in_another_order_still_keeps_the_complex_extreme",
+    "tests/test_numerics.py::test_a_screened_real_frame_reports_as_the_unscreened_walk",
+)
 RANK_PROPERTY = ("tests/test_pursuit_engine.py::test_the_rank_screen_clears_only_factors_the_svd_passes",)
 SCHUR_BOUND = "corner - (b_sq + 3.0 * s * gam * rho_sq**2) / lam - rho_sq * (gam + 2.0 * (s + 10) * u)"
 QUOTIENT = "(b_sq + 3.0 * s * gam * rho_sq**2) / lam"
@@ -68,10 +74,11 @@ MUTANTS = (
         "recovery.py",
         QUOTIENT,
         "(b_sq + 3.0 * s * gam * rho_sq**2)",
-        SCREEN_PROPERTY,
+        SCREEN_PROPERTY + (SQUARE_SUPPORT,),
         (0, 1, 2, 3, 4, 5),
         "killed",
-        "the screen clears supports whose fit passes; at seeds 1, 3, 4 and 5, not at 0 or 2",
+        "the screen clears supports whose fit passes; the property alone kills it at seeds 1, 3, 4 and 5, "
+        "and its seed-1 case, pinned as a plain test, at every seed",
     ),
     Mutant(
         "fits-out-quotient-times-0.9",
@@ -122,6 +129,17 @@ MUTANTS = (
         (0, 1, 2, 3, 4, 5),
         "killed",
         "shows only on scaled factors: a pursuit's R has ||R||_F^2 within about 1e-10 of k",
+    ),
+    Mutant(
+        "strip-screen-allowance-zero",
+        "coherence.py",
+        "t = 5.0 * g_num / g_den * frobenius_sq(1)",
+        "t = 0.0",
+        STRIP_SCREEN_TESTS,
+        (0, 1, 2, 3, 4, 5),
+        "killed",
+        "killed by the two constructed tests (a real walk summed in reversed order skips the strip holding mu); "
+        "the property alone passes where the BLAS rounds the real and the complex strip products alike, as OpenBLAS on x86-64 did",
     ),
     Mutant(
         "needs-svd-d-zero",

@@ -21,5 +21,5 @@ def test_each_mutant_replaces_a_text_that_occurs_once(mutant):
 
 
 def test_the_table_holds_the_recorded_mutants():
-    assert len({mutant.name for mutant in MUTANTS}) == len(MUTANTS) == 15
-    assert sum(mutant.outcome == "killed" for mutant in MUTANTS) == 8
+    assert len({mutant.name for mutant in MUTANTS}) == len(MUTANTS) == 16
+    assert sum(mutant.outcome == "killed" for mutant in MUTANTS) == 9

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csense import coherence, matrices, numerics
@@ -187,6 +188,16 @@ def test_coherence_of_a_fresh_matrix_holds_no_gram(rng):
     gram_bytes, strip_bytes = n * n * 16, B * n * 16
     _, peak = traced_peak(coherence.coherence_index, mat)
     # a strip and its magnitudes, plus copies of A: about a quarter of the 64 MiB Gram at B = 256
+    assert peak <= 3 * strip_bytes + 4 * mat.data.nbytes < gram_bytes / 2
+
+
+def test_coherence_of_a_fresh_real_matrix_holds_no_gram(rng):
+    # the screened route: a real copy of A, the real walk's strips and then the complex strips it keeps
+    m, n = 16, 2048
+    mat = MeasurementMatrix(normalize_columns(rng.standard_normal((m, n))), "custom")
+    assert mat.is_real
+    gram_bytes, strip_bytes = n * n * 16, B * n * 16
+    _, peak = traced_peak(coherence.coherence_index, mat)
     assert peak <= 3 * strip_bytes + 4 * mat.data.nbytes < gram_bytes / 2
 
 
@@ -371,6 +382,147 @@ def test_a_failed_strip_reaches_the_caller_after_every_worker_is_joined(rng, rai
         else:
             pytest.fail("the failed strip did not reach the caller")
     assert threading.active_count() == before
+
+
+# ------------------------------------------- real frames: the screened walk
+
+
+def unscreened(mat):
+    """A copy of mat that coherence_index walks as it walks a complex frame: every strip, in complex arithmetic."""
+    copy = MeasurementMatrix(mat.data, mat.family, mat.meta)
+    copy.__dict__["is_real"] = False
+    return copy
+
+
+def report_hex(rep):
+    return [value.hex() if isinstance(value, float) else value for value in astuple(rep)]
+
+
+@functools.lru_cache(maxsize=None)
+def paley(n):
+    return matrices.build_etf(n // 2, n)
+
+
+def plant_tie(data, rng, p, q, pair):
+    """Set column p + 1 of the unit columns data to pair, normalized, and columns q and q + 1 to columns p and p + 1,
+    rows permuted alike: Gram entries (p, p + 1) and (q, q + 1) have one exact value, summed in different orders."""
+    data[:, p + 1] = pair / np.linalg.norm(pair)
+    perm = rng.permutation(len(data))
+    data[:, q], data[:, q + 1] = data[perm, p], data[perm, p + 1]
+
+
+@st.composite
+def real_frames(draw):
+    """Real frames of two strips or more: Gaussians with near-tied extremes in different strips, frames of signed unit
+    vectors (duplicate and orthogonal columns, many exact zeros) and the real Paley ETFs."""
+    kind = draw(st.sampled_from(("near-ties", "unit-vectors", "paley")))
+    if kind == "paley":
+        return paley(draw(st.sampled_from((74, 258))))
+    n = draw(st.sampled_from((H + 2, 2 * H + 1, 2 * B + 3)))
+    m = draw(st.sampled_from(range(1, min(n, 160) + 1)))  # uniform: integers() would draw m = 1 a third of the time
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "unit-vectors":  # columns +-e_r, some (e_r +- e_s) / sqrt 2: Gram entries 0, 1/2, 1/sqrt 2 and 1
+        data = np.zeros((m, n))
+        rows = rng.permutation(m) if m == n and draw(st.booleans()) else rng.integers(0, m, n)
+        data[rows, np.arange(n)] = rng.choice([-1.0, 1.0], n)
+        pairs = rng.random(n) < draw(st.sampled_from((0.0, 0.3))) if m > 1 else np.zeros(n, dtype=bool)
+        data[(rows[pairs] + 1) % m, np.flatnonzero(pairs)] = rng.choice([-1.0, 1.0], np.count_nonzero(pairs))
+        return MeasurementMatrix(normalize_columns(data), "custom")
+    # a tie planted in two strips, between the largest entries (a near-parallel pair) or the smallest (a pair
+    # orthogonalized in floating point), and perhaps moved apart by a few ulps
+    data = normalize_columns(rng.standard_normal((m, n)))
+    rows = numerics._strip_rows(n)
+    first, second = sorted(rng.choice(len(rows), 2, replace=False))
+    (p, p_end), (q, q_end) = rows[first], rows[second]
+    p, q = rng.integers(p, p_end - 1), rng.integers(q, q_end - 1)
+    if m > 1 and draw(st.booleans()):
+        plant_tie(data, rng, p, q, data[:, p + 1] - (data[:, p] @ data[:, p + 1]) * data[:, p])
+    else:
+        plant_tie(data, rng, p, q, data[:, p] + draw(st.sampled_from((1e-3, 0.1, 0.5))) * data[:, p + 1])
+    data[:, q + 1] += draw(st.sampled_from((0.0, 1e-16, 1e-15, 1e-13))) * rng.standard_normal(m)
+    return MeasurementMatrix(data, "custom")
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_frames())
+@example(paley(74))
+@example(paley(258))
+def test_a_screened_real_frame_reports_as_the_unscreened_walk(mat):
+    # the real walk only picks the strips the complex walk computes: the extremes keep their bits, and k_max, read
+    # off the real walk's smallest diagonal entry, stays the same
+    assert mat.is_real and mat.n > H + 1
+    assert report_hex(coherence.coherence_index(mat)) == report_hex(coherence.coherence_index(unscreened(mat)))
+
+
+def strip_products(mat):
+    """coherence_index(mat), and how many real and how many complex strip products it reduced."""
+    with mock.patch.object(numerics, "_real_strip_extremes", wraps=numerics._real_strip_extremes) as real, \
+            mock.patch.object(numerics, "_strip_extremes", wraps=numerics._strip_extremes) as walked:
+        rep = coherence.coherence_index(mat)
+    assert {call.args[0].dtype.kind for call in real.call_args_list} <= {"f"}
+    assert {call.args[0].dtype.kind for call in walked.call_args_list} == {"c"}
+    return rep, real.call_count, walked.call_count
+
+
+def test_complex_and_single_strip_frames_run_no_real_product(etf14, etf30, fig3_dft, rng):
+    frames = [
+        etf14,
+        etf30,  # real, one strip
+        matrices.build_gaussian(20, H + 1, seed=3),
+        fig3_dft,
+        matrices.build_etf(5, 11),
+        matrices.build_partial_dft(300, list(range(0, 300, 25))),
+        MeasurementMatrix(normalize_columns(rng.standard_normal((9, 200)) + 1j * rng.standard_normal((9, 200))), "custom"),
+    ]
+    for mat in frames:
+        rep, real, walked = strip_products(mat)
+        assert (real, walked) == (0, len(numerics._strip_rows(mat.n)))
+        assert (rep.gram_offdiag_max, rep.gram_offdiag_min) == numerics.gram_extremes(mat.data)[:2]
+        assert report_hex(rep) == report_hex(coherence.coherence_index(unscreened(mat)))
+
+
+def test_the_128x1024_gaussian_walks_2_of_its_16_strips_in_complex():
+    mat = matrices.build_gaussian(128, 1024, seed=0)
+    rep, real, walked = strip_products(mat)
+    assert (real, walked) == (16, 2)
+    assert report_hex(rep) == report_hex(coherence.coherence_index(unscreened(mat)))
+
+
+def test_the_strip_screen_keeps_extremes_within_its_allowance():
+    # strips 0 and 1, and 3 and 4, hold real extremes closer than the two walks can disagree by, 4 gamma rho^2: the
+    # complex walk may put its extreme in either, so both are kept; strips 2 and 5 lie three times farther off
+    m = 128
+    g_num, g_den = coherence.gamma(m)
+    apart = 4.0 * g_num / g_den * coherence.frobenius_sq(1)
+    top, middle, bottom = 0.75, 0.5, 1e-3
+    real = [
+        (top, middle, 1.0),
+        (top - apart, middle, 1.0),
+        (top - 3.0 * apart, middle, 1.0),
+        (middle, bottom, 1.0),
+        (middle, bottom + apart, 1.0),
+        (middle, bottom + 3.0 * apart, 1.0),
+    ]
+    assert coherence._strips_to_walk(real, m) == [0, 1, 3, 4]
+
+
+def test_a_real_walk_summed_in_another_order_still_keeps_the_complex_extreme():
+    # a near-parallel pair tied in strips 1 and 2 (seed 0), as the property plants it. The real walk here sums each
+    # product in reversed row order, as another BLAS may. Its largest then lies in the other strip than the complex
+    # walk's, so only the allowance keeps the strip that holds mu
+    m, n = 16, 3 * H + 1
+    rng = np.random.default_rng(0)
+    data = normalize_columns(rng.standard_normal((m, n)))
+    plant_tie(data, rng, H, 2 * H, data[:, H] + 0.1 * data[:, H + 1])
+    mat = MeasurementMatrix(data, "custom")
+    matmul = np.matmul
+
+    def reversed_sums(x, y, out=None):
+        return matmul(x[:, ::-1], y[::-1], out=out) if x.dtype.kind == "f" else matmul(x, y, out=out)
+
+    with mock.patch.object(np, "matmul", side_effect=reversed_sums):
+        rep = coherence.coherence_index(mat)
+    assert report_hex(rep) == report_hex(coherence.coherence_index(unscreened(mat)))
 
 
 # ---------------------------------------------------- solve_least_squares

@@ -469,7 +469,23 @@ def test_the_oracle_screen_clears_only_supports_the_fit_rejects(mat, data):
     epsilon = data.draw(st.one_of(st.sampled_from([1e-12, 1e-8, 1e-3, 0.3]), st.floats(1e-12, 0.3)))
     supports = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=size, max_size=size), min_size=1, max_size=40))
     holding = [near | set(rng.permutation(sorted(set(range(n)) - near))[: size - len(near)].tolist()) for _ in range(5)]
-    idx = np.array(sorted(set(tuple(sorted(support)) for support in supports + holding)))
+    assert_the_screen_clears_only_misfits(mat, y, epsilon, supports + holding)
+
+
+def test_the_oracle_screen_keeps_a_square_support_that_spans_y():
+    # the property's falsifying case at hypothesis seed 1 for _fits_out's Schur bound without its quotient by lam:
+    # columns 0 and 1 of a 2x4 complex Gaussian span C^2, so y on them fits within epsilon = 1e-12 and may not be cleared
+    mat = random_matrix(0, 2, 4)
+    rng = np.random.default_rng(38442)
+    y = mat.data[:, [0, 1]] @ (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    assert_the_screen_clears_only_misfits(mat, y, 1e-12, [{0, 1}])
+
+
+def assert_the_screen_clears_only_misfits(mat, y, epsilon, supports):
+    """Every support _fits_out clears for y fails _fit's residual test on its own, and Gershgorin's floor lies under
+    each support's Gram block's smallest eigenvalue."""
+    m = mat.m
+    idx = np.array(sorted(set(tuple(sorted(support)) for support in supports)))
     y_norm = float(np.linalg.norm(y))
     v = y / y_norm
     b = recovery._correlate(mat, v[None])[0]
